@@ -4,7 +4,7 @@
 // replaces that with dense frame slots, pooled expressions, and interned
 // IDs.  This bench measures both engines on the same compiled kernel —
 // timing-only (SymmetricCpeServices, pure interpreter cost) and functional
-// (64-thread mesh) — plus the one-time cost of lowering itself.
+// (64-CPE fiber mesh) — plus the one-time cost of lowering itself.
 #include <chrono>
 
 #include "bench_common.h"

@@ -51,7 +51,7 @@ int main() {
               sw::codegen::countOps(kernel.program.body),
               static_cast<long long>(kernel.program.spmBytesUsed()));
 
-  // --- functional run on the 64-thread mesh simulator -------------------
+  // --- functional run on the 64-CPE mesh simulator ----------------------
   const std::int64_t m = 512, n = 512, k = 512;
   std::vector<double> a = randomMatrix(m * k, 1);
   std::vector<double> b = randomMatrix(k * n, 2);

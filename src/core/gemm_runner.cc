@@ -221,7 +221,6 @@ rt::RunOutcome runGemmFunctional(const CompiledKernel& kernel,
 
   sunway::MeshSimulator mesh(arch, /*functional=*/true);
   mesh.setFaultPlan(runConfig.faultPlan);
-  mesh.setWatchdogMillis(runConfig.watchdogMillis);
   // Transposed operands are stored in their transposed layout (A: K x M,
   // B: N x K), matching the generated kernel's address computation.
   const bool tA = kernel.options.transposeA;

@@ -1,5 +1,5 @@
 // Convenience execution wrappers around a CompiledKernel: functional runs
-// on the threaded mesh simulator and scalable timing estimates.  Two host
+// on the mesh simulator and scalable timing estimates.  Two host
 // paths exist: the padded reference (zero-padded shadow arrays per §8.1's
 // convention) and the edge-tile path, which binds the caller's unpadded
 // arrays directly when the kernel was compiled with edge tiles.
@@ -41,9 +41,6 @@ enum class PadMode {
 struct FunctionalRunConfig {
   /// Installed on the mesh before running; nullptr disables injection.
   std::shared_ptr<const sunway::FaultPlan> faultPlan;
-  /// No-progress deadline; negative keeps the mesh default
-  /// (SWCODEGEN_WATCHDOG_MS or 5000 ms), 0 disables the watchdog.
-  double watchdogMillis = -1.0;
   /// Per-CPE engine: the lowered plan by default (falls back to the
   /// tree-walk when the kernel carries no plan), the tree-walking
   /// reference interpreter, or the native JIT engine (src/jit).  kNative
@@ -63,7 +60,7 @@ struct FunctionalRunConfig {
   std::string jitCacheDir;
 };
 
-/// Run the compiled kernel functionally on the 64-thread mesh simulator.
+/// Run the compiled kernel functionally on the 64-CPE mesh simulator.
 /// `a` is batch*m*k row-major, `b` batch*k*n, `c` batch*m*n (read-write:
 /// C = alpha*A*B + beta*C lands back in `c`; transposed operands use their
 /// transposed layouts).  Depending on the resolved PadMode the inputs are

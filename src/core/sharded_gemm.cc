@@ -340,7 +340,7 @@ ShardedOutcome runShardedFunctional(const CompiledKernel& kernel,
       // A fault-free mesh aborting is a kernel/simulator bug, not a
       // recoverable group failure — let it surface.
       if (runConfig.faultPlan == nullptr) throw;
-      // Node-level watchdog view: name the stuck group and carry its
+      // Node-level deadlock view: name the stuck group and carry its
       // per-CPE state dump, then degrade the group to a fault-free
       // re-run of the same shard.
       SW_WARN("sharded", "event=group_abort group=", group, " shard=\"",

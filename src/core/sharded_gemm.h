@@ -25,8 +25,8 @@
 // DDR pool is shared), and block hand-off across groups is charged to the
 // NoC.  Timing-only — functional results never depend on bandwidth.
 //
-// Fault domains: each group's mesh is its own fault/watchdog domain.  A
-// group whose mesh aborts (watchdog or protocol violation) is logged at
+// Fault domains: each group's mesh is its own fault domain.  A group
+// whose mesh aborts (deadlock or protocol violation) is logged at
 // node level with the stuck group's per-CPE state dump, and its shard is
 // re-executed fault-free on the same group; other groups' C blocks are
 // never touched by the failure.
@@ -48,7 +48,7 @@ struct ShardedConfig {
   int groups = 1;
   /// K chunks per C block (chained reduction); 1 disables the K split.
   std::int64_t kSplit = 1;
-  /// Engine / pad-mode / watchdog applied to every group's mesh runs.
+  /// Engine / pad-mode applied to every group's mesh runs.
   /// `run.faultPlan` is ignored; use `groupFaultPlan` + `faultGroup` to
   /// target one group's fault domain.
   FunctionalRunConfig run;
@@ -105,7 +105,7 @@ struct ShardedOutcome {
   std::int64_t hostCopyBytes = 0;
   int shardsRun = 0;
 
-  /// Watchdog/protocol aborts recovered by a fault-free re-run.
+  /// Deadlock/protocol aborts recovered by a fault-free re-run.
   struct GroupFailure {
     int group = -1;
     std::string shard;  // "block 2 chunk 0 [m 64..128 n 0..96 k 0..64]"

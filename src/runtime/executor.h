@@ -1,5 +1,5 @@
 // High-level execution entry points: run a generated kernel on the
-// threaded mesh simulator (functional + timing), or estimate its timing
+// 64-CPE mesh simulator (functional + timing), or estimate its timing
 // with the sequential symmetric model.
 #pragma once
 
@@ -92,7 +92,7 @@ std::map<std::string, std::int64_t> bindParams(
 double gemmFlops(std::int64_t m, std::int64_t n, std::int64_t k,
                  std::int64_t batch = 1);
 
-/// Execute on the (threaded) mesh simulator.  `mesh.memory()` must already
+/// Execute on the mesh simulator.  `mesh.memory()` must already
 /// hold the arrays the program accesses when the mesh is functional.  When
 /// `plan` is non-null each CPE runs the lowered plan; otherwise the
 /// tree-walking interpreter (identical results either way).

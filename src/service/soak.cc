@@ -128,7 +128,6 @@ bool verifyChaosRun(ServiceFrontend& frontend, const SoakConfig& config,
   ctx.priority = 10;
   core::FunctionalRunConfig runConfig;
   runConfig.faultPlan = config.chaosPlan;
-  runConfig.watchdogMillis = config.watchdogMillis;
   std::vector<double> faulted = c0;
   const KernelService::ResilientRunResult result =
       frontend.runGuarded(options, problem, a, b, faulted, ctx, runConfig);

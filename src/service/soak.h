@@ -60,7 +60,6 @@ struct SoakConfig {
   /// starve verification); 0 disables verification.
   int verifyEvery = 0;
   std::shared_ptr<const sunway::FaultPlan> chaosPlan;
-  double watchdogMillis = 200.0;
 
   AdmissionConfig admission;
 };

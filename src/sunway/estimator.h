@@ -4,7 +4,7 @@
 // the same op stream (modulo which broadcast round it sends), and a mesh
 // barrier precedes every RMA round, so all logical clocks coincide at each
 // synchronisation point.  Simulating one CPE with sender guards forced
-// true therefore reproduces the threaded runtime's critical path while
+// true therefore reproduces the mesh runtime's critical path while
 // scaling to paper-sized shapes (15360^3) in microseconds of host time.
 //
 // The approximation is validated against MeshSimulator in

@@ -9,7 +9,8 @@
 // of the same key and are therefore just as deterministic.
 //
 // The plan itself is immutable after parsing and safe to share across the
-// 64 CPE threads; occurrence counters live in the per-CPE services.
+// 64 CPEs and across meshes on other threads; occurrence counters live in
+// the per-CPE services.
 #pragma once
 
 #include <cstdint>
@@ -23,13 +24,13 @@ enum class FaultOpClass { kDma, kRma, kSync };
 
 enum class FaultKind {
   kDmaDropReply,  // finite count: wait fails transiently (retryable);
-                  // count=forever: the reply never arrives (watchdog case)
+                  // count=forever: the reply never arrives (deadlock case)
   kDmaCorrupt,    // tile bytes corrupted in SPM, detected at the reply wait
                   // (simulated checksum); retryable
   kDmaDelay,      // completion pushed `seconds` later
   kRmaDropReply,  // finite count: the round arrives marked failed (clean
                   // ProtocolError at every receiver); count=forever: the
-                  // message is lost and receivers hang (watchdog case)
+                  // message is lost and receivers park (deadlock case)
   kRmaDelay,      // transfer takes `seconds` longer (reordering emerges)
   kCpeStall,      // the CPE's logical clock stalls `seconds` at a barrier
 };

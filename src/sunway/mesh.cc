@@ -1,17 +1,25 @@
 #include "sunway/mesh.h"
 
+#include <sys/mman.h>
+#include <ucontext.h>
+#include <unistd.h>
+
 #include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
+#include <cerrno>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
-#include <deque>
 #include <exception>
-#include <mutex>
 #include <sstream>
-#include <thread>
+#include <system_error>
 #include <unordered_map>
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
+#if defined(__SANITIZE_THREAD__)
+#include <sanitizer/tsan_interface.h>
+#endif
 
 #include "support/error.h"
 #include "support/format.h"
@@ -32,8 +40,13 @@ struct RmaRound {
   bool dropped = false;
 };
 
+/// Rounds sent on one (reply slot, mesh line) pair, in send order.
+/// Receivers consume them ordinally: the generated code issues and waits
+/// strictly alternately per line, so ordinal matching is exact.
+using RmaChannel = std::vector<RmaRound>;
+
 /// Compact record of one in-flight DMA, kept as interned ids so the issue
-/// path never formats strings; the watchdog dump resolves names lazily.
+/// path never formats strings; the deadlock dump resolves names lazily.
 struct PendingDmaInfo {
   int slotId = -1;
   int arrayId = -1;
@@ -43,40 +56,130 @@ struct PendingDmaInfo {
   std::int64_t spmOffsetBytes = 0;
 };
 
-/// Snapshot of one CPE's execution state for the watchdog's no-progress
-/// detection and the per-CPE dump attached to its ProtocolError.  Updated
-/// by the owning CPE thread whenever it blocks or resumes.
-struct CpeStatus {
-  enum State { kRunning, kBarrier, kRmaWait, kDmaHang, kDone };
+/// Where a CPE fiber stands.  Every state between kRunnable and kDone is a
+/// park: the scheduler resumes the fiber only once what it waits for exists
+/// (a lost DMA reply never does).
+enum class CpeState { kRunnable, kBarrier, kRmaWait, kDmaHang, kDone };
+constexpr const char* kStateNames[] = {"running", "barrier", "rma-wait",
+                                       "dma-hang", "done"};
 
-  std::mutex mutex;
-  State state = kRunning;
-  std::string detail;  // what the CPE is blocked on
-  double clock = 0.0;
-  CpeCounters counters;
-  std::vector<PendingDmaInfo> pendingDma;
-  std::vector<std::pair<int, std::size_t>> rmaConsumed;  // slotId -> rounds
-};
+/// Dense ids for names, shared by every CPE of a mesh.
+struct Interner {
+  std::unordered_map<std::string, int> ids;
+  std::vector<std::string> names;
 
-const char* stateName(CpeStatus::State state) {
-  switch (state) {
-    case CpeStatus::kRunning: return "running";
-    case CpeStatus::kBarrier: return "barrier";
-    case CpeStatus::kRmaWait: return "rma-wait";
-    case CpeStatus::kDmaHang: return "dma-hang";
-    case CpeStatus::kDone: return "done";
+  int intern(const std::string& name) {
+    auto [it, inserted] = ids.emplace(name, static_cast<int>(names.size()));
+    if (inserted) names.push_back(name);
+    return it->second;
   }
-  return "?";
-}
-
-/// Rendezvous channel for one (reply slot, mesh line) pair.  Senders append
-/// rounds; receivers consume them in order (the generated code issues and
-/// waits strictly alternately per line, so ordinal matching is exact).
-struct RmaChannel {
-  std::mutex mutex;
-  std::condition_variable cv;
-  std::vector<RmaRound> rounds;
+  [[nodiscard]] std::string name(int id) const {
+    if (id < 0 || static_cast<std::size_t>(id) >= names.size()) return "?";
+    return names[static_cast<std::size_t>(id)];
+  }
 };
+
+/// Stacks for the CPE fibers of every mesh one host thread runs: a single
+/// mmap'd region outside the malloc heap, each stack above a PROT_NONE
+/// guard page so an overflow faults instead of corrupting its neighbour.
+/// Kept for the thread's lifetime and reused by each run on it.
+class FiberStacks {
+ public:
+  static constexpr std::size_t kStackBytes = std::size_t{256} << 10;
+
+  /// Holds the calling thread's stacks, grown to `count`, for one run.
+  class Lease {
+   public:
+    explicit Lease(int count) : stacks_(forThisThread()) {
+      SW_CHECK(!stacks_.leased_,
+               "MeshSimulator::run called from inside a CPE of a running mesh");
+      stacks_.reserve(static_cast<std::size_t>(count));
+      stacks_.leased_ = true;
+    }
+    ~Lease() { stacks_.leased_ = false; }
+    Lease(const Lease&) = delete;
+    Lease& operator=(const Lease&) = delete;
+
+    /// Lowest address of stack `index`.
+    [[nodiscard]] char* stack(int index) const {
+      return stacks_.base_ + static_cast<std::size_t>(index) * slotBytes() +
+             guardBytes();
+    }
+
+   private:
+    FiberStacks& stacks_;
+  };
+
+  FiberStacks() = default;
+  FiberStacks(const FiberStacks&) = delete;
+  FiberStacks& operator=(const FiberStacks&) = delete;
+  ~FiberStacks() { release(); }
+
+ private:
+  static FiberStacks& forThisThread() {
+    thread_local FiberStacks stacks;
+    return stacks;
+  }
+  static std::size_t guardBytes() {
+    static const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+    return page;
+  }
+  static std::size_t slotBytes() { return guardBytes() + kStackBytes; }
+
+  void reserve(std::size_t count) {
+    if (count <= count_) return;
+    release();
+    void* base = ::mmap(nullptr, count * slotBytes(), PROT_READ | PROT_WRITE,
+                        MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK,
+                        -1, 0);
+    if (base == MAP_FAILED)
+      throw std::system_error(errno, std::generic_category(),
+                              "mmap of the CPE fiber stacks");
+    base_ = static_cast<char*>(base);
+    count_ = count;
+    for (std::size_t i = 0; i < count; ++i)
+      if (::mprotect(base_ + i * slotBytes(), guardBytes(), PROT_NONE) != 0)
+        throw std::system_error(errno, std::generic_category(),
+                                "mprotect of a fiber stack guard page");
+  }
+
+  void release() {
+    if (base_ != nullptr) ::munmap(base_, count_ * slotBytes());
+    base_ = nullptr;
+    count_ = 0;
+  }
+
+  char* base_ = nullptr;
+  std::size_t count_ = 0;
+  bool leased_ = false;
+};
+
+// Sanitizer fiber annotations.  ASan must be told of every stack switch,
+// or the first exception thrown inside a fiber reads as a stack overflow
+// of the host stack; TSan needs one context per fiber.
+#if defined(__SANITIZE_ADDRESS__)
+void asanStartSwitch(void** fakeStack, const void* bottom, std::size_t size) {
+  __sanitizer_start_switch_fiber(fakeStack, bottom, size);
+}
+void asanFinishSwitch(void* fakeStack, const void** bottom,
+                      std::size_t* size) {
+  __sanitizer_finish_switch_fiber(fakeStack, bottom, size);
+}
+#else
+void asanStartSwitch(void**, const void*, std::size_t) {}
+void asanFinishSwitch(void*, const void**, std::size_t*) {}
+#endif
+#if defined(__SANITIZE_THREAD__)
+void* tsanCurrentFiber() { return __tsan_get_current_fiber(); }
+void* tsanCreateFiber() { return __tsan_create_fiber(0); }
+void tsanDestroyFiber(void* fiber) { __tsan_destroy_fiber(fiber); }
+void tsanSwitchTo(void* fiber) { __tsan_switch_to_fiber(fiber, 0); }
+#else
+void* tsanCurrentFiber() { return nullptr; }
+void* tsanCreateFiber() { return nullptr; }
+void tsanDestroyFiber(void*) {}
+void tsanSwitchTo(void*) {}
+#endif
 
 }  // namespace
 
@@ -102,8 +205,6 @@ class MeshSimulator::Impl {
   int meshSize_;
 
   // --- barrier with clock-max completion ---
-  std::mutex barrierMutex_;
-  std::condition_variable barrierCv_;
   int barrierArrived_ = 0;
   std::int64_t barrierGeneration_ = 0;
   double barrierMaxClock_ = 0.0;
@@ -113,91 +214,45 @@ class MeshSimulator::Impl {
   // every CPE, so RMA channel lines and lowered-plan bindings agree across
   // the mesh regardless of per-CPE interning order.  Ids are stable across
   // runs; per-run state (channels, rounds) is reset separately. ---
-  std::mutex internMutex_;
-  std::unordered_map<std::string, int> slotIdByName_;
-  std::vector<std::string> slotNameTable_;
-  std::unordered_map<std::string, int> arrayIdByName_;
-  std::vector<std::string> arrayNameTable_;
+  Interner slotNames_;
+  Interner arrayNames_;
 
-  int internSlotMeshWide(const std::string& name) {
-    std::lock_guard<std::mutex> lock(internMutex_);
-    auto [it, inserted] =
-        slotIdByName_.emplace(name, static_cast<int>(slotNameTable_.size()));
-    if (inserted) slotNameTable_.push_back(name);
-    return it->second;
-  }
-  int internArrayMeshWide(const std::string& name) {
-    std::lock_guard<std::mutex> lock(internMutex_);
-    auto [it, inserted] =
-        arrayIdByName_.emplace(name, static_cast<int>(arrayNameTable_.size()));
-    if (inserted) arrayNameTable_.push_back(name);
-    return it->second;
-  }
-  std::string slotName(int id) {
-    std::lock_guard<std::mutex> lock(internMutex_);
-    if (id < 0 || static_cast<std::size_t>(id) >= slotNameTable_.size())
-      return "?";
-    return slotNameTable_[static_cast<std::size_t>(id)];
-  }
-  std::string arrayName(int id) {
-    std::lock_guard<std::mutex> lock(internMutex_);
-    if (id < 0 || static_cast<std::size_t>(id) >= arrayNameTable_.size())
-      return "?";
-    return arrayNameTable_[static_cast<std::size_t>(id)];
-  }
-
-  // --- RMA channels, indexed by interned slot id then mesh line ---
+  // --- RMA channels, indexed by interned slot id then mesh line.  Each
+  // line vector is sized once, so a parked receiver's channel pointer
+  // stays valid while the table grows. ---
   struct SlotChannels {
-    std::vector<std::unique_ptr<RmaChannel>> row;
-    std::vector<std::unique_ptr<RmaChannel>> col;
-    std::vector<std::unique_ptr<RmaChannel>> p2p;
+    std::vector<RmaChannel> row;
+    std::vector<RmaChannel> col;
+    std::vector<RmaChannel> p2p;
   };
-  std::mutex channelsMutex_;
   std::vector<std::unique_ptr<SlotChannels>> channels_;
 
   // --- per-CPE SPM (functional mode) ---
   std::vector<std::vector<double>> spms_;
 
-  // --- fault injection & watchdog ---
   std::shared_ptr<const FaultPlan> faultPlan_;
-  double watchdogMillis_ = MeshSimulator::defaultWatchdogMillis();
-  /// Per-CPE status board (deque: CpeStatus holds a mutex, so entries must
-  /// never move).  Rebuilt at the start of every run.
-  std::deque<CpeStatus> status_;
-  /// Bumped on every status transition; the watchdog reads it to tell a
-  /// slow mesh from a stuck one.
-  std::atomic<std::uint64_t> progress_{0};
-  std::mutex watchdogMutex_;
-  std::condition_variable watchdogCv_;
-  bool watchdogStop_ = false;
-  /// CPEs waiting on a permanently dropped DMA reply park here until the
-  /// watchdog (or another CPE's error) aborts the run.
-  std::mutex hangMutex_;
-  std::condition_variable hangCv_;
 
-  // --- error funneling ---
-  std::atomic<bool> aborted_{false};
-  std::mutex errorMutex_;
+  // --- the run in progress: the host context the fibers return to, and
+  // the first error, after which every parked CPE unwinds ---
+  ucontext_t hostContext_{};
+  void* hostTsanFiber_ = nullptr;
+  const void* hostStackBottom_ = nullptr;
+  std::size_t hostStackBytes_ = 0;
   std::exception_ptr firstError_;
+  bool aborted_ = false;
 
   /// Rendezvous channels: broadcasts use one channel per mesh line,
-  /// point-to-point one channel per destination CPE.  RmaChannel objects
-  /// never move once created, so the returned reference stays valid while
-  /// the table grows.
+  /// point-to-point one channel per destination CPE.
   RmaChannel& channel(int slotId,
-                      std::vector<std::unique_ptr<RmaChannel>>
-                          SlotChannels::*scope,
-                      int index, int scopeSize) {
-    std::lock_guard<std::mutex> lock(channelsMutex_);
+                      std::vector<RmaChannel> SlotChannels::*scope, int index,
+                      int scopeSize) {
     if (channels_.size() <= static_cast<std::size_t>(slotId))
       channels_.resize(static_cast<std::size_t>(slotId) + 1);
     auto& entry = channels_[static_cast<std::size_t>(slotId)];
     if (!entry) entry = std::make_unique<SlotChannels>();
     auto& lines = (*entry).*scope;
-    if (lines.empty())
-      for (int i = 0; i < scopeSize; ++i)
-        lines.push_back(std::make_unique<RmaChannel>());
-    return *lines.at(static_cast<std::size_t>(index));
+    if (lines.empty()) lines.resize(static_cast<std::size_t>(scopeSize));
+    return lines.at(static_cast<std::size_t>(index));
   }
   RmaChannel& lineChannel(int slotId, bool isRow, int line) {
     return channel(slotId, isRow ? &SlotChannels::row : &SlotChannels::col,
@@ -207,158 +262,123 @@ class MeshSimulator::Impl {
     return channel(slotId, &SlotChannels::p2p, cpeId, meshSize_);
   }
 
-  void recordError() { abortWith(std::current_exception()); }
-
-  /// Record the first error, flip the abort flag and wake every waiter.
-  /// Each notify happens while holding the mutex its waiters' predicates
-  /// are checked under — notifying without it can land between a waiter's
-  /// predicate check and its sleep and be lost, leaving the mesh hung on
-  /// the very error meant to unblock it.
   void abortWith(std::exception_ptr error) {
-    {
-      std::lock_guard<std::mutex> lock(errorMutex_);
-      if (!firstError_) firstError_ = std::move(error);
-    }
-    aborted_.store(true, std::memory_order_release);
-    {
-      std::lock_guard<std::mutex> lock(barrierMutex_);
-      barrierCv_.notify_all();
-    }
-    {
-      std::lock_guard<std::mutex> lock(hangMutex_);
-      hangCv_.notify_all();
-    }
-    std::lock_guard<std::mutex> lock(channelsMutex_);
-    for (auto& entry : channels_) {
-      if (!entry) continue;
-      for (auto* lines : {&entry->row, &entry->col, &entry->p2p})
-        for (auto& channel : *lines) {
-          std::lock_guard<std::mutex> channelLock(channel->mutex);
-          channel->cv.notify_all();
-        }
-    }
-  }
-
-  void checkAborted() {
-    std::lock_guard<std::mutex> lock(errorMutex_);
-    if (firstError_) std::rethrow_exception(firstError_);
-  }
-
-  /// True when no CPE is runnable: every one is parked at a barrier, an RMA
-  /// round wait, or a lost DMA reply — and at least one is not done.  All
-  /// transitions out of those states bump progress_, so this staying true
-  /// across a full watchdog window means the mesh cannot move again.
-  bool allLiveBlocked() {
-    bool anyBlocked = false;
-    for (CpeStatus& status : status_) {
-      std::lock_guard<std::mutex> lock(status.mutex);
-      if (status.state == CpeStatus::kRunning) return false;
-      if (status.state != CpeStatus::kDone) anyBlocked = true;
-    }
-    return anyBlocked;
-  }
-
-  /// The watchdog's deadlock report: one line per CPE with its blocked-on
-  /// site, logical clock, message counters and pending descriptors.
-  std::string buildStateDump(double stalledMillis) {
-    int counts[5] = {0, 0, 0, 0, 0};
-    std::ostringstream os;
-    for (int id = 0; id < meshSize_; ++id) {
-      CpeStatus& status = status_[static_cast<std::size_t>(id)];
-      std::lock_guard<std::mutex> lock(status.mutex);
-      ++counts[status.state];
-      os << "\n  CPE " << id / config_.meshCols << "," << id % config_.meshCols
-         << " state=" << stateName(status.state);
-      if (!status.detail.empty()) os << " blocked_on=\"" << status.detail << '"';
-      os << " clock=" << status.clock << "s dma_msgs="
-         << status.counters.dmaMessages
-         << " rma_sent=" << status.counters.rmaBroadcastsSent
-         << " syncs=" << status.counters.syncs
-         << " faults=" << status.counters.faultsInjected
-         << " retries=" << status.counters.dmaRetries;
-      if (!status.pendingDma.empty()) {
-        os << " pending_dma=[";
-        bool first = true;
-        for (const PendingDmaInfo& dma : status.pendingDma) {
-          if (!first) os << "; ";
-          first = false;
-          os << (dma.isPut ? "put " : "get ") << arrayName(dma.arrayId)
-             << " slot=" << slotName(dma.slotId) << " " << dma.rows << "x"
-             << dma.cols << "@spm+" << dma.spmOffsetBytes;
-        }
-        os << "]";
-      }
-      if (!status.rmaConsumed.empty()) {
-        os << " rma_rounds=[";
-        bool first = true;
-        for (const auto& [slotId, rounds] : status.rmaConsumed) {
-          if (!first) os << "; ";
-          first = false;
-          os << slotName(slotId) << ":" << rounds;
-        }
-        os << "]";
-      }
-    }
-    return strCat("mesh watchdog: no progress for ", stalledMillis,
-                  " ms — aborting a deadlocked mesh run (",
-                  counts[CpeStatus::kBarrier], " at barrier, ",
-                  counts[CpeStatus::kRmaWait], " waiting on RMA, ",
-                  counts[CpeStatus::kDmaHang], " waiting on a lost DMA reply, ",
-                  counts[CpeStatus::kDone], " done); per-CPE state dump:",
-                  os.str());
-  }
-
-  /// Poll the status board until the run ends; convert a full no-progress
-  /// window into a ProtocolError so a protocol violation diagnoses itself
-  /// instead of hanging the process.
-  void watchdogLoop() {
-    using Clock = std::chrono::steady_clock;
-    const auto deadline =
-        std::chrono::duration<double, std::milli>(watchdogMillis_);
-    auto poll = std::chrono::duration_cast<Clock::duration>(deadline) / 4;
-    const auto minPoll = std::chrono::milliseconds(1);
-    const auto maxPoll = std::chrono::milliseconds(250);
-    if (poll < minPoll) poll = minPoll;
-    if (poll > maxPoll) poll = maxPoll;
-
-    std::uint64_t lastProgress = progress_.load(std::memory_order_acquire);
-    Clock::time_point lastChange = Clock::now();
-    bool fired = false;
-    std::unique_lock<std::mutex> lock(watchdogMutex_);
-    while (!watchdogStop_) {
-      watchdogCv_.wait_for(lock, poll, [&] { return watchdogStop_; });
-      if (watchdogStop_) break;
-      if (fired || aborted_.load(std::memory_order_acquire)) continue;
-      const std::uint64_t now = progress_.load(std::memory_order_acquire);
-      if (now != lastProgress || !allLiveBlocked()) {
-        lastProgress = now;
-        lastChange = Clock::now();
-        continue;
-      }
-      const auto stalled = std::chrono::duration<double, std::milli>(
-          Clock::now() - lastChange);
-      if (stalled < deadline) continue;
-      fired = true;
-      metrics::MetricsRegistry::global().add("watchdog.fired", 1.0);
-      const std::string dump = buildStateDump(stalled.count());
-      SW_WARN("mesh", "event=watchdog.fired stalled_ms=", stalled.count(),
-              " deadline_ms=", watchdogMillis_);
-      abortWith(std::make_exception_ptr(ProtocolError(dump)));
-    }
+    if (!firstError_) firstError_ = std::move(error);
+    aborted_ = true;
   }
 };
 
 namespace {
 
-class ThreadedCpeServices final : public CpeServices {
+/// One CPE: its services and the stackful fiber its body runs on.  The
+/// body runs until it finishes or parks in sync(), an RMA round wait or a
+/// lost DMA reply; the scheduler in MeshSimulator::run resumes it once the
+/// wait can complete, or, after the run aborts, so the wait throws and the
+/// fiber unwinds its stack.
+class CpeFiber final : public CpeServices {
  public:
-  ThreadedCpeServices(MeshSimulator::Impl& mesh, int cpeId)
+  using Body = std::function<void(CpeServices&)>;
+
+  CpeFiber(MeshSimulator::Impl& mesh, int cpeId, const Body& body,
+           char* stack)
       : mesh_(mesh),
         plan_(mesh.faultPlan_.get()),
         cpeId_(cpeId),
         rid_(cpeId / mesh.config_.meshCols),
         cid_(cpeId % mesh.config_.meshCols),
-        tracing_(trace::enabled()) {}
+        tracing_(trace::enabled()),
+        body_(body),
+        stack_(stack) {}
+  ~CpeFiber() override {
+    if (tsanFiber_ != nullptr) tsanDestroyFiber(tsanFiber_);
+  }
+  CpeFiber(const CpeFiber&) = delete;
+  CpeFiber& operator=(const CpeFiber&) = delete;
+
+  // --- scheduler side ---
+
+  [[nodiscard]] CpeState state() const { return state_; }
+  [[nodiscard]] bool started() const { return started_; }
+
+  /// True when resuming would make progress: the fiber has not started yet,
+  /// or what it parked on has arrived.
+  [[nodiscard]] bool ready() const {
+    switch (state_) {
+      case CpeState::kRunnable: return true;
+      case CpeState::kBarrier:
+        return mesh_.barrierGeneration_ != waitGeneration_;
+      case CpeState::kRmaWait: return waitChannel_->size() > waitRound_;
+      case CpeState::kDmaHang:
+      case CpeState::kDone: return false;
+    }
+    return false;
+  }
+
+  /// Run the fiber until it parks or finishes.
+  void resume() {
+    if (!started_) {
+      started_ = true;
+      tsanFiber_ = tsanCreateFiber();
+      SW_CHECK(::getcontext(&context_) == 0, "getcontext failed");
+      context_.uc_stack.ss_sp = stack_;
+      context_.uc_stack.ss_size = FiberStacks::kStackBytes;
+      context_.uc_link = nullptr;  // main() never returns
+      const auto self = reinterpret_cast<std::uintptr_t>(this);
+      ::makecontext(&context_, reinterpret_cast<void (*)()>(&entry), 2,
+                    static_cast<unsigned>(self >> 32),
+                    static_cast<unsigned>(self));
+    }
+    void* hostFakeStack = nullptr;
+    tsanSwitchTo(tsanFiber_);
+    asanStartSwitch(&hostFakeStack, stack_, FiberStacks::kStackBytes);
+    ::swapcontext(&mesh_.hostContext_, &context_);
+    asanFinishSwitch(hostFakeStack, nullptr, nullptr);
+  }
+
+  /// Mark a fiber that never started as done, so an aborted run skips it.
+  void discard() { state_ = CpeState::kDone; }
+
+  /// One line of the deadlock dump: blocked-on site, logical clock,
+  /// message counters and pending descriptors.
+  void describe(std::ostream& os) const {
+    const std::string waitSlot = mesh_.slotNames_.name(waitSlotId_);
+    os << "\n  CPE " << rid_ << "," << cid_
+       << " state=" << kStateNames[static_cast<int>(state_)];
+    if (state_ == CpeState::kBarrier) os << " blocked_on=\"synch()\"";
+    if (state_ == CpeState::kRmaWait)
+      os << " blocked_on=\"rma_wait slot='" << waitSlot
+         << "' round=" << waitRound_ << '"';
+    if (state_ == CpeState::kDmaHang)
+      os << " blocked_on=\"dma_wait_value slot='" << waitSlot
+         << "' (reply permanently dropped)\"";
+    os << " clock=" << clock_ << "s dma_msgs=" << counters_.dmaMessages
+       << " rma_sent=" << counters_.rmaBroadcastsSent
+       << " syncs=" << counters_.syncs
+       << " faults=" << counters_.faultsInjected
+       << " retries=" << counters_.dmaRetries;
+    bool any = false;
+    for (const SlotState& slot : slots_) {
+      if (!slot.pendingValid) continue;
+      const PendingDmaInfo& dma = slot.pending;
+      os << (any ? "; " : " pending_dma=[") << (dma.isPut ? "put " : "get ")
+         << mesh_.arrayNames_.name(dma.arrayId)
+         << " slot=" << mesh_.slotNames_.name(dma.slotId) << " " << dma.rows
+         << "x" << dma.cols << "@spm+" << dma.spmOffsetBytes;
+      any = true;
+    }
+    if (any) os << "]";
+    any = false;
+    for (std::size_t id = 0; id < slots_.size(); ++id) {
+      if (slots_[id].rmaConsumed == 0) continue;
+      os << (any ? "; " : " rma_rounds=[")
+         << mesh_.slotNames_.name(static_cast<int>(id)) << ":"
+         << slots_[id].rmaConsumed;
+      any = true;
+    }
+    if (any) os << "]";
+  }
+
+  // --- CpeServices ---
 
   [[nodiscard]] int rid() const override { return rid_; }
   [[nodiscard]] int cid() const override { return cid_; }
@@ -368,19 +388,14 @@ class ThreadedCpeServices final : public CpeServices {
     return !mesh_.functional_ || mesh_.owner_.memory().has(array);
   }
 
-  /// Mesh-wide interning (all CPEs agree on ids) with a per-CPE memo so
-  /// the legacy string path never takes the mesh mutex twice per name.
+  /// Mesh-wide interning, so all CPEs agree on ids.
   [[nodiscard]] int internSlot(const std::string& name) override {
-    auto it = localSlotIds_.find(name);
-    if (it != localSlotIds_.end()) return it->second;
-    const int id = mesh_.internSlotMeshWide(name);
-    localSlotIds_.emplace(name, id);
-    return id;
+    return mesh_.slotNames_.intern(name);
   }
 
   [[nodiscard]] int internArray(const std::string& name) override {
     if (!knowsArray(name)) return -1;
-    return arrayNameId(name);
+    return mesh_.arrayNames_.intern(name);
   }
 
   void stallFor(double seconds) override {
@@ -391,30 +406,6 @@ class ThreadedCpeServices final : public CpeServices {
   }
 
   void noteDmaRetry() override { ++counters_.dmaRetries; }
-
-  /// Publish this CPE's state to the watchdog's status board.  Every call
-  /// bumps the mesh progress counter, so any state transition restarts the
-  /// no-progress window.
-  void publishStatus(CpeStatus::State state, std::string detail) {
-    CpeStatus& status = mesh_.status_[static_cast<std::size_t>(cpeId_)];
-    {
-      std::lock_guard<std::mutex> lock(status.mutex);
-      status.state = state;
-      status.detail = std::move(detail);
-      status.clock = clock_;
-      status.counters = counters_;
-      status.pendingDma.clear();
-      status.rmaConsumed.clear();
-      for (std::size_t id = 0; id < slots_.size(); ++id) {
-        const SlotState& slot = slots_[id];
-        if (slot.pendingValid) status.pendingDma.push_back(slot.pending);
-        if (slot.rmaConsumed > 0)
-          status.rmaConsumed.emplace_back(static_cast<int>(id),
-                                          slot.rmaConsumed);
-      }
-    }
-    mesh_.progress_.fetch_add(1, std::memory_order_acq_rel);
-  }
 
   void sync() override {
     ++counters_.syncs;
@@ -431,31 +422,20 @@ class ThreadedCpeServices final : public CpeServices {
       }
     }
     const double entryClock = clock_;
-    publishStatus(CpeStatus::kBarrier, "synch()");
-    std::unique_lock<std::mutex> lock(mesh_.barrierMutex_);
     mesh_.clocks_[static_cast<std::size_t>(cpeId_)] = clock_;
-    const std::int64_t myGeneration = mesh_.barrierGeneration_;
     if (++mesh_.barrierArrived_ == mesh_.meshSize_) {
       mesh_.barrierMaxClock_ =
           *std::max_element(mesh_.clocks_.begin(), mesh_.clocks_.end());
       mesh_.barrierArrived_ = 0;
       ++mesh_.barrierGeneration_;
-      mesh_.barrierCv_.notify_all();
     } else {
-      mesh_.barrierCv_.wait(lock, [&] {
-        return mesh_.barrierGeneration_ != myGeneration ||
-               mesh_.aborted_.load(std::memory_order_acquire);
-      });
-      if (mesh_.aborted_.load(std::memory_order_acquire)) {
-        lock.unlock();
-        publishStatus(CpeStatus::kRunning, "");
+      waitGeneration_ = mesh_.barrierGeneration_;
+      park(CpeState::kBarrier);
+      if (mesh_.aborted_)
         throw ProtocolError("mesh aborted while waiting at a barrier");
-      }
     }
     clock_ = mesh_.barrierMaxClock_ + mesh_.config_.syncSeconds;
     counters_.syncStallSeconds += clock_ - entryClock;
-    lock.unlock();
-    publishStatus(CpeStatus::kRunning, "");
     if (tracing_)
       trace::Tracer::global().simSpan(trace::kMeshPid, cpeId_, "sync", "sync",
                                       entryClock, clock_);
@@ -504,8 +484,9 @@ class ThreadedCpeServices final : public CpeServices {
     }
     slot.pendingValid = true;
     slot.pending.slotId = slotId;
-    slot.pending.arrayId =
-        request.arrayId >= 0 ? request.arrayId : arrayNameId(request.array);
+    slot.pending.arrayId = request.arrayId >= 0
+                               ? request.arrayId
+                               : mesh_.arrayNames_.intern(request.array);
     slot.pending.isPut = request.isPut;
     slot.pending.rows = request.tileRows;
     slot.pending.cols = request.tileCols;
@@ -570,18 +551,14 @@ class ThreadedCpeServices final : public CpeServices {
         request.dstCid != cid_)
       transfer *= 2.0;  // transit hop
     counters_.rmaBusySeconds += transfer;
-    if (fault.dropPermanent) {
-      // The message is simply lost: no round is appended, so every receiver
-      // of this line blocks forever on the slot's next ordinal — the
-      // watchdog's job.  (A transient drop must instead push a failed round
-      // below, or receivers would silently consume the *next* round's data
-      // under this ordinal and produce wrong results.)
-    } else {
-      std::lock_guard<std::mutex> lock(channel->mutex);
-      channel->rounds.push_back(RmaRound{clock_, transfer,
-                                         /*dropped=*/fault.dropTransient});
-      channel->cv.notify_all();
-    }
+    // A permanently lost message appends no round, so every receiver of
+    // this line parks on the slot's next ordinal until the scheduler finds
+    // the mesh deadlocked.  A transient drop must instead push a failed
+    // round, or receivers would silently consume the *next* round's data
+    // under this ordinal and produce wrong results.
+    if (!fault.dropPermanent)
+      channel->push_back(
+          RmaRound{clock_, transfer, /*dropped=*/fault.dropTransient});
     if (tracing_) {
       const char* kind = request.kind == RmaKind::kRowBroadcast
                              ? "rowbcast"
@@ -602,8 +579,7 @@ class ThreadedCpeServices final : public CpeServices {
   }
 
   void rmaWaitPointId(int slotId) override {
-    RmaChannel& channel = mesh_.pointChannel(slotId, cpeId_);
-    consumeRound(channel, slotId);
+    consumeRound(mesh_.pointChannel(slotId, cpeId_), slotId);
   }
 
   void waitSlot(const std::string& slot, bool isRma,
@@ -616,7 +592,7 @@ class ThreadedCpeServices final : public CpeServices {
       SlotState& slot = slotState(slotId);
       if (!slot.hasMessage)
         throw ProtocolError(strCat("dma_wait_value on slot '",
-                                   mesh_.slotName(slotId),
+                                   mesh_.slotNames_.name(slotId),
                                    "' with no message"));
       if (slot.completion > clock_) {
         counters_.waitStallSeconds += slot.completion - clock_;
@@ -624,16 +600,24 @@ class ThreadedCpeServices final : public CpeServices {
         if (tracing_)
           trace::Tracer::global().simSpan(
               trace::kMeshPid, cpeId_,
-              strCat("wait:", mesh_.slotName(slotId)), "stall", clock_,
+              strCat("wait:", mesh_.slotNames_.name(slotId)), "stall", clock_,
               slot.completion);
         clock_ = slot.completion;
       }
-      if (slot.hang) hangOnLostReply(mesh_.slotName(slotId));  // never returns
+      if (slot.hang) {
+        // The reply will never arrive: park until the run aborts.
+        waitSlotId_ = slotId;
+        park(CpeState::kDmaHang);
+        throw ProtocolError(
+            strCat("mesh aborted while waiting for a lost DMA reply on slot '",
+                   mesh_.slotNames_.name(slotId), "'"));
+      }
       if (slot.failedReason != nullptr) {
         const char* reason = slot.failedReason;
         slot.failedReason = nullptr;
         throw TransientError(strCat("DMA reply on slot '",
-                                    mesh_.slotName(slotId), "' ", reason));
+                                    mesh_.slotNames_.name(slotId), "' ",
+                                    reason));
       }
       slot.pendingValid = false;
       return;
@@ -701,6 +685,40 @@ class ThreadedCpeServices final : public CpeServices {
  private:
   static constexpr double issueOverheadSeconds = 0.05e-6;
 
+  /// makecontext passes int arguments only, so `this` arrives split.
+  static void entry(unsigned high, unsigned low) {
+    reinterpret_cast<CpeFiber*>((std::uintptr_t{high} << 32) | low)->main();
+  }
+
+  [[noreturn]] void main() {
+    asanFinishSwitch(nullptr, &mesh_.hostStackBottom_, &mesh_.hostStackBytes_);
+    try {
+      body_(*this);
+    } catch (...) {
+      mesh_.abortWith(std::current_exception());
+    }
+    state_ = CpeState::kDone;
+    switchToHost(/*finished=*/true);
+    std::abort();  // a finished fiber is never resumed
+  }
+
+  void switchToHost(bool finished) {
+    tsanSwitchTo(mesh_.hostTsanFiber_);
+    asanStartSwitch(finished ? nullptr : &fakeStack_, mesh_.hostStackBottom_,
+                    mesh_.hostStackBytes_);
+    ::swapcontext(&context_, &mesh_.hostContext_);
+    asanFinishSwitch(fakeStack_, &mesh_.hostStackBottom_,
+                     &mesh_.hostStackBytes_);
+  }
+
+  /// Yield to the scheduler until the wait `state` names can complete or
+  /// the run aborts (the caller checks which).
+  void park(CpeState state) {
+    state_ = state;
+    switchToHost(/*finished=*/false);
+    state_ = CpeState::kRunnable;
+  }
+
   double* spmPtrOf(int cpe, std::int64_t offsetBytes) {
     auto& spm = mesh_.spms_[static_cast<std::size_t>(cpe)];
     if (offsetBytes < 0 ||
@@ -710,16 +728,6 @@ class ThreadedCpeServices final : public CpeServices {
                                  " outside the ", mesh_.config_.spmBytes,
                                  "-byte SPM"));
     return spm.data() + offsetBytes / static_cast<std::int64_t>(sizeof(double));
-  }
-
-  /// Memoized mesh-wide id of an array name (dump/bookkeeping; no validity
-  /// semantics — internArray is the public, validity-checking entry point).
-  int arrayNameId(const std::string& name) {
-    auto it = localArrayIds_.find(name);
-    if (it != localArrayIds_.end()) return it->second;
-    const int id = mesh_.internArrayMeshWide(name);
-    localArrayIds_.emplace(name, id);
-    return id;
   }
 
   /// Resolve the host array, through the interned-id cache when the request
@@ -795,51 +803,23 @@ class ThreadedCpeServices final : public CpeServices {
     }
   }
 
-  /// Park until the run aborts: the reply for `slot` will never arrive.
-  /// The watchdog (or an error on another CPE) is what ends the wait.
-  [[noreturn]] void hangOnLostReply(const std::string& slot) {
-    publishStatus(CpeStatus::kDmaHang,
-                  strCat("dma_wait_value slot='", slot,
-                         "' (reply permanently dropped)"));
-    std::unique_lock<std::mutex> lock(mesh_.hangMutex_);
-    mesh_.hangCv_.wait(lock, [&] {
-      return mesh_.aborted_.load(std::memory_order_acquire);
-    });
-    throw ProtocolError(strCat(
-        "mesh aborted while waiting for a lost DMA reply on slot '", slot,
-        "'"));
-  }
-
-  /// Block for the next unconsumed round on `channel`; rounds are matched
-  /// ordinally per slot (issue/wait strictly alternate in generated code).
-  void consumeRound(RmaChannel& channel, int slotId) {
+  /// Take the next unconsumed round on `channel`, parking until it is sent;
+  /// rounds are matched ordinally per slot (issue/wait strictly alternate
+  /// in generated code).
+  void consumeRound(const RmaChannel& channel, int slotId) {
     const std::size_t round = slotState(slotId).rmaConsumed++;
-    bool published = false;
-    std::unique_lock<std::mutex> lock(channel.mutex);
-    if (channel.rounds.size() <= round) {
-      // Only publish (and pay the progress tick) when actually blocking.
-      lock.unlock();
-      publishStatus(CpeStatus::kRmaWait,
-                    strCat("rma_wait slot='", mesh_.slotName(slotId),
-                           "' round=", round));
-      published = true;
-      lock.lock();
+    if (channel.size() <= round) {
+      waitChannel_ = &channel;
+      waitRound_ = round;
+      waitSlotId_ = slotId;
+      park(CpeState::kRmaWait);
+      if (mesh_.aborted_)
+        throw ProtocolError("mesh aborted while waiting for an RMA message");
     }
-    channel.cv.wait(lock, [&] {
-      return channel.rounds.size() > round ||
-             mesh_.aborted_.load(std::memory_order_acquire);
-    });
-    if (channel.rounds.size() <= round) {
-      lock.unlock();
-      if (published) publishStatus(CpeStatus::kRunning, "");
-      throw ProtocolError("mesh aborted while waiting for an RMA message");
-    }
-    const RmaRound r = channel.rounds[round];
-    lock.unlock();
-    if (published) publishStatus(CpeStatus::kRunning, "");
+    const RmaRound r = channel[round];
     if (r.dropped)
       throw ProtocolError(strCat("RMA round ", round, " on slot '",
-                                 mesh_.slotName(slotId),
+                                 mesh_.slotNames_.name(slotId),
                                  "' was dropped in transit (injected fault)"));
     const double completion = r.sendTimeSeconds + r.transferSeconds;
     if (completion > clock_) {
@@ -848,7 +828,7 @@ class ThreadedCpeServices final : public CpeServices {
       if (tracing_)
         trace::Tracer::global().simSpan(
             trace::kMeshPid, cpeId_,
-            strCat("wait:", mesh_.slotName(slotId)), "stall", clock_,
+            strCat("wait:", mesh_.slotNames_.name(slotId)), "stall", clock_,
             completion);
       clock_ = completion;
     }
@@ -856,7 +836,7 @@ class ThreadedCpeServices final : public CpeServices {
 
   /// Per-slot state indexed by the mesh-wide interned slot id: DMA
   /// completion clock, injected-failure flags, RMA round ordinal and the
-  /// in-flight descriptor for the watchdog dump.  Vector-indexed so the
+  /// in-flight descriptor for the deadlock dump.  Vector-indexed so the
   /// interned hot path is one load, no hashing.
   struct SlotState {
     double completion = 0.0;
@@ -888,13 +868,43 @@ class ThreadedCpeServices final : public CpeServices {
   std::int64_t dmaOccurrence_ = 0;
   std::int64_t rmaOccurrence_ = 0;
   std::int64_t syncOccurrence_ = 0;
-  /// Per-CPE memos of mesh-wide interning results (the legacy string path
-  /// pays one hash here instead of the mesh mutex).
-  std::unordered_map<std::string, int> localSlotIds_;
-  std::unordered_map<std::string, int> localArrayIds_;
   /// HostArray pointers by interned array id, resolved lazily per run.
   std::vector<HostArray*> arrayCache_;
+
+  // --- the fiber and what it is parked on ---
+  const Body& body_;
+  char* stack_;
+  ucontext_t context_{};
+  bool started_ = false;
+  void* tsanFiber_ = nullptr;
+  void* fakeStack_ = nullptr;  // ASan's fake stack while switched out
+  CpeState state_ = CpeState::kRunnable;
+  std::int64_t waitGeneration_ = 0;         // kBarrier
+  const RmaChannel* waitChannel_ = nullptr;  // kRmaWait
+  std::size_t waitRound_ = 0;                // kRmaWait
+  int waitSlotId_ = -1;                      // kRmaWait, kDmaHang
 };
+
+/// The deadlock report: the counts by state, then one line per CPE.
+std::string deadlockDump(
+    const std::vector<std::unique_ptr<CpeFiber>>& cpes) {
+  int counts[5] = {0, 0, 0, 0, 0};
+  std::ostringstream os;
+  for (const auto& cpe : cpes) {
+    ++counts[static_cast<int>(cpe->state())];
+    cpe->describe(os);
+  }
+  const auto count = [&](CpeState state) {
+    return counts[static_cast<int>(state)];
+  };
+  return strCat("mesh deadlock: no runnable CPE — aborting a deadlocked "
+                "mesh run (",
+                count(CpeState::kBarrier), " at barrier, ",
+                count(CpeState::kRmaWait), " waiting on RMA, ",
+                count(CpeState::kDmaHang), " waiting on a lost DMA reply, ",
+                count(CpeState::kDone), " done); per-CPE state dump:",
+                os.str());
+}
 
 }  // namespace
 
@@ -909,44 +919,24 @@ void MeshSimulator::setFaultPlan(std::shared_ptr<const FaultPlan> plan) {
   impl_->faultPlan_ = std::move(plan);
 }
 
-void MeshSimulator::setWatchdogMillis(double millis) {
-  if (millis >= 0.0) impl_->watchdogMillis_ = millis;
-}
-
-double MeshSimulator::defaultWatchdogMillis() {
-  if (const char* env = std::getenv("SWCODEGEN_WATCHDOG_MS")) {
-    char* end = nullptr;
-    const double value = std::strtod(env, &end);
-    if (end != env && *end == '\0' && value >= 0.0) return value;
-    SW_WARN("mesh", "event=watchdog.bad_env SWCODEGEN_WATCHDOG_MS=", env,
-            " fallback_ms=5000");
-  }
-  return 5000.0;
-}
-
 MeshRunResult MeshSimulator::run(
     const std::function<void(CpeServices&)>& body) {
-  // Fresh per-run state (channels, barrier, status board) while keeping
-  // SPM/host memory.
-  impl_->channels_.clear();
-  impl_->firstError_ = nullptr;
-  impl_->aborted_.store(false);
-  impl_->barrierArrived_ = 0;
-  std::fill(impl_->clocks_.begin(), impl_->clocks_.end(), 0.0);
-  impl_->status_.clear();
-  for (int id = 0; id < impl_->meshSize_; ++id) impl_->status_.emplace_back();
-  impl_->progress_.store(0);
-  {
-    std::lock_guard<std::mutex> lock(impl_->watchdogMutex_);
-    impl_->watchdogStop_ = false;
-  }
+  Impl& mesh = *impl_;
+  // Fresh per-run state (channels, barrier, errors) while keeping SPM/host
+  // memory.
+  mesh.channels_.clear();
+  mesh.firstError_ = nullptr;
+  mesh.aborted_ = false;
+  mesh.barrierArrived_ = 0;
+  std::fill(mesh.clocks_.begin(), mesh.clocks_.end(), 0.0);
+  mesh.hostTsanFiber_ = tsanCurrentFiber();
 
   if (trace::enabled()) {
     // Name the 64 CPE lanes (plus the DMA/RMA engine side lanes) so the
     // per-CPE timelines group legibly in Perfetto.
     trace::Tracer& tracer = trace::Tracer::global();
     tracer.setProcessName(trace::kMeshPid, "mesh simulator (simulated clock)");
-    for (int id = 0; id < impl_->meshSize_; ++id) {
+    for (int id = 0; id < mesh.meshSize_; ++id) {
       const int rid = id / config_.meshCols;
       const int cid = id % config_.meshCols;
       tracer.setThreadName(trace::kMeshPid, id,
@@ -958,45 +948,49 @@ MeshRunResult MeshSimulator::run(
     }
   }
 
-  std::vector<std::unique_ptr<ThreadedCpeServices>> services;
-  services.reserve(static_cast<std::size_t>(impl_->meshSize_));
-  for (int id = 0; id < impl_->meshSize_; ++id)
-    services.push_back(std::make_unique<ThreadedCpeServices>(*impl_, id));
+  const FiberStacks::Lease stacks(mesh.meshSize_);
+  std::vector<std::unique_ptr<CpeFiber>> cpes;
+  cpes.reserve(static_cast<std::size_t>(mesh.meshSize_));
+  for (int id = 0; id < mesh.meshSize_; ++id)
+    cpes.push_back(
+        std::make_unique<CpeFiber>(mesh, id, body, stacks.stack(id)));
 
-  std::thread watchdog;
-  if (impl_->watchdogMillis_ > 0.0)
-    watchdog = std::thread([this] { impl_->watchdogLoop(); });
-
-  std::vector<std::thread> threads;
-  threads.reserve(services.size());
-  for (auto& svc : services) {
-    threads.emplace_back([&body, &svc, this] {
-      try {
-        body(*svc);
-      } catch (...) {
-        impl_->recordError();
+  // Step the CPEs in id order, each until it finishes or parks.  A pass
+  // that resumes nobody while some CPE is unfinished is a deadlock: no
+  // message or barrier release can arrive any more.  After the first error
+  // CPEs that never started are skipped and parked ones resume only to
+  // unwind.
+  for (;;) {
+    bool live = false;
+    bool resumed = false;
+    for (const auto& cpe : cpes) {
+      if (cpe->state() == CpeState::kDone) continue;
+      if (mesh.aborted_ && !cpe->started()) {
+        cpe->discard();
+        continue;
       }
-      svc->publishStatus(CpeStatus::kDone, "");
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  if (watchdog.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(impl_->watchdogMutex_);
-      impl_->watchdogStop_ = true;
+      live = true;
+      if (!mesh.aborted_ && !cpe->ready()) continue;
+      cpe->resume();
+      resumed = true;
     }
-    impl_->watchdogCv_.notify_all();
-    watchdog.join();
+    if (!live) break;
+    if (!resumed) {
+      metrics::MetricsRegistry::global().add("mesh.deadlocks", 1.0);
+      SW_WARN("mesh", "event=mesh.deadlock");
+      mesh.abortWith(
+          std::make_exception_ptr(ProtocolError(deadlockDump(cpes))));
+    }
   }
-  impl_->checkAborted();
+  if (mesh.firstError_) std::rethrow_exception(mesh.firstError_);
 
   MeshRunResult result;
-  result.perCpeSeconds.reserve(services.size());
-  result.perCpeCounters.reserve(services.size());
-  for (auto& svc : services) {
-    result.perCpeSeconds.push_back(svc->clockSeconds());
-    result.perCpeCounters.push_back(svc->counters());
-    result.totals.add(svc->counters());
+  result.perCpeSeconds.reserve(cpes.size());
+  result.perCpeCounters.reserve(cpes.size());
+  for (const auto& cpe : cpes) {
+    result.perCpeSeconds.push_back(cpe->clockSeconds());
+    result.perCpeCounters.push_back(cpe->counters());
+    result.totals.add(cpe->counters());
   }
   result.seconds =
       *std::max_element(result.perCpeSeconds.begin(),

@@ -1,11 +1,12 @@
-// Thread-per-CPE simulation of one SW26010Pro core group.
+// Simulation of one SW26010Pro core group as 64 cooperative CPE fibers.
 //
 // The athread execution model is mirrored directly: athread_spawn starts
-// one worker per CPE (64 threads), synch() is a mesh-wide barrier, DMA
-// reply counters and RMA replys/replyr are condition-variable backed.  A
-// generated program that violates the reply-wait discipline genuinely
-// races or deadlocks here, so functional runs exercise the paper's
-// correctness machinery for real.
+// one stackful fiber per CPE, and the calling host thread steps them in
+// CPE-id order.  synch() is a mesh-wide barrier; DMA reply counters and RMA
+// replys/replyr rounds park a CPE until the message it waits for exists.  A
+// generated program that breaks the reply-wait discipline deadlocks here:
+// a pass in which no CPE can run raises a ProtocolError with a per-CPE
+// state dump, at once and without any wall-clock deadline.
 //
 // Timing: every CPE advances a logical clock — compute adds time at the
 // configured rate, non-blocking DMA/RMA record completion times from the
@@ -56,19 +57,10 @@ class MeshSimulator {
   /// subsequent runs; nullptr (the default) disables injection.
   void setFaultPlan(std::shared_ptr<const FaultPlan> plan);
 
-  /// No-progress deadline in wall-clock milliseconds.  When every live CPE
-  /// has been blocked (barrier, RMA round, lost DMA reply) with no state
-  /// change for this long, the run aborts with a ProtocolError carrying a
-  /// per-CPE state dump.  0 disables the watchdog; negative keeps
-  /// defaultWatchdogMillis().
-  void setWatchdogMillis(double millis);
-
-  /// SWCODEGEN_WATCHDOG_MS environment override, else 5000 ms.
-  [[nodiscard]] static double defaultWatchdogMillis();
-
-  /// athread_spawn + join: run `body` on every CPE concurrently.  The body
-  /// receives that CPE's services.  Exceptions thrown by any CPE are
-  /// rethrown here after all threads join.
+  /// athread_spawn + join: run `body` on every CPE, each on its own fiber
+  /// of the calling thread.  The body receives that CPE's services.  The
+  /// first exception any CPE throws is rethrown here once every CPE has
+  /// finished or unwound.
   MeshRunResult run(const std::function<void(CpeServices&)>& body);
 
   /// Internal mesh state; public so the per-CPE services implementation in

@@ -1,12 +1,12 @@
 // The per-CPE execution interface the kernel-program interpreter drives.
 //
 // Two implementations exist:
-//   * ThreadedCpeServices (mesh.h) — one OS thread per CPE, real SPM and
-//     main-memory data, condition-variable reply protocol; functional
-//     ground truth plus logical-clock timing.
+//   * CpeFiber (mesh.cc) — one cooperative fiber per CPE, real SPM and
+//     main-memory data, waits that park until their message exists;
+//     functional ground truth plus logical-clock timing.
 //   * SymmetricCpeServices (estimator.h) — sequential single-CPE model
 //     exploiting the mesh symmetry of the generated GEMM code; timing only,
-//     scales to paper-sized shapes.  Validated against the threaded runtime
+//     scales to paper-sized shapes.  Validated against the mesh runtime
 //     in tests.
 #pragma once
 
@@ -196,7 +196,7 @@ class CpeServices {
   /// Count one interpreter-level DMA retry against this CPE.
   virtual void noteDmaRetry() {}
 
-  /// True when `array` resolves in this runtime.  The threaded functional
+  /// True when `array` resolves in this runtime.  The functional mesh
   /// runtime checks host memory; timing-only runtimes accept everything
   /// (they never dereference).
   [[nodiscard]] virtual bool knowsArray(const std::string& array) const {
@@ -209,7 +209,7 @@ class CpeServices {
 
   /// Intern a reply-slot name into this runtime's dense id space.  Plan
   /// executors bind names once per run and then issue integer-keyed
-  /// requests, so the hot path never hashes strings.  The threaded mesh
+  /// requests, so the hot path never hashes strings.  The mesh
   /// overrides this with a mesh-wide table so RMA channel ids agree across
   /// all CPEs regardless of per-CPE interning order.
   [[nodiscard]] virtual int internSlot(const std::string& name) {

@@ -24,7 +24,7 @@ namespace sw::trace {
 
 /// Trace "process" ids: Perfetto groups lanes under these headers.
 inline constexpr int kCompilePid = 1;    // real-clock compile spans
-inline constexpr int kMeshPid = 2;       // threaded mesh simulator lanes
+inline constexpr int kMeshPid = 2;       // mesh simulator lanes
 inline constexpr int kEstimatorPid = 3;  // symmetric estimator lane
 
 /// Lane-id offsets inside a simulator process: the CPE's own (compute)

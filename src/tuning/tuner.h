@@ -11,7 +11,7 @@
 //                       clocks, so the ranking is deterministic and
 //                       host-invariant;
 //   stage 2 (validate): the top-N of the ranking run functionally on the
-//                       threaded mesh simulator with random data.  When
+//                       mesh simulator with random data.  When
 //                       the problem fits the validation flop budget the
 //                       mesh's simulated GFLOPS (same logical clocks, full
 //                       protocol) decide the winner; for paper-scale

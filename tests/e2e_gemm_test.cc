@@ -1,5 +1,5 @@
 // End-to-end correctness: compile the GEMM kernel at every optimisation
-// level and execute it functionally on the 64-thread mesh simulator,
+// level and execute it functionally on the 64-CPE mesh simulator,
 // checking the result against the reference oracle bit-for-bit (the
 // pipeline and the oracle share the same accumulation structure).
 #include <gtest/gtest.h>

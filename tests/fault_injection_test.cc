@@ -325,7 +325,7 @@ TEST(Degradation, AllMeshRungsFailingFallsBackToEstimator) {
          std::span<const double>, std::span<double> c,
          const FunctionalRunConfig&) -> rt::RunOutcome {
         c[0] = -1.0;  // must never reach the caller: the rung fails
-        throw ProtocolError("mesh watchdog: injected for test");
+        throw ProtocolError("mesh deadlock: injected for test");
       });
 
   GemmProblem problem{512, 512, 64, 1, 1.0, 0.0};
@@ -361,22 +361,22 @@ TEST(Degradation, PermanentDropOnRealMeshDegradesToEstimator) {
   FunctionalRunConfig config;
   config.faultPlan = std::make_shared<const FaultPlan>(
       FaultPlan::parse("dma-drop:cpe=1:occ=0:count=forever"));
-  config.watchdogMillis = 150.0;
-  const double firedBefore =
-      metrics::MetricsRegistry::global().get("watchdog.fired");
+  const double deadlocksBefore =
+      metrics::MetricsRegistry::global().get("mesh.deadlocks");
 
   auto result =
       service.runResilient(CodegenOptions{}, problem, a, b, c, config);
 
-  // Every schedule rung still issues DMAs from CPE 1, so each one hangs,
-  // trips the watchdog, and the ladder bottoms out at the estimator.
+  // Every schedule rung still issues DMAs from CPE 1, so each one
+  // deadlocks, and the ladder bottoms out at the estimator.
   EXPECT_TRUE(result.usedEstimator);
   EXPECT_EQ(result.degradations.size(), 3u);
   EXPECT_GT(result.outcome.seconds, 0.0);
-  EXPECT_GE(metrics::MetricsRegistry::global().get("watchdog.fired"),
-            firedBefore + 3.0);
+  EXPECT_GE(metrics::MetricsRegistry::global().get("mesh.deadlocks"),
+            deadlocksBefore + 3.0);
   for (const auto& step : result.degradations)
-    EXPECT_NE(step.error.find("mesh watchdog"), std::string::npos)
+    EXPECT_NE(step.error.find("mesh deadlock: no runnable CPE"),
+              std::string::npos)
         << step.from << " -> " << step.to << ": " << step.error;
 }
 

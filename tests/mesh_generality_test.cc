@@ -115,7 +115,7 @@ TEST(MeshGenerality, PrologueAndBatchCompose) {
             0.0);
 }
 
-TEST(MeshGenerality, ThreadedTimingAgreesOnSmallMesh) {
+TEST(MeshGenerality, MeshTimingAgreesOnSmallMesh) {
   // The symmetric estimator's assumptions hold on other mesh sizes too.
   sunway::ArchConfig arch;
   arch.meshRows = 4;
@@ -128,11 +128,11 @@ TEST(MeshGenerality, ThreadedTimingAgreesOnSmallMesh) {
   sunway::MeshSimulator mesh(arch, /*functional=*/false);
   auto params = rt::bindParams(kernel.program, 512, 512, 256, 1);
   const double flops = rt::gemmFlops(512, 512, 256);
-  rt::RunOutcome threaded =
+  rt::RunOutcome simulated =
       rt::runOnMesh(mesh, kernel.program, params, rt::ExecScalars{}, flops);
   rt::RunOutcome estimated =
       rt::estimateTiming(arch, kernel.program, params, flops);
-  EXPECT_NEAR(estimated.seconds, threaded.seconds, 0.03 * threaded.seconds);
+  EXPECT_NEAR(estimated.seconds, simulated.seconds, 0.03 * simulated.seconds);
 }
 
 }  // namespace

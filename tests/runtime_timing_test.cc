@@ -1,5 +1,5 @@
 // Timing-model tests: the sequential symmetric estimator must agree with
-// the 64-thread mesh simulator's logical clocks, and the model must
+// the 64-CPE mesh simulator's logical clocks, and the model must
 // reproduce the qualitative relationships of §6/§8.1 (latency hiding wins,
 // RMA slashes DMA traffic 8x, overlap count grows with K).
 #include <gtest/gtest.h>

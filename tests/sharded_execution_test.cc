@@ -218,7 +218,7 @@ TEST(ShardedExecution, FaultedGroupDegradesWithoutCorruption) {
   CompiledKernel kernel = compiler.compile(options);
 
   // Group 1's mesh loses every DMA reply from the start: its first shard
-  // hangs until the watchdog dumps the per-CPE state and aborts, and the
+  // deadlocks, the mesh dumps the per-CPE state and aborts, and the
   // sharded layer re-runs the shard fault-free on the same group.
   auto plan = std::make_shared<sunway::FaultPlan>(
       sunway::FaultPlan::parse("dma-drop:count=forever"));
@@ -227,7 +227,6 @@ TEST(ShardedExecution, FaultedGroupDegradesWithoutCorruption) {
   config.groups = 3;
   config.groupFaultPlan = plan;
   config.faultGroup = 1;
-  config.run.watchdogMillis = 200.0;
 
   EquivalenceResult result =
       runBoth(kernel, compiler.arch(), config, problem, 55);
@@ -236,7 +235,8 @@ TEST(ShardedExecution, FaultedGroupDegradesWithoutCorruption) {
        result.outcome.failures) {
     EXPECT_EQ(failure.group, 1);
     // The node-level dump names the stuck group's per-CPE state.
-    EXPECT_NE(failure.error.find("watchdog"), std::string::npos)
+    EXPECT_NE(failure.error.find("mesh deadlock: no runnable CPE"),
+              std::string::npos)
         << failure.error;
   }
   // Degraded, not corrupted: every group's C block (including the faulted

@@ -1,13 +1,11 @@
-// Mesh watchdog and abort-path coverage: a permanently lost message must
-// turn into a ProtocolError carrying a per-CPE state dump instead of a
-// process hang, a progressing (merely slow) run must never trip the
-// watchdog, and the existing abort machinery — barrier abort propagation,
-// rethrow-after-join, mesh reuse after an aborted run — must preserve the
-// first error verbatim.
+// Mesh deadlock detection and abort-path coverage: a permanently lost
+// message or a missing barrier participant must turn into a ProtocolError
+// carrying a per-CPE state dump as soon as no CPE can run — with no sleep
+// or deadline — and the abort machinery (barrier abort propagation,
+// rethrow after every CPE unwinds, mesh reuse after an aborted run) must
+// preserve the first error verbatim.
 #include <gtest/gtest.h>
 
-#include <chrono>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
@@ -37,76 +35,95 @@ std::string runExpectingProtocolError(
   return {};
 }
 
-TEST(Watchdog, PermanentDmaDropFiresWithStateDump) {
+/// CPE (0,0) loses its only DMA reply forever; the other 63 finish.
+std::string lostDmaReplyDump() {
   ArchConfig config;
   MeshSimulator mesh(config, /*functional=*/true);
   mesh.memory().add(HostArray::allocate("A", 1, 8, 8));
   mesh.setFaultPlan(plan("dma-drop:cpe=0:occ=0:count=forever"));
-  mesh.setWatchdogMillis(150.0);
+  return runExpectingProtocolError(mesh, [&](CpeServices& cpe) {
+    if (cpe.rid() != 0 || cpe.cid() != 0) return;
+    DmaRequest request;
+    request.array = "A";
+    request.tileRows = 2;
+    request.tileCols = 2;
+    request.slot = "lost";
+    cpe.dmaIssue(request);
+    cpe.waitSlot("lost", false, true);  // the reply never arrives
+  });
+}
 
-  const double firedBefore =
-      metrics::MetricsRegistry::global().get("watchdog.fired");
-  const std::string message =
-      runExpectingProtocolError(mesh, [&](CpeServices& cpe) {
-        if (cpe.rid() != 0 || cpe.cid() != 0) return;
-        DmaRequest request;
-        request.array = "A";
-        request.tileRows = 2;
-        request.tileCols = 2;
-        request.slot = "lost";
-        cpe.dmaIssue(request);
-        cpe.waitSlot("lost", false, true);  // the reply never arrives
-      });
+/// CPE (0,3) broadcasts one double on slot "bc" along row 0, and every
+/// CPE of row 0 (the sender too) waits for it; the other rows finish.
+void rowZeroBroadcast(CpeServices& cpe) {
+  if (cpe.rid() != 0) return;
+  cpe.spmPtr(1024)[0] = 7.0;
+  if (cpe.cid() == 3) {
+    RmaRequest request;
+    request.kind = RmaKind::kRowBroadcast;
+    request.isSender = true;
+    request.bytes = 8;
+    request.srcSpmOffsetBytes = 1024;
+    request.dstSpmOffsetBytes = 0;
+    request.slot = "bc";
+    cpe.rmaIssue(request);
+  }
+  cpe.waitSlot("bc", true, true);
+}
+
+TEST(Deadlock, PermanentDmaDropRaisesStateDump) {
+  const double before =
+      metrics::MetricsRegistry::global().get("mesh.deadlocks");
+  const std::string message = lostDmaReplyDump();
 
   // The dump names the deadlock, the hung CPE's state and the in-flight
   // descriptor, so the failure is diagnosable from the message alone.
-  EXPECT_NE(message.find("mesh watchdog: no progress"), std::string::npos)
+  EXPECT_EQ(message.rfind("mesh deadlock: no runnable CPE", 0), 0u)
       << message;
-  EXPECT_NE(message.find("1 waiting on a lost DMA reply"), std::string::npos)
+  EXPECT_NE(message.find("(0 at barrier, 0 waiting on RMA, 1 waiting on a "
+                         "lost DMA reply, 63 done)"),
+            std::string::npos)
       << message;
   EXPECT_NE(message.find("state=dma-hang"), std::string::npos) << message;
   EXPECT_NE(message.find("slot='lost'"), std::string::npos) << message;
-  EXPECT_NE(message.find("pending_dma=["), std::string::npos) << message;
-  EXPECT_GT(metrics::MetricsRegistry::global().get("watchdog.fired"),
-            firedBefore);
+  EXPECT_NE(message.find("pending_dma=[get A slot=lost 2x2@spm+0]"),
+            std::string::npos)
+      << message;
+  EXPECT_EQ(metrics::MetricsRegistry::global().get("mesh.deadlocks"),
+            before + 1.0);
 }
 
-TEST(Watchdog, PermanentRmaDropHangsReceiversThenFires) {
+TEST(Deadlock, DumpIsByteIdenticalAcrossRuns) {
+  // The mesh runs one fixed interleaving, so the dump depends on the input
+  // alone.
+  const std::string first = lostDmaReplyDump();
+  EXPECT_FALSE(first.empty());
+  EXPECT_EQ(first, lostDmaReplyDump());
+}
+
+TEST(Deadlock, PermanentRmaDropParksReceivers) {
   ArchConfig config;
   MeshSimulator mesh(config, /*functional=*/true);
-  // CPE (0,3) is the row-0 sender; losing its broadcast strands the other
-  // seven receivers of row 0 in an RMA wait (the rest of the mesh waits
-  // too — every CPE of a row participates in the broadcast wait).
+  // Losing the row-0 broadcast strands all eight CPEs of row 0.
   mesh.setFaultPlan(plan("rma-drop:cpe=3:occ=0:count=forever"));
-  mesh.setWatchdogMillis(150.0);
 
-  const std::string message =
-      runExpectingProtocolError(mesh, [&](CpeServices& cpe) {
-        if (cpe.rid() != 0) return;
-        cpe.spmPtr(1024)[0] = 7.0;
-        if (cpe.cid() == 3) {
-          RmaRequest request;
-          request.kind = RmaKind::kRowBroadcast;
-          request.isSender = true;
-          request.bytes = 8;
-          request.srcSpmOffsetBytes = 1024;
-          request.dstSpmOffsetBytes = 0;
-          request.slot = "bc";
-          cpe.rmaIssue(request);
-        }
-        cpe.waitSlot("bc", true, true);
-      });
+  const std::string message = runExpectingProtocolError(mesh, rowZeroBroadcast);
 
-  EXPECT_NE(message.find("mesh watchdog: no progress"), std::string::npos)
+  EXPECT_EQ(message.rfind("mesh deadlock: no runnable CPE", 0), 0u)
       << message;
-  EXPECT_NE(message.find("waiting on RMA"), std::string::npos) << message;
-  EXPECT_NE(message.find("state=rma-wait"), std::string::npos) << message;
+  EXPECT_NE(message.find("(0 at barrier, 8 waiting on RMA, 0 waiting on a "
+                         "lost DMA reply, 56 done)"),
+            std::string::npos)
+      << message;
+  EXPECT_NE(message.find("state=rma-wait blocked_on=\"rma_wait slot='bc' "
+                         "round=0\""),
+            std::string::npos)
+      << message;
 }
 
-TEST(Watchdog, MissingBarrierParticipantFires) {
+TEST(Deadlock, MissingBarrierParticipant) {
   ArchConfig config;
   MeshSimulator mesh(config, /*functional=*/false);
-  mesh.setWatchdogMillis(150.0);
 
   // CPE (0,0) skips the barrier: 63 CPEs park forever — the classic
   // generated-code bug (divergent control flow around synch()).
@@ -116,47 +133,64 @@ TEST(Watchdog, MissingBarrierParticipantFires) {
         cpe.sync();
       });
 
-  EXPECT_NE(message.find("63 at barrier"), std::string::npos) << message;
-  EXPECT_NE(message.find("1 done"), std::string::npos) << message;
-  EXPECT_NE(message.find("state=barrier"), std::string::npos) << message;
+  EXPECT_NE(message.find("(63 at barrier, 0 waiting on RMA, 0 waiting on a "
+                         "lost DMA reply, 1 done)"),
+            std::string::npos)
+      << message;
+  EXPECT_NE(message.find("state=barrier blocked_on=\"synch()\""),
+            std::string::npos)
+      << message;
 }
 
-TEST(Watchdog, SlowButProgressingRunDoesNotFire) {
+TEST(Deadlock, TenThousandBarriersOnTheCallingThread) {
   ArchConfig config;
   MeshSimulator mesh(config, /*functional=*/false);
-  mesh.setWatchdogMillis(120.0);
+  const std::thread::id caller = std::this_thread::get_id();
+  int foreignThreads = 0;
 
-  // Total wall-clock far exceeds the deadline, but every barrier round
-  // publishes progress, so the no-progress timer keeps resetting.
-  MeshRunResult result = mesh.run([&](CpeServices& cpe) {
-    for (int round = 0; round < 6; ++round) {
-      if (cpe.rid() == 0 && cpe.cid() == 0)
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-      cpe.sync();
-    }
+  constexpr int kSyncs = 10000;
+  const MeshRunResult result = mesh.run([&](CpeServices& cpe) {
+    if (std::this_thread::get_id() != caller) ++foreignThreads;
+    for (int i = 0; i < kSyncs; ++i) cpe.sync();
   });
-  EXPECT_EQ(result.totals.syncs, 64 * 6);
+  EXPECT_EQ(foreignThreads, 0) << "every CPE runs on the calling thread";
+  EXPECT_EQ(result.totals.syncs, 64 * kSyncs);
+  for (const double seconds : result.perCpeSeconds)
+    EXPECT_EQ(seconds, result.perCpeSeconds.front());
 }
 
-TEST(Watchdog, DefaultDeadlineReadsEnvironment) {
-  ::setenv("SWCODEGEN_WATCHDOG_MS", "1234.5", 1);
-  EXPECT_DOUBLE_EQ(MeshSimulator::defaultWatchdogMillis(), 1234.5);
-  ::setenv("SWCODEGEN_WATCHDOG_MS", "not-a-number", 1);
-  EXPECT_DOUBLE_EQ(MeshSimulator::defaultWatchdogMillis(), 5000.0);
-  ::unsetenv("SWCODEGEN_WATCHDOG_MS");
-  EXPECT_DOUBLE_EQ(MeshSimulator::defaultWatchdogMillis(), 5000.0);
+// --- abort paths --------------------------------------------------------
+
+/// Recurse `depth` frames (the add after the call rules out a tail call),
+/// then throw from the bottom one.
+int throwFromDepth(int depth) {
+  volatile char frame[256] = {};
+  if (depth == 0) throw ProtocolError("deep failure 200 frames down");
+  return throwFromDepth(depth - 1) + frame[depth % 256];
 }
 
-// --- existing abort paths (satellite: ProtocolError coverage) -----------
+TEST(Abort, DeepThrowWhileOthersParkedWins) {
+  ArchConfig config;
+  MeshSimulator mesh(config, /*functional=*/false);
+
+  // CPE (7,7) runs last: the other 63 are parked at the barrier when it
+  // throws from 200 frames down, and each unwinds with a secondary
+  // "aborted" error that must not replace the first.
+  const std::string message =
+      runExpectingProtocolError(mesh, [&](CpeServices& cpe) {
+        if (cpe.rid() == 7 && cpe.cid() == 7) (void)throwFromDepth(200);
+        cpe.sync();
+      });
+  EXPECT_EQ(message, "deep failure 200 frames down");
+}
 
 TEST(Abort, BarrierAbortPreservesFirstError) {
   ArchConfig config;
   MeshSimulator mesh(config, /*functional=*/false);
-  mesh.setWatchdogMillis(0.0);  // the abort path must not need the watchdog
 
-  // One CPE throws while the other 63 wait at the barrier; the barrier
-  // must unblock them and the *original* error must win over the
-  // secondary "aborted while waiting" ones raised at the barrier.
+  // One CPE throws while others wait at the barrier; the barrier must
+  // release them and the *original* error must win over the secondary
+  // "aborted while waiting" ones raised at the barrier.
   const std::string message =
       runExpectingProtocolError(mesh, [&](CpeServices& cpe) {
         if (cpe.rid() == 2 && cpe.cid() == 5)
@@ -169,7 +203,6 @@ TEST(Abort, BarrierAbortPreservesFirstError) {
 TEST(Abort, MeshIsReusableAfterAbortedRun) {
   ArchConfig config;
   MeshSimulator mesh(config, /*functional=*/false);
-  mesh.setWatchdogMillis(0.0);
 
   EXPECT_THROW(mesh.run([&](CpeServices& cpe) {
     if (cpe.rid() == 0 && cpe.cid() == 1)
@@ -188,10 +221,18 @@ TEST(Abort, MeshIsReusableAfterAbortedRun) {
   EXPECT_GT(result.seconds, 0.0);
 }
 
+TEST(Abort, NestedRunFromInsideACpeIsRefused) {
+  // Both meshes would share the calling thread's fiber stacks.
+  ArchConfig config;
+  MeshSimulator outer(config, /*functional=*/false);
+  MeshSimulator inner(config, /*functional=*/false);
+  EXPECT_THROW(outer.run([&](CpeServices&) { inner.run([](CpeServices&) {}); }),
+               InternalError);
+}
+
 TEST(Abort, SpmOutOfBoundsCarriesCpeCoordinates) {
   ArchConfig config;
   MeshSimulator mesh(config, /*functional=*/true);
-  mesh.setWatchdogMillis(0.0);
   const std::string message =
       runExpectingProtocolError(mesh, [&](CpeServices& cpe) {
         if (cpe.rid() != 7 || cpe.cid() != 7) return;
@@ -200,30 +241,14 @@ TEST(Abort, SpmOutOfBoundsCarriesCpeCoordinates) {
   EXPECT_NE(message.find("SPM"), std::string::npos) << message;
 }
 
-TEST(Abort, WatchdogDisabledStillDiagnosesTransientRmaDrop) {
+TEST(Abort, TransientRmaDropIsNotADeadlock) {
   // A finite rma-drop is *not* a hang: the round arrives marked dropped
   // and every receiver throws a clean ProtocolError naming the round.
   ArchConfig config;
   MeshSimulator mesh(config, /*functional=*/true);
   mesh.setFaultPlan(plan("rma-drop:cpe=3:occ=0:count=1"));
-  mesh.setWatchdogMillis(0.0);
 
-  const std::string message =
-      runExpectingProtocolError(mesh, [&](CpeServices& cpe) {
-        if (cpe.rid() != 0) return;
-        cpe.spmPtr(1024)[0] = 7.0;
-        if (cpe.cid() == 3) {
-          RmaRequest request;
-          request.kind = RmaKind::kRowBroadcast;
-          request.isSender = true;
-          request.bytes = 8;
-          request.srcSpmOffsetBytes = 1024;
-          request.dstSpmOffsetBytes = 0;
-          request.slot = "bc";
-          cpe.rmaIssue(request);
-        }
-        cpe.waitSlot("bc", true, true);
-      });
+  const std::string message = runExpectingProtocolError(mesh, rowZeroBroadcast);
   EXPECT_NE(message.find("dropped in transit (injected fault)"),
             std::string::npos)
       << message;

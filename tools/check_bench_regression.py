@@ -175,8 +175,9 @@ def main():
             continue
         speedup = tree_t / plan_t
         # Only the pure-interpreter (timing) pair carries the hard floor;
-        # functional runs are dominated by the simulated machine and
-        # thread-scheduling noise, so their ratio is informational.
+        # functional runs are dominated by micro-kernel math and mesh
+        # set-up, which both engines share, so their ratio is
+        # informational.
         if "timing" not in prefix:
             print(f"     info  {prefix}: plan speedup {speedup:.2f}x")
             continue

@@ -32,7 +32,6 @@
 #include "service/kernel_service.h"
 #include "service/soak.h"
 #include "sunway/fault.h"
-#include "sunway/mesh.h"
 #include "support/digest.h"
 #include "support/error.h"
 #include "support/histogram.h"
@@ -113,9 +112,6 @@ void usage(std::FILE* out) {
       "                     [:seconds=X][:rate=P][:seed=N], kind one of\n"
       "                     dma-drop dma-corrupt dma-delay rma-drop\n"
       "                     rma-delay stall\n"
-      "  --watchdog-ms N    mesh no-progress deadline in milliseconds\n"
-      "                     (0 disables; default 5000 or\n"
-      "                     $SWCODEGEN_WATCHDOG_MS)\n"
       "  --warm SHAPES      pre-compile a comma-separated list of tile\n"
       "                     shapes (e.g. 64x64x32,32x32x32) on the worker\n"
       "                     pool, then exit (no INPUT.c needed)\n"
@@ -147,7 +143,6 @@ void usage(std::FILE* out) {
       "  SWCODEGEN_TRACE       path — enable tracing and write there on exit\n"
       "  SWCODEGEN_CACHE_DIR   default for --cache-dir\n"
       "  SWCODEGEN_TUNING_DIR  default for --tuning-dir\n"
-      "  SWCODEGEN_WATCHDOG_MS default for --watchdog-ms\n"
       "  SWCODEGEN_CC          host compiler for --engine native (then $CC,\n"
       "                        then 'cc')\n"
       "  SWCODEGEN_JIT_CACHE_DIR\n"
@@ -247,13 +242,18 @@ int runShapeSmoke(const sw::core::CompiledKernel& kernel,
   if (outcomeOut != nullptr) *outcomeOut = outcome;
   const bool ranEdge = kernel.options.edgeTiles &&
                        padMode != sw::core::PadMode::kPadded;
-  std::printf("ran %lldx%lldx%lld batch %lld (%s): %.2f GFLOPS modelled, "
-              "%.3f ms simulated, %.0f uKernel flops, %lld host copy "
-              "bytes\n",
+  // The native engine times real machine code on the host's wall clock;
+  // the simulator engines report the modelled SW26010Pro clock.
+  const bool hostClock = outcome.engine == "native";
+  std::printf("ran %lldx%lldx%lld batch %lld (%s): %.2f GFLOPS %s, "
+              "%.3f ms %s, %.0f uKernel flops, %lld host copy bytes\n",
               static_cast<long long>(m), static_cast<long long>(n),
               static_cast<long long>(k), static_cast<long long>(batch),
               ranEdge ? "edge tiles, unpadded arrays" : "padded arrays",
-              outcome.gflops, outcome.seconds * 1e3, outcome.counters.flops,
+              outcome.gflops, hostClock ? "host wall-clock" : "modelled",
+              outcome.seconds * 1e3,
+              hostClock ? "host wall-clock" : "simulated",
+              outcome.counters.flops,
               static_cast<long long>(outcome.hostCopyBytes));
   // Machine-greppable JIT verdict: `jit: cache hit` on a warm cache,
   // `jit: compiled` on a cold one, and an explicit degradation notice when
@@ -372,8 +372,7 @@ void printRunMetrics(const char* title, const sw::rt::RunOutcome& outcome,
 int runChaosSmoke(sw::service::KernelService& service,
                   const sw::core::CompiledKernel& kernel,
                   const sw::sunway::ArchConfig& arch,
-                  std::shared_ptr<const sw::sunway::FaultPlan> plan,
-                  double watchdogMillis) {
+                  std::shared_ptr<const sw::sunway::FaultPlan> plan) {
   const sw::core::PaddedShape shape =
       sw::core::padShape(1, 1, 1, kernel.options, arch);
   const std::int64_t batch = kernel.options.batched ? 2 : 1;
@@ -383,11 +382,7 @@ int runChaosSmoke(sw::service::KernelService& service,
   const std::vector<double> c0 = randomMatrix(batch * m * n, 3);
   const sw::core::GemmProblem problem{m, n, k, batch};
 
-  const double effectiveWatchdog =
-      watchdogMillis >= 0.0 ? watchdogMillis
-                            : sw::sunway::MeshSimulator::defaultWatchdogMillis();
-  std::printf("fault injection: %s (watchdog %.0f ms)\n",
-              plan->describe().c_str(), effectiveWatchdog);
+  std::printf("fault injection: %s\n", plan->describe().c_str());
 
   std::vector<double> baseline = c0;
   sw::core::runGemmFunctional(kernel, arch, problem, a, b, baseline);
@@ -395,7 +390,6 @@ int runChaosSmoke(sw::service::KernelService& service,
   std::vector<double> faulted = c0;
   sw::core::FunctionalRunConfig runConfig;
   runConfig.faultPlan = std::move(plan);
-  runConfig.watchdogMillis = watchdogMillis;
   const sw::service::KernelService::ResilientRunResult result =
       service.runResilient(kernel.options, problem, a, b, faulted, runConfig);
 
@@ -403,10 +397,10 @@ int runChaosSmoke(sw::service::KernelService& service,
        result.degradations)
     std::printf("  degraded %s -> %s: %s\n", step.from.c_str(),
                 step.to.c_str(), step.error.c_str());
-  std::printf("  faults injected=%lld dma retries=%lld watchdog fired=%g\n",
+  std::printf("  faults injected=%lld dma retries=%lld mesh deadlocks=%g\n",
               static_cast<long long>(result.outcome.counters.faultsInjected),
               static_cast<long long>(result.outcome.counters.dmaRetries),
-              sw::metrics::MetricsRegistry::global().get("watchdog.fired"));
+              sw::metrics::MetricsRegistry::global().get("mesh.deadlocks"));
 
   if (result.usedEstimator) {
     std::printf("chaos smoke: result=degraded-to-estimator (timing only, "
@@ -446,7 +440,7 @@ int runChaosSmoke(sw::service::KernelService& service,
 int runSoakMode(sw::service::KernelService& service, long requests,
                 double quotaRate,
                 std::shared_ptr<const sw::sunway::FaultPlan> plan,
-                double watchdogMillis, long jobs, bool profile,
+                long jobs, bool profile,
                 const std::string& reportMode,
                 const std::string& reportPath) {
   sw::service::SoakConfig config;
@@ -457,7 +451,6 @@ int runSoakMode(sw::service::KernelService& service, long requests,
   if (plan != nullptr) {
     config.chaosPlan = std::move(plan);
     config.verifyEvery = 500;
-    if (watchdogMillis >= 0.0) config.watchdogMillis = watchdogMillis;
   }
   config.admission.maxQueueDepth = 128;
   config.admission.workers = jobs > 0 ? static_cast<int>(jobs) : 4;
@@ -520,7 +513,7 @@ bool parsePositiveLong(const char* text, long* out) {
   return true;
 }
 
-/// Non-negative double parse for --watchdog-ms (0 disables the watchdog).
+/// Non-negative double parse for --soak-quota.
 bool parseNonNegativeDouble(const char* text, double* out) {
   if (text == nullptr || *text == '\0') return false;
   char* end = nullptr;
@@ -695,7 +688,6 @@ int main(int argc, char** argv) {
   std::string injectSpec;
   std::string reportMode;  // "", "text" or "json"
   std::string reportPath;  // empty = stdout
-  double watchdogMillis = -1.0;  // negative = library default
   long jobs = 0;
   long groups = 1;
   long soakRequests = 0;
@@ -780,15 +772,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       injectSpec = argv[++i];
-    } else if (arg == "--watchdog-ms") {
-      if (i + 1 >= argc ||
-          !parseNonNegativeDouble(argv[i + 1], &watchdogMillis)) {
-        std::fprintf(stderr,
-                     "swcodegen: --watchdog-ms requires a non-negative "
-                     "millisecond count (0 disables)\n");
-        return 2;
-      }
-      ++i;
     } else if (arg == "--warm") {
       if (i + 1 >= argc) {
         std::fprintf(stderr,
@@ -1027,8 +1010,8 @@ int main(int argc, char** argv) {
 
     if (soakMode) {
       const int rc =
-          runSoakMode(service, soakRequests, soakQuota, faultPlan,
-                      watchdogMillis, jobs, profile, reportMode, reportPath);
+          runSoakMode(service, soakRequests, soakQuota, faultPlan, jobs,
+                      profile, reportMode, reportPath);
       if (!tracePath.empty()) {
         sw::trace::Tracer::global().writeFile(tracePath);
         std::printf("wrote trace to %s (%zu events)\n", tracePath.c_str(),
@@ -1154,8 +1137,7 @@ int main(int argc, char** argv) {
 
     int chaosRc = 0;
     if (faultPlan)
-      chaosRc = runChaosSmoke(service, kernel, compiler.arch(), faultPlan,
-                              watchdogMillis);
+      chaosRc = runChaosSmoke(service, kernel, compiler.arch(), faultPlan);
 
     if (profile) {
       std::printf("\n");
