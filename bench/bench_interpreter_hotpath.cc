@@ -9,6 +9,7 @@
 
 #include "bench_common.h"
 #include "core/pipeline.h"
+#include "kernel/microkernel.h"
 #include "runtime/interpreter.h"
 #include "runtime/plan.h"
 #include "sunway/estimator.h"
@@ -229,6 +230,10 @@ int main(int argc, char** argv) {
                                sw::core::PadMode::kEdge);
   benchmark::RegisterBenchmark("HotPath/pad_tax_padded", benchPadMode,
                                sw::core::PadMode::kPadded);
+  // The functional and pad-tax cases are micro-kernel math on the host,
+  // so their times depend on which vector ISA it ran on.
+  benchmark::AddCustomContext("host_kernel_isa",
+                              sw::kernel::hostMicroKernelIsa());
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

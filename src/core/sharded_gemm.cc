@@ -6,6 +6,7 @@
 #include <exception>
 #include <limits>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -297,12 +298,22 @@ ShardedOutcome runShardedFunctional(const CompiledKernel& kernel,
   std::condition_variable cv;
   std::vector<char> started(plan.shards.size(), 0);
   std::exception_ptr abortError;
-  std::vector<double> groupBusy(static_cast<std::size_t>(config.groups));
-  std::vector<double> groupComm(static_cast<std::size_t>(config.groups));
-  std::vector<double> chainSeconds(
-      static_cast<std::size_t>(plan.blocks()));
 
-  auto runShard = [&](int group, const Shard& s) {
+  // What each shard contributes to the totals, kept in plan order and
+  // summed after the join: floating-point sums then do not depend on the
+  // order in which the groups finish.
+  struct ShardResult {
+    sunway::CpeCounters counters;
+    double seconds = 0.0;
+    double commSeconds = 0.0;
+    std::int64_t hostCopyBytes = 0;
+    std::optional<ShardedOutcome::GroupFailure> failure;
+  };
+  std::vector<ShardResult> results(plan.shards.size());
+
+  auto runShard = [&](int group, std::size_t index) {
+    const Shard& s = plan.shards[index];
+    ShardResult& result = results[index];
     const GemmProblem sub = shardProblem(problem, s);
     std::vector<double> aBlk = gatherA(a, kernel.options, problem, s);
     std::vector<double> bBlk = gatherB(b, kernel.options, problem, s);
@@ -345,11 +356,8 @@ ShardedOutcome runShardedFunctional(const CompiledKernel& kernel,
       // re-run of the same shard.
       SW_WARN("sharded", "event=group_abort group=", group, " shard=\"",
               shardLabel(s), "\" error=", e.what());
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        outcome.failures.push_back(
-            ShardedOutcome::GroupFailure{group, shardLabel(s), e.what()});
-      }
+      result.failure =
+          ShardedOutcome::GroupFailure{group, shardLabel(s), e.what()};
       state.cBuf = std::move(snapshot);
       runConfig.faultPlan = nullptr;
       run = runGemmFunctional(kernel, groupArch, sub, aBlk, bBlk,
@@ -364,18 +372,14 @@ ShardedOutcome runShardedFunctional(const CompiledKernel& kernel,
           static_cast<std::int64_t>(state.cBuf.size() * sizeof(double));
     }
 
-    const double comm = shardCommSeconds(arch, concurrency, problem, s);
     const std::int64_t gatherBytes =
         static_cast<std::int64_t>((aBlk.size() + bBlk.size()) *
                                   sizeof(double)) +
         cGatherBytes + cScatterBytes;
-    std::lock_guard<std::mutex> lock(mu);
-    outcome.counters.add(run.counters);
-    outcome.hostCopyBytes += run.hostCopyBytes + gatherBytes;
-    outcome.shardsRun += 1;
-    groupBusy[static_cast<std::size_t>(group)] += run.seconds;
-    groupComm[static_cast<std::size_t>(group)] += comm;
-    chainSeconds[static_cast<std::size_t>(s.block)] += run.seconds + comm;
+    result.counters = run.counters;
+    result.seconds = run.seconds;
+    result.commSeconds = shardCommSeconds(arch, concurrency, problem, s);
+    result.hostCopyBytes = run.hostCopyBytes + gatherBytes;
   };
 
   auto worker = [&](int group) {
@@ -406,7 +410,7 @@ ShardedOutcome runShardedFunctional(const CompiledKernel& kernel,
       if (pick == plan.shards.size()) return;
       const Shard& s = plan.shards[pick];
       try {
-        runShard(group, s);
+        runShard(group, pick);
       } catch (...) {
         std::lock_guard<std::mutex> lock(mu);
         if (abortError == nullptr) abortError = std::current_exception();
@@ -427,6 +431,23 @@ ShardedOutcome runShardedFunctional(const CompiledKernel& kernel,
   outcome.groupsUsed = static_cast<int>(threads.size());
   for (std::thread& t : threads) t.join();
   if (abortError != nullptr) std::rethrow_exception(abortError);
+
+  std::vector<double> groupBusy(static_cast<std::size_t>(config.groups));
+  std::vector<double> groupComm(static_cast<std::size_t>(config.groups));
+  std::vector<double> chainSeconds(
+      static_cast<std::size_t>(plan.blocks()));
+  for (std::size_t i = 0; i < plan.shards.size(); ++i) {
+    const Shard& s = plan.shards[i];
+    ShardResult& result = results[i];
+    if (result.failure) outcome.failures.push_back(std::move(*result.failure));
+    outcome.counters.add(result.counters);
+    outcome.hostCopyBytes += result.hostCopyBytes;
+    outcome.shardsRun += 1;
+    groupBusy[static_cast<std::size_t>(s.group)] += result.seconds;
+    groupComm[static_cast<std::size_t>(s.group)] += result.commSeconds;
+    chainSeconds[static_cast<std::size_t>(s.block)] +=
+        result.seconds + result.commSeconds;
+  }
 
   double wall = 0.0;
   for (int g = 0; g < config.groups; ++g) {

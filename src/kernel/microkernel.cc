@@ -1,157 +1,201 @@
 #include "kernel/microkernel.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+
+#include "kernel/microkernel_isa.h"
 
 namespace sw::kernel {
 
 namespace {
 
-/// MR x NR register block: accumulates C[MR][NR] over the full k depth
-/// before touching memory again, mirroring the register allocation the
-/// vendor routine performs between SPM and the CPE register file.  The
-/// inner NR loop runs over a contiguous row of B (stride-1 loads), so the
-/// host compiler auto-vectorises it into FMA lanes.  The per-element
-/// accumulation order (p ascending into acc, one add to C) is the
-/// bit-identity contract shared with dgemmNaiveKernel.
-template <int MR, int NR>
-void registerBlock(double* __restrict c, const double* __restrict a,
-                   const double* __restrict b, std::int64_t n, std::int64_t k,
-                   std::int64_t ldb) {
-  double acc[MR][NR];
-  for (int i = 0; i < MR; ++i)
-    for (int j = 0; j < NR; ++j) acc[i][j] = 0.0;
+/// W doubles in one host vector register, and the matching lane mask.
+template <int W>
+using Vec [[gnu::vector_size(W * sizeof(double))]] = double;
+template <int W>
+using LaneMask [[gnu::vector_size(W * sizeof(double))]] = std::int64_t;
+
+// The loops over register-block rows, vectors and lanes have at most 8
+// trips and must unroll fully, or the accumulators stay in memory.
+
+/// One R x (V*W) register block: C[R x V*W] += A[R x k] * B[k x V*W] with
+/// row strides lda/ldb/ldc.  Every accumulator lane starts at +0.0, takes
+/// an unfused a*b then + for p ascending, and is added to C once: the
+/// per-element order of dgemmNaiveKernel, so the bits are the same.  The
+/// first `skip` lanes are computed but not stored; rowPanel uses them for
+/// a last block shifted left over columns an earlier block already wrote.
+template <int W, int R, int V>
+[[gnu::always_inline]] inline void block(double* c, const double* a,
+                                         const double* b, std::int64_t k,
+                                         std::int64_t lda, std::int64_t ldb,
+                                         std::int64_t ldc, int skip) {
+  Vec<W> acc[R][V] = {};
   for (std::int64_t p = 0; p < k; ++p) {
-    const double* __restrict brow = b + p * ldb;
-    for (int i = 0; i < MR; ++i) {
-      const double av = a[i * k + p];
-      for (int j = 0; j < NR; ++j) acc[i][j] += av * brow[j];
+    Vec<W> bv[V];
+#pragma GCC unroll 8
+    for (int v = 0; v < V; ++v)
+      std::memcpy(&bv[v], b + p * ldb + v * W, sizeof bv[v]);
+#pragma GCC unroll 8
+    for (int r = 0; r < R; ++r) {
+      const double av = a[r * lda + p];
+#pragma GCC unroll 8
+      for (int v = 0; v < V; ++v) acc[r][v] += av * bv[v];
     }
   }
-  for (int i = 0; i < MR; ++i)
-    for (int j = 0; j < NR; ++j) c[i * n + j] += acc[i][j];
+  LaneMask<W> lane = {};
+#pragma GCC unroll 8
+  for (int l = 0; l < W; ++l) lane[l] = l;
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r)
+#pragma GCC unroll 8
+    for (int v = 0; v < V; ++v) {
+      double* cp = c + r * ldc + v * W;
+      Vec<W> cv;
+      std::memcpy(&cv, cp, sizeof cv);
+      Vec<W> sum = cv + acc[r][v];
+      if (skip != 0) sum = lane >= skip ? sum : cv;
+      std::memcpy(cp, &sum, sizeof sum);
+    }
 }
 
-/// Copy a k x NR column panel of B (row stride ldb) into a contiguous,
-/// cache-line-aligned panel so every registerBlock pass over the same
-/// columns reads unit-stride aligned memory.  Values are copied verbatim:
-/// packing cannot change the accumulation result.
-template <int NR>
-void packBPanel(double* __restrict dst, const double* __restrict b,
-                std::int64_t k, std::int64_t ldb) {
-  for (std::int64_t p = 0; p < k; ++p)
-    for (int j = 0; j < NR; ++j) dst[p * NR + j] = b[p * ldb + j];
-}
-
-/// Fully static-shape kernel: the compiler sees every trip count, so the
-/// whole nest unrolls and vectorises without runtime-bound checks.  B is
-/// packed once per NR-column panel and reused by all M/MR row blocks.
-template <int M, int N, int K, int MR, int NR>
-void fixedShapeKernel(double* __restrict c, const double* __restrict a,
-                      const double* __restrict b) {
-  static_assert(M % MR == 0 && N % NR == 0,
-                "fixed shape must tile exactly into register blocks");
-  alignas(64) double bpack[K * NR];
-  for (int j = 0; j < N; j += NR) {
-    packBPanel<NR>(bpack, b + j, K, N);
-    for (int i = 0; i < M; i += MR)
-      registerBlock<MR, NR>(c + i * N + j, a + i * K, bpack, N, K, NR);
-  }
-}
-
-/// Generic fallback for shapes the fixed path does not cover.
-template <int MR, int NR>
-void blockedKernel(double* __restrict c, const double* __restrict a,
-                   const double* __restrict b, std::int64_t m, std::int64_t n,
-                   std::int64_t k) {
-  std::int64_t i = 0;
-  for (; i + MR <= m; i += MR) {
-    std::int64_t j = 0;
-    for (; j + NR <= n; j += NR)
-      registerBlock<MR, NR>(c + i * n + j, a + i * k, b + j, n, k, n);
-    // Ragged right edge (never hit with the 64x64x32 contract, but the
-    // kernel stays total for smaller fused shapes).
-    for (; j < n; ++j)
-      for (std::int64_t ii = i; ii < i + MR; ++ii) {
+/// R rows of C across all n columns: 2W-wide blocks, then one W-wide
+/// block, then the ragged last columns as a W-wide block that ends at
+/// column n.  A row narrower than W has no vector block and runs scalar.
+template <int W, int R>
+[[gnu::always_inline]] inline void rowPanel(double* c, const double* a,
+                                            const double* b, std::int64_t n,
+                                            std::int64_t k, std::int64_t lda,
+                                            std::int64_t ldb,
+                                            std::int64_t ldc) {
+  if (n < W) {
+    for (int r = 0; r < R; ++r)
+      for (std::int64_t j = 0; j < n; ++j) {
         double acc = 0.0;
         for (std::int64_t p = 0; p < k; ++p)
-          acc += a[ii * k + p] * b[p * n + j];
-        c[ii * n + j] += acc;
+          acc += a[r * lda + p] * b[p * ldb + j];
+        c[r * ldc + j] += acc;
       }
-  }
-  for (; i < m; ++i)
-    for (std::int64_t j = 0; j < n; ++j) {
-      double acc = 0.0;
-      for (std::int64_t p = 0; p < k; ++p) acc += a[i * k + p] * b[p * n + j];
-      c[i * n + j] += acc;
-    }
-}
-
-/// Per-variant shape dispatch: the vendor contract shape gets the
-/// packed-B, fully unrolled path; the half-size tile (used by
-/// fused/strip-mined schedules) gets a static shape of its own.  All
-/// paths accumulate identically to the generic one (per-element order is
-/// k-ascending with a single add to C regardless of block traversal).
-template <int MR, int NR>
-void variantKernel(double* c, const double* a, const double* b,
-                   std::int64_t m, std::int64_t n, std::int64_t k) {
-  if (m == kMicroM && n == kMicroN && k == kMicroK) {
-    fixedShapeKernel<64, 64, 32, MR, NR>(c, a, b);
     return;
   }
-  if (m == 32 && n == 32 && k == 32) {
-    fixedShapeKernel<32, 32, 32, MR, NR>(c, a, b);
-    return;
+  std::int64_t j = 0;
+  for (; j + 2 * W <= n; j += 2 * W)
+    block<W, R, 2>(c + j, a, b + j, k, lda, ldb, ldc, 0);
+  if (j + W <= n) {
+    block<W, R, 1>(c + j, a, b + j, k, lda, ldb, ldc, 0);
+    j += W;
   }
-  blockedKernel<MR, NR>(c, a, b, m, n, k);
+  if (j < n)
+    block<W, R, 1>(c + n - W, a, b + n - W, k, lda, ldb, ldc,
+                   static_cast<int>(W - (n - j)));
 }
 
-// Every family member divides the 64x64 and 32x32 contract tiles, so the
-// fixedShapeKernel static_assert holds for each instantiation below.
-#define SW_MICRO_KERNEL_FAMILY(X) \
-  X(4, 8)                         \
-  X(2, 8)                         \
-  X(2, 16)                        \
-  X(4, 4)                         \
-  X(4, 16)                        \
-  X(8, 4)                         \
-  X(8, 8)
+/// The strided path: 4-row panels, then single rows.
+template <int W>
+[[gnu::always_inline]] inline void strided(double* c, const double* a,
+                                           const double* b, std::int64_t m,
+                                           std::int64_t n, std::int64_t k,
+                                           std::int64_t lda, std::int64_t ldb,
+                                           std::int64_t ldc) {
+  const std::int64_t panelRows = m - m % 4;
+  for (std::int64_t i = 0; i < panelRows; i += 4)
+    rowPanel<W, 4>(c + i * ldc, a + i * lda, b, n, k, lda, ldb, ldc);
+  for (std::int64_t i = panelRows; i < m; ++i)
+    rowPanel<W, 1>(c + i * ldc, a + i * lda, b, n, k, lda, ldb, ldc);
+}
+
+/// The kernel at vector width W.  The two contiguous contract tiles call
+/// the strided path with literal extents, which compiles to a fixed-shape
+/// nest of 4 x 2W blocks with no tail code: 64 and 32 are multiples of 4
+/// and of 2W for every W below.
+template <int W>
+[[gnu::always_inline]] inline void kernelAt(double* c, const double* a,
+                                            const double* b, std::int64_t m,
+                                            std::int64_t n, std::int64_t k,
+                                            std::int64_t lda, std::int64_t ldb,
+                                            std::int64_t ldc) {
+  const bool contiguous = lda == k && ldb == n && ldc == n;
+  if (contiguous && m == kMicroM && n == kMicroN && k == kMicroK)
+    strided<W>(c, a, b, kMicroM, kMicroN, kMicroK, kMicroK, kMicroN,
+               kMicroN);
+  else if (contiguous && m == 32 && n == 32 && k == 32)
+    strided<W>(c, a, b, 32, 32, 32, 32, 32, 32);
+  else
+    strided<W>(c, a, b, m, n, k, lda, ldb, ldc);
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+[[gnu::target("avx512f")]] void gemmAvx512f(double* c, const double* a,
+                                            const double* b, std::int64_t m,
+                                            std::int64_t n, std::int64_t k,
+                                            std::int64_t lda,
+                                            std::int64_t ldb,
+                                            std::int64_t ldc) {
+  kernelAt<8>(c, a, b, m, n, k, lda, ldb, ldc);
+}
+
+[[gnu::target("avx2")]] void gemmAvx2(double* c, const double* a,
+                                      const double* b, std::int64_t m,
+                                      std::int64_t n, std::int64_t k,
+                                      std::int64_t lda, std::int64_t ldb,
+                                      std::int64_t ldc) {
+  kernelAt<4>(c, a, b, m, n, k, lda, ldb, ldc);
+}
+#endif
+
+void gemmBaseline(double* c, const double* a, const double* b,
+                  std::int64_t m, std::int64_t n, std::int64_t k,
+                  std::int64_t lda, std::int64_t ldb, std::int64_t ldc) {
+  kernelAt<2>(c, a, b, m, n, k, lda, ldb, ldc);
+}
+
+/// Widest first; the last entry runs on every host.
+constexpr detail::MicroKernelIsa kIsas[] = {
+#if defined(__x86_64__) || defined(__i386__)
+    {"avx512f", 8, [] { return __builtin_cpu_supports("avx512f") != 0; },
+     gemmAvx512f},
+    {"avx2", 4, [] { return __builtin_cpu_supports("avx2") != 0; }, gemmAvx2},
+#endif
+    {"baseline", 2, [] { return true; }, gemmBaseline},
+};
+
+/// The widest instantiation the host supports, chosen at first use.
+const detail::MicroKernelIsa& hostIsa() {
+  static const detail::MicroKernelIsa& isa =
+      *std::find_if(std::begin(kIsas), std::end(kIsas),
+                    [](const detail::MicroKernelIsa& candidate) {
+                      return candidate.supported();
+                    });
+  return isa;
+}
 
 }  // namespace
 
+namespace detail {
+
+std::span<const MicroKernelIsa> microKernelIsas() { return kIsas; }
+
+}  // namespace detail
+
 const std::vector<MicroKernelVariant>& microKernelFamily() {
+  // Every member divides the 64x64 and 32x32 contract tiles.
   static const std::vector<MicroKernelVariant> family = {
-#define SW_FAMILY_ENTRY(MR, NR) MicroKernelVariant{MR, NR},
-      SW_MICRO_KERNEL_FAMILY(SW_FAMILY_ENTRY)
-#undef SW_FAMILY_ENTRY
-  };
+      {4, 8}, {2, 8}, {2, 16}, {4, 4}, {4, 16}, {8, 4}, {8, 8}};
   return family;
 }
 
 bool isFeasibleMicroKernelVariant(int mr, int nr) {
-#define SW_FAMILY_MATCH(MR, NR) \
-  if (mr == MR && nr == NR) return true;
-  SW_MICRO_KERNEL_FAMILY(SW_FAMILY_MATCH)
-#undef SW_FAMILY_MATCH
-  return false;
+  return std::any_of(microKernelFamily().begin(), microKernelFamily().end(),
+                     [&](const MicroKernelVariant& v) {
+                       return v.mr == mr && v.nr == nr;
+                     });
 }
+
+const char* hostMicroKernelIsa() { return hostIsa().name; }
 
 void dgemmMicroKernel(double* c, const double* a, const double* b,
                       std::int64_t m, std::int64_t n, std::int64_t k) {
-  variantKernel<kDefaultMicroMr, kDefaultMicroNr>(c, a, b, m, n, k);
-}
-
-void dgemmMicroKernelVariant(double* c, const double* a, const double* b,
-                             std::int64_t m, std::int64_t n, std::int64_t k,
-                             int mr, int nr) {
-#define SW_FAMILY_DISPATCH(MR, NR)          \
-  if (mr == MR && nr == NR) {               \
-    variantKernel<MR, NR>(c, a, b, m, n, k); \
-    return;                                 \
-  }
-  SW_MICRO_KERNEL_FAMILY(SW_FAMILY_DISPATCH)
-#undef SW_FAMILY_DISPATCH
-  // Unknown variants compute the same bits with the default block.
-  variantKernel<kDefaultMicroMr, kDefaultMicroNr>(c, a, b, m, n, k);
+  hostIsa().gemm(c, a, b, m, n, k, k, n, n);
 }
 
 void dgemmNaiveKernel(double* c, const double* a, const double* b,
@@ -167,13 +211,7 @@ void dgemmNaiveKernel(double* c, const double* a, const double* b,
 void dgemmEdgeKernel(double* c, const double* a, const double* b,
                      std::int64_t m, std::int64_t n, std::int64_t k,
                      std::int64_t lda, std::int64_t ldb, std::int64_t ldc) {
-  for (std::int64_t i = 0; i < m; ++i)
-    for (std::int64_t j = 0; j < n; ++j) {
-      double acc = 0.0;
-      for (std::int64_t p = 0; p < k; ++p)
-        acc += a[i * lda + p] * b[p * ldb + j];
-      c[i * ldc + j] += acc;
-    }
+  hostIsa().gemm(c, a, b, m, n, k, lda, ldb, ldc);
 }
 
 void tileScale(double* tile, std::int64_t count, double factor) {

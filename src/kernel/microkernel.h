@@ -1,23 +1,24 @@
 // Compute kernels executed inside a CPE's SPM.
 //
-// The micro-kernel is no longer a single hand-written routine: it is a
-// *family* of MR x NR register-blocked variants (Exo-style generation),
-// all sharing the vendor contract (C m x n += A m x k * B k x n, tiles
-// contiguous row-major in SPM) and the bit-identity invariant — each C
-// element accumulates over k ascending into a register and is added to
-// memory exactly once, so every family member produces bit-identical
-// results for the same inputs.  The tuner co-searches the schedule and
-// the (MR, NR) choice; the timing model rates each variant through
-// ArchConfig::microKernelEfficiency.
+// On the CPE the micro-kernel is a *family* of MR x NR register-blocked
+// variants (Exo-style generation), all sharing the vendor contract
+// (C m x n += A m x k * B k x n, tiles contiguous row-major in SPM).  The
+// tuner co-searches the schedule and the (MR, NR) choice; the timing model
+// rates each variant through ArchConfig::microKernelEfficiency, and the
+// printers emit its C (microkernel_emit.h).
 //
-// The contract shape dispatches to a fully static MRxNR-templated kernel
-// with a packed, cache-line-aligned B panel (unit-stride inner loop);
-// other shapes fall back to a runtime-bound blocked nest.
-// dgemmNaiveKernel is the straightforward nest the --no-use-asm path runs.
+// On the host every variant computes the same bits, so one kernel does
+// the math for all of them: a template over the host's vector width W,
+// built for AVX-512F (W=8), AVX2 (W=4) and baseline (W=2) and dispatched
+// to the widest the host supports, chosen at first use.  Its bit-identity
+// invariant is the one every path here keeps: each C element accumulates
+// a[i][p] * b[p][j] over p ascending from 0.0, an unfused multiply then
+// add, and is added to C exactly once.  The library builds with
+// -ffp-contract=off so no ISA contracts that into an FMA.
 //
-// The timing simulator charges these at ArchConfig rates; functionally both
-// must produce bit-identical results to the reference (tests enforce it,
-// since the accumulation order per C element — over k only — is the same).
+// dgemmNaiveKernel is the straightforward nest the --no-use-asm path
+// runs; the simulator charges each at its ArchConfig rate, and tests hold
+// them and the reference oracle bit-identical.
 #pragma once
 
 #include <cstdint>
@@ -49,18 +50,15 @@ const std::vector<MicroKernelVariant>& microKernelFamily();
 /// Whether (mr, nr) names a member of the generated family.
 bool isFeasibleMicroKernelVariant(int mr, int nr);
 
-/// C[m x n] += A[m x k] * B[k x n]; contiguous row-major tiles.
-/// Optimised register-blocked implementation (the "assembly" routine),
-/// equivalent to dgemmMicroKernelVariant at the default (4, 8) block.
+/// C[m x n] += A[m x k] * B[k x n]; contiguous row-major tiles.  The host
+/// micro-kernel for every (MR, NR) variant: the 64x64x32 and 32x32x32
+/// contract tiles take a fixed-shape path, other shapes the strided one.
 void dgemmMicroKernel(double* c, const double* a, const double* b,
                       std::int64_t m, std::int64_t n, std::int64_t k);
 
-/// Family dispatch: the same contract computed with an (mr, nr) register
-/// block.  Throws nothing; an unknown variant falls back to the default
-/// block, which is bit-identical anyway.
-void dgemmMicroKernelVariant(double* c, const double* a, const double* b,
-                             std::int64_t m, std::int64_t n, std::int64_t k,
-                             int mr, int nr);
+/// The vector ISA dgemmMicroKernel and dgemmEdgeKernel run on this host:
+/// "avx512f", "avx2" or "baseline".
+const char* hostMicroKernelIsa();
 
 /// Same contract, deliberately naive triple loop (--no-use-asm).
 void dgemmNaiveKernel(double* c, const double* a, const double* b,
@@ -69,9 +67,10 @@ void dgemmNaiveKernel(double* c, const double* a, const double* b,
 /// Edge-tile path: C[m x n] += A[m x k] * B[k x n] where each SPM tile
 /// keeps its FULL-tile row stride (lda/ldb/ldc) while only the leading
 /// m/n/k sub-block holds valid data.  Accumulation order per C element is
-/// the same k-ascending single-add contract as the kernels above, so a
-/// partial tile computed here is bit-identical to the corresponding
-/// sub-block of a zero-padded full-tile run.
+/// the same k-ascending single-add contract as the kernels above (it is
+/// dgemmMicroKernel's strided path), so a partial tile computed here is
+/// bit-identical to the corresponding sub-block of a zero-padded
+/// full-tile run.
 void dgemmEdgeKernel(double* c, const double* a, const double* b,
                      std::int64_t m, std::int64_t n, std::int64_t k,
                      std::int64_t lda, std::int64_t ldb, std::int64_t ldc);

@@ -11,9 +11,8 @@ std::string microKernelFunctionName(int mr, int nr) {
 namespace {
 
 /// One MR x NR register block with runtime bounds, shared by the fixed and
-/// generic paths (mirrors registerBlock in microkernel.cc; identical
-/// accumulation order keeps the emitted kernel bit-compatible with the
-/// interpreter engines).
+/// generic paths (the per-element accumulation order of dgemmMicroKernel
+/// keeps the emitted kernel bit-compatible with the interpreter engines).
 std::string emitRegisterBlock(int mr, int nr, const std::string& name) {
   std::string out;
   out += strCat("static void ", name,
@@ -42,8 +41,8 @@ std::string emitRegisterBlock(int mr, int nr, const std::string& name) {
 /// Fully static-shape path for one contract tile: every trip count is a
 /// literal, so the nest unrolls and vectorises, and B is packed once per
 /// NR-column panel into a contiguous scratch reused by all row blocks
-/// (mirrors fixedShapeKernel in microkernel.cc; packing copies values
-/// verbatim so the accumulation result is unchanged).
+/// (packing copies values verbatim so the accumulation result is
+/// unchanged).
 std::string emitFixedShape(int mr, int nr, const std::string& name,
                            const std::string& suffix, int m, int n, int k) {
   std::string out;

@@ -1,17 +1,17 @@
 // Exo-style C source generator for the MR x NR micro-kernel family.
 //
 // emitMicroKernelC prints a self-contained, -Wall -Werror-clean C99
-// function implementing the same register-blocked contract as
-// dgemmMicroKernelVariant: C[m x n] += A[m x k] * B[k x n], contiguous
-// row-major tiles, each C element accumulated over k ascending and added
-// to memory exactly once.  The block shape is baked in as enum constants
-// so the C compiler fully unrolls the register tile — the generated text
-// is what the athread printer embeds for non-default variants and what
-// the native JIT engine compiles into the host shared object.
+// function for one family member: C[m x n] += A[m x k] * B[k x n],
+// contiguous row-major tiles, each C element accumulated over k ascending
+// and added to memory exactly once.  The block shape is baked in as enum
+// constants so the C compiler fully unrolls the register tile, and the
+// contract tiles pack B into a contiguous panel.  The generated text is
+// what the athread printer embeds for non-default variants and what the
+// native JIT engine compiles into the host shared object.
 //
-// Bit-identity with the C++ family holds by construction: the traversal
-// order of independent (MR, NR) blocks does not affect any C element's
-// accumulation sequence.
+// Bit-identity with the host micro-kernel (dgemmMicroKernel) holds by
+// construction: neither the traversal order of independent register
+// blocks nor packing changes any C element's accumulation sequence.
 #pragma once
 
 #include <string>

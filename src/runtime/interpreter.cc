@@ -276,8 +276,7 @@ class Interpreter {
       return;
     }
     if (info.kind == ComputeMarkInfo::Kind::kAsm)
-      kernel::dgemmMicroKernelVariant(c, a, b, info.m, info.n, info.k,
-                                      info.mr, info.nr);
+      kernel::dgemmMicroKernel(c, a, b, info.m, info.n, info.k);
     else
       kernel::dgemmNaiveKernel(c, a, b, info.m, info.n, info.k);
   }

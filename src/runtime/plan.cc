@@ -571,7 +571,7 @@ class PlanExecutor {
       return;
     }
     if (c.isAsm)
-      kernel::dgemmMicroKernelVariant(cp, ap, bp, c.m, c.n, c.k, c.mr, c.nr);
+      kernel::dgemmMicroKernel(cp, ap, bp, c.m, c.n, c.k);
     else
       kernel::dgemmNaiveKernel(cp, ap, bp, c.m, c.n, c.k);
   }

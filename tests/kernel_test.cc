@@ -1,14 +1,20 @@
-// Micro-kernel tests: the register-blocked "assembly" routine must agree
-// bit-for-bit with the naive nest and the reference oracle across tile
-// shapes (including the ragged edges smaller fused configurations hit),
-// and the element-wise tile ops must match their mathematical definitions.
+// Micro-kernel tests: the host micro-kernel must agree bit-for-bit with
+// the naive nest and the reference oracle across tile shapes (including
+// the ragged edges smaller fused configurations hit), in every vector-ISA
+// instantiation the host can run, and the element-wise tile ops must
+// match their mathematical definitions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <cstring>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "kernel/microkernel.h"
+#include "kernel/microkernel_isa.h"
 #include "kernel/reference.h"
 
 namespace sw::kernel {
@@ -26,35 +32,128 @@ struct TileShape {
   std::int64_t m, n, k;
 };
 
-class MicroKernelShapes : public ::testing::TestWithParam<TileShape> {};
+bool sameBits(const std::vector<double>& x, const std::vector<double>& y) {
+  return x.size() == y.size() &&
+         std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0;
+}
 
-TEST_P(MicroKernelShapes, AsmEqualsNaive) {
-  const auto [m, n, k] = GetParam();
-  std::vector<double> a = randomTile(m * k, 1);
-  std::vector<double> b = randomTile(k * n, 2);
-  std::vector<double> c1 = randomTile(m * n, 3);
-  std::vector<double> c2 = c1;
-  dgemmMicroKernel(c1.data(), a.data(), b.data(), m, n, k);
-  dgemmNaiveKernel(c2.data(), a.data(), b.data(), m, n, k);
-  EXPECT_EQ(maxAbsDiff(c1.data(), c2.data(), m * n), 0.0)
-      << m << "x" << n << "x" << k;
+std::string shapeName(std::int64_t m, std::int64_t n, std::int64_t k) {
+  return std::to_string(m) + "x" + std::to_string(n) + "x" +
+         std::to_string(k);
+}
+
+// Each instantiation in microkernel_isa.h, run directly; the ones this
+// host's CPU lacks are skipped (and reported as such).
+class PerIsa : public ::testing::TestWithParam<detail::MicroKernelIsa> {
+ protected:
+  void SetUp() override {
+    if (!GetParam().supported())
+      GTEST_SKIP() << GetParam().name << " is not supported by this host";
+  }
+};
+
+TEST_P(PerIsa, ContiguousShapesMatchNaiveAndReference) {
+  const detail::MicroKernelIsa& isa = GetParam();
+  const std::int64_t w = isa.width;
+  std::vector<TileShape> shapes = {
+      {64, 64, 32},  // the vendor contract (fixed-shape path)
+      {32, 32, 32},  // the half tile (fixed-shape path)
+      {64, 64, 1},   // degenerate depth
+      {4, 8, 32},    // exactly one 4 x 8 block
+      {5, 9, 7},     // ragged everything
+      {1, 1, 32},    // scalar output
+      {3, 64, 32},   // ragged rows only
+      {64, 5, 32},   // ragged cols only
+      {16, 16, 16}};
+  // Column counts around the W-wide and 2W-wide blocks and the shifted
+  // last block, on a 4-row panel plus one single row.
+  for (const std::int64_t n : {w - 1, w, w + 1, 2 * w - 1, 2 * w, 2 * w + 1})
+    shapes.push_back(TileShape{5, n, 7});
+  for (const auto& [m, n, k] : shapes) {
+    SCOPED_TRACE(shapeName(m, n, k));
+    const std::vector<double> a = randomTile(m * k, 1);
+    const std::vector<double> b = randomTile(k * n, 2);
+    const std::vector<double> c = randomTile(m * n, 3);
+    std::vector<double> got = c, naive = c, reference = c;
+    isa.gemm(got.data(), a.data(), b.data(), m, n, k, k, n, n);
+    dgemmNaiveKernel(naive.data(), a.data(), b.data(), m, n, k);
+    referenceGemm(reference.data(), a.data(), b.data(), m, n, k, 1.0, 1.0,
+                  /*kBlock=*/k);
+    EXPECT_TRUE(sameBits(got, naive));
+    EXPECT_TRUE(sameBits(got, reference));
+  }
+}
+
+TEST_P(PerIsa, StridedSubBlockMatchesNaive) {
+  // Partial tiles keep the full tile's row strides, which are wider than
+  // the valid m/n/k extents; C outside the sub-block must stay untouched.
+  const detail::MicroKernelIsa& isa = GetParam();
+  const std::int64_t w = isa.width;
+  const std::int64_t lda = 40, ldb = 72, ldc = 72;
+  const std::vector<double> a = randomTile(64 * lda, 4);
+  const std::vector<double> b = randomTile(lda * ldb, 5);
+  const std::vector<double> c = randomTile(64 * ldc, 6);
+  const std::vector<TileShape> shapes = {
+      {63, 63, 31}, {64, 64, 32}, {1, 1, 1},        {5, 2 * w + 1, 7},
+      {64, 2 * w - 1, 32},        {17, w, 3},       {6, w - 1, 40}};
+  for (const auto& [m, n, k] : shapes) {
+    SCOPED_TRACE(shapeName(m, n, k));
+    std::vector<double> got = c;
+    isa.gemm(got.data(), a.data(), b.data(), m, n, k, lda, ldb, ldc);
+    // The same product on contiguous copies of the valid sub-blocks.
+    std::vector<double> aSub, bSub, cSub;
+    for (std::int64_t i = 0; i < m; ++i)
+      aSub.insert(aSub.end(), a.begin() + i * lda, a.begin() + i * lda + k);
+    for (std::int64_t p = 0; p < k; ++p)
+      bSub.insert(bSub.end(), b.begin() + p * ldb, b.begin() + p * ldb + n);
+    for (std::int64_t i = 0; i < m; ++i)
+      cSub.insert(cSub.end(), c.begin() + i * ldc, c.begin() + i * ldc + n);
+    dgemmNaiveKernel(cSub.data(), aSub.data(), bSub.data(), m, n, k);
+    std::vector<double> expected = c;
+    for (std::int64_t i = 0; i < m; ++i)
+      std::copy_n(cSub.begin() + i * n, n, expected.begin() + i * ldc);
+    EXPECT_TRUE(sameBits(got, expected));
+  }
+}
+
+TEST_P(PerIsa, KSliceChainMatchesBlockedReference) {
+  // The structure the generated code executes: one call per 32-deep
+  // k slice, which referenceGemm mirrors with kBlock = 32.
+  const detail::MicroKernelIsa& isa = GetParam();
+  const std::int64_t m = 64, n = 64, k = 128;
+  const std::vector<double> a = randomTile(m * k, 11);
+  const std::vector<double> b = randomTile(k * n, 12);
+  std::vector<double> c = randomTile(m * n, 13);
+  std::vector<double> expected = c;
+  for (std::int64_t kb = 0; kb < k; kb += 32)
+    isa.gemm(c.data(), a.data() + kb, b.data() + kb * n, m, n, 32, k, n, n);
+  referenceGemm(expected.data(), a.data(), b.data(), m, n, k, 1.0, 1.0);
+  EXPECT_TRUE(sameBits(c, expected));
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Shapes, MicroKernelShapes,
-    ::testing::Values(TileShape{64, 64, 32},   // the vendor contract
-                      TileShape{64, 64, 1},    // degenerate depth
-                      TileShape{4, 8, 32},     // exactly one register block
-                      TileShape{5, 9, 7},      // ragged everything
-                      TileShape{1, 1, 32},     // scalar output
-                      TileShape{3, 64, 32},    // ragged rows only
-                      TileShape{64, 5, 32},    // ragged cols only
-                      TileShape{16, 16, 16}),
-    [](const ::testing::TestParamInfo<TileShape>& info) {
-      const auto& s = info.param;
-      return std::to_string(s.m) + "x" + std::to_string(s.n) + "x" +
-             std::to_string(s.k);
+    Isas, PerIsa,
+    ::testing::ValuesIn(detail::microKernelIsas().begin(),
+                        detail::microKernelIsas().end()),
+    [](const ::testing::TestParamInfo<detail::MicroKernelIsa>& info) {
+      return std::string(info.param.name);
     });
+
+TEST(MicroKernelIsas, DispatchRunsTheWidestSupported) {
+  std::string ran, skipped;
+  const detail::MicroKernelIsa* widest = nullptr;
+  for (const detail::MicroKernelIsa& isa : detail::microKernelIsas()) {
+    std::string& list = isa.supported() ? ran : skipped;
+    list += (list.empty() ? "" : ", ") + std::string(isa.name);
+    if (widest == nullptr && isa.supported()) widest = &isa;
+  }
+  std::printf("micro-kernel ISAs: ran %s; skipped %s\n", ran.c_str(),
+              skipped.empty() ? "none" : skipped.c_str());
+  ASSERT_NE(widest, nullptr);
+  EXPECT_STREQ(hostMicroKernelIsa(), widest->name);
+  EXPECT_STREQ(detail::microKernelIsas().back().name, "baseline");
+  EXPECT_TRUE(detail::microKernelIsas().back().supported());
+}
 
 TEST(MicroKernel, AccumulatesIntoC) {
   // C must be accumulated, not overwritten.

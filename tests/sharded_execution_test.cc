@@ -2,13 +2,15 @@
 // shard planner's coverage/alignment invariants, the bit-identity of
 // concurrent multi-group runs against single-group execution (edge tiles,
 // padded non-divisible shapes, transposes, batch, chained K-split
-// reduction), per-group fault-domain isolation, and the contention-derated
+// reduction), per-group fault-domain isolation, totals that repeat
+// bitwise across identical runs, and the contention-derated
 // multi-group estimator/roofline (including the one-group == estimateGemm
 // equality regression).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
 #include <random>
 #include <vector>
 
@@ -242,6 +244,56 @@ TEST(ShardedExecution, FaultedGroupDegradesWithoutCorruption) {
   // Degraded, not corrupted: every group's C block (including the faulted
   // group's, after its fault-free re-run) matches single-group execution.
   EXPECT_TRUE(bitIdentical(result.single, result.sharded));
+}
+
+/// Bitwise equality of every counter field: all of them are 8 bytes wide,
+/// so the struct has no padding and memcmp compares doubles by their bits.
+bool sameCounters(const sunway::CpeCounters& x,
+                  const sunway::CpeCounters& y) {
+  static_assert(sizeof(sunway::CpeCounters) == 17 * 8,
+                "a new counter field must keep the struct padding-free");
+  return std::memcmp(&x, &y, sizeof x) == 0;
+}
+
+TEST(ShardedExecution, TotalsRepeatBitwiseAcrossIdenticalRuns) {
+  // Six groups finish in whatever order the host schedules them; the
+  // floating-point totals must not depend on it.
+  SwGemmCompiler compiler;
+  CodegenOptions options;
+  options.edgeTiles = true;
+  CompiledKernel kernel = compiler.compile(options);
+  const GemmProblem problem{256, 256, 256, 1};
+  const Operands ops = makeOperands(kernel.options, problem, 61);
+
+  auto run = [&](std::shared_ptr<sunway::FaultPlan> plan) {
+    ShardedConfig config;
+    config.groups = 6;
+    config.groupFaultPlan = std::move(plan);
+    config.faultGroup = 2;
+    std::vector<double> c = ops.c;
+    return runShardedFunctional(kernel, compiler.arch(), config, problem,
+                                ops.a, ops.b, c);
+  };
+  const ShardedOutcome first = run(nullptr);
+  const ShardedOutcome second = run(nullptr);
+  EXPECT_TRUE(sameCounters(first.counters, second.counters));
+  EXPECT_EQ(first.seconds, second.seconds);
+
+  // Group 2 deadlocks on its first shard and re-runs it fault-free.
+  auto faulted = [] {
+    return std::make_shared<sunway::FaultPlan>(
+        sunway::FaultPlan::parse("dma-drop:count=forever"));
+  };
+  const ShardedOutcome third = run(faulted());
+  const ShardedOutcome fourth = run(faulted());
+  ASSERT_FALSE(third.failures.empty());
+  ASSERT_EQ(third.failures.size(), fourth.failures.size());
+  for (std::size_t i = 0; i < third.failures.size(); ++i) {
+    EXPECT_EQ(third.failures[i].group, fourth.failures[i].group);
+    EXPECT_EQ(third.failures[i].shard, fourth.failures[i].shard);
+  }
+  EXPECT_TRUE(sameCounters(third.counters, fourth.counters));
+  EXPECT_EQ(third.seconds, fourth.seconds);
 }
 
 TEST(ShardedEstimator, OneGroupShardCostsExactlySingleGroupEstimate) {

@@ -15,6 +15,7 @@
 // $SWCODEGEN_CACHE_DIR) compiles are served through the kernel service's
 // persistent cache; --warm/--serve-batch compile many option variants
 // concurrently on the service's thread pool.
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -29,6 +30,7 @@
 #include "core/gemm_runner.h"
 #include "core/kernel_serdes.h"
 #include "core/sharded_gemm.h"
+#include "kernel/microkernel.h"
 #include "service/kernel_service.h"
 #include "service/soak.h"
 #include "sunway/fault.h"
@@ -172,6 +174,15 @@ std::vector<double> randomMatrix(std::int64_t count, unsigned seed) {
   return data;
 }
 
+/// The host clock of a simulator-engine run, and the vector ISA the host
+/// micro-kernel ran it on, on a line of their own.
+void printHostLine(std::chrono::steady_clock::time_point start,
+                   std::chrono::steady_clock::time_point done) {
+  const std::chrono::duration<double, std::milli> wall = done - start;
+  std::printf("host: %.1f ms wall-clock, micro-kernel %s\n", wall.count(),
+              sw::kernel::hostMicroKernelIsa());
+}
+
 /// --run: functional mesh run of an arbitrary shape with random data.
 /// Edge-tile kernels self-verify against the padded reference path (same
 /// kernel, zero-padded shadow arrays) and print a machine-greppable
@@ -207,8 +218,10 @@ int runShapeSmoke(const sw::core::CompiledKernel& kernel,
     sharded.groups = static_cast<int>(groups);
     sharded.run = runConfig;
     std::vector<double> c = c0;
+    const auto start = std::chrono::steady_clock::now();
     const sw::core::ShardedOutcome outcome = sw::core::runShardedFunctional(
         kernel, arch, sharded, problem, a, b, c);
+    const auto done = std::chrono::steady_clock::now();
     std::printf("ran %lldx%lldx%lld batch %lld on %d core groups "
                 "(%dx%d C blocks, %lld K chunks): %.2f GFLOPS modelled, "
                 "%.3f ms simulated, DDR derate %.2f\n",
@@ -217,6 +230,7 @@ int runShapeSmoke(const sw::core::CompiledKernel& kernel,
                 outcome.groupsUsed, outcome.rowBlocks, outcome.colBlocks,
                 static_cast<long long>(outcome.kChunks), outcome.gflops,
                 outcome.seconds * 1e3, outcome.contentionDerate);
+    if (engine != sw::rt::ExecEngine::kNative) printHostLine(start, done);
     if (outcomeOut != nullptr) {
       outcomeOut->seconds = outcome.seconds;
       outcomeOut->gflops = outcome.gflops;
@@ -237,8 +251,10 @@ int runShapeSmoke(const sw::core::CompiledKernel& kernel,
   }
 
   std::vector<double> c = c0;
+  const auto start = std::chrono::steady_clock::now();
   const sw::rt::RunOutcome outcome =
       sw::core::runGemmFunctional(kernel, arch, problem, a, b, c, runConfig);
+  const auto done = std::chrono::steady_clock::now();
   if (outcomeOut != nullptr) *outcomeOut = outcome;
   const bool ranEdge = kernel.options.edgeTiles &&
                        padMode != sw::core::PadMode::kPadded;
@@ -255,6 +271,7 @@ int runShapeSmoke(const sw::core::CompiledKernel& kernel,
               hostClock ? "host wall-clock" : "simulated",
               outcome.counters.flops,
               static_cast<long long>(outcome.hostCopyBytes));
+  if (!hostClock) printHostLine(start, done);
   // Machine-greppable JIT verdict: `jit: cache hit` on a warm cache,
   // `jit: compiled` on a cold one, and an explicit degradation notice when
   // the native engine was requested but the plan engine served the run.
