@@ -84,7 +84,10 @@ void benchTimingOnly(benchmark::State& state, bool usePlan) {
   exportHotPathCounters(state, counters);
 }
 
-void benchFunctional(benchmark::State& state, sw::rt::ExecEngine engine) {
+/// `reportCase`, when set, names the PerfReport exported for the
+/// trajectory guard (see bench_common.h's exportCaseReport).
+void benchFunctional(benchmark::State& state, sw::rt::ExecEngine engine,
+                     const char* reportCase) {
   const std::int64_t m = 128, n = 128, k = 128;
   std::vector<double> a(static_cast<std::size_t>(m * k), 0.5);
   std::vector<double> b(static_cast<std::size_t>(k * n), 0.25);
@@ -99,6 +102,7 @@ void benchFunctional(benchmark::State& state, sw::rt::ExecEngine engine) {
     benchmark::DoNotOptimize(&outcome);
   }
   exportHotPathCounters(state, outcome.counters);
+  if (reportCase != nullptr) sw::bench::exportCaseReport(reportCase, outcome);
 }
 
 /// §8.1 pad-tax comparison: one edge-tile kernel, run functionally on the
@@ -135,7 +139,8 @@ sw::rt::RunOutcome runPadMode(sw::core::PadMode mode, std::int64_t m,
                            problem, a, b, c, config);
 }
 
-void benchPadMode(benchmark::State& state, sw::core::PadMode mode) {
+void benchPadMode(benchmark::State& state, sw::core::PadMode mode,
+                  const char* reportCase) {
   const std::int64_t m = 100, n = 100, k = 100;
   sw::rt::RunOutcome outcome;
   for (auto _ : state) {
@@ -147,6 +152,7 @@ void benchPadMode(benchmark::State& state, sw::core::PadMode mode) {
   state.counters["host_copy_bytes"] =
       benchmark::Counter(static_cast<double>(outcome.hostCopyBytes));
   state.counters["sim_gflops"] = benchmark::Counter(outcome.gflops);
+  if (reportCase != nullptr) sw::bench::exportCaseReport(reportCase, outcome);
 }
 
 void benchLowering(benchmark::State& state) {
@@ -220,16 +226,19 @@ int main(int argc, char** argv) {
   benchmark::RegisterBenchmark("HotPath/timing_tree_walk", benchTimingOnly,
                                false);
   benchmark::RegisterBenchmark("HotPath/timing_plan", benchTimingOnly, true);
+  // Report names are the retired native-engine bench's trajectory rows.
   benchmark::RegisterBenchmark("HotPath/functional_tree_walk",
                                benchFunctional,
-                               sw::rt::ExecEngine::kTreeWalk);
+                               sw::rt::ExecEngine::kTreeWalk, nullptr);
   benchmark::RegisterBenchmark("HotPath/functional_plan", benchFunctional,
-                               sw::rt::ExecEngine::kPlan);
+                               sw::rt::ExecEngine::kPlan,
+                               "NativeEngine_128_plan");
   benchmark::RegisterBenchmark("HotPath/lower_to_plan", benchLowering);
   benchmark::RegisterBenchmark("HotPath/pad_tax_edge", benchPadMode,
-                               sw::core::PadMode::kEdge);
+                               sw::core::PadMode::kEdge,
+                               "NativeEngine_edge100_plan");
   benchmark::RegisterBenchmark("HotPath/pad_tax_padded", benchPadMode,
-                               sw::core::PadMode::kPadded);
+                               sw::core::PadMode::kPadded, nullptr);
   // The functional and pad-tax cases are micro-kernel math on the host,
   // so their times depend on which vector ISA it ran on.
   benchmark::AddCustomContext("host_kernel_isa",

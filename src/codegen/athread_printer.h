@@ -20,24 +20,4 @@ struct GeneratedSources {
 
 GeneratedSources printAthreadSources(const KernelProgram& program);
 
-/// ABI version baked into native host translation units (exported as the
-/// sw_native_abi symbol).  The JIT runner refuses cached shared objects
-/// whose ABI differs; bump this whenever the entry-point contract or the
-/// counters struct emitted by printNativeHostSource changes.
-inline constexpr long kNativeHostAbiVersion = 1;
-
-/// Render `program` as one self-contained host C translation unit for the
-/// native JIT engine: the athread DMA/RMA/sync intrinsics are replaced by
-/// clamped memcpy loops, pthread barriers and per-slot broadcast channels
-/// that mirror the simulator runtimes op for op, so the C results and the
-/// discrete counters (DMA messages/bytes, RMA broadcasts/bytes, syncs,
-/// micro-kernel calls, flops) are bit-identical to the tree-walk and plan
-/// engines.  The TU exports
-///   int sw_native_run(const long long *params, double *const *arrays,
-///                     double alpha, double beta, sw_counters *totals)
-/// with params/arrays in program declaration order, plus
-///   long sw_native_abi(void)
-/// returning kNativeHostAbiVersion.
-std::string printNativeHostSource(const KernelProgram& program);
-
 }  // namespace sw::codegen

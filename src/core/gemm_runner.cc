@@ -1,14 +1,8 @@
 #include "core/gemm_runner.h"
 
-#include <chrono>
 #include <cstring>
-#include <optional>
-#include <vector>
 
-#include "jit/native_engine.h"
 #include "support/error.h"
-#include "support/format.h"
-#include "support/logging.h"
 #include "support/trace.h"
 #include "sunway/mesh.h"
 
@@ -58,137 +52,6 @@ PadMode resolvePadMode(const CompiledKernel& kernel,
   return mode;
 }
 
-/// Attempt the native JIT engine for one functional run.  Returns nullopt
-/// after bumping `jit.fallback` when the engine is environmentally
-/// unavailable (missing compiler, unwritable cache, dlopen failure) so the
-/// caller degrades to the plan engine; InputError (caller bug) propagates.
-std::optional<rt::RunOutcome> tryRunGemmNative(
-    const CompiledKernel& kernel, const sunway::ArchConfig& arch,
-    const GemmProblem& problem, std::span<const double> a,
-    std::span<const double> b, std::span<double> c, PadMode mode,
-    const FunctionalRunConfig& runConfig) {
-  trace::Span span("run.native",
-                   {trace::arg("m", problem.m), trace::arg("n", problem.n),
-                    trace::arg("k", problem.k),
-                    trace::arg("batch", problem.batch)},
-                   "run");
-  const bool tA = kernel.options.transposeA;
-  const bool tB = kernel.options.transposeB;
-  const std::int64_t aRows = tA ? problem.k : problem.m;
-  const std::int64_t aCols = tA ? problem.m : problem.k;
-  const std::int64_t bRows = tB ? problem.n : problem.k;
-  const std::int64_t bCols = tB ? problem.k : problem.n;
-
-  // Same host-array contract as the mesh path: edge mode binds the
-  // caller's buffers in place, padded mode packs zero-padded shadows that
-  // this function owns for the duration of the run.
-  std::int64_t hostCopyBytes = 0;
-  std::map<std::string, std::int64_t> params;
-  std::vector<sunway::HostArray> owned;
-  double* ptrA = nullptr;
-  double* ptrB = nullptr;
-  double* ptrC = nullptr;
-  if (mode == PadMode::kEdge) {
-    SW_CHECK(static_cast<std::int64_t>(a.size()) ==
-                 problem.batch * aRows * aCols,
-             "input span size does not match the declared shape");
-    SW_CHECK(static_cast<std::int64_t>(b.size()) ==
-                 problem.batch * bRows * bCols,
-             "input span size does not match the declared shape");
-    SW_CHECK(static_cast<std::int64_t>(c.size()) ==
-                 problem.batch * problem.m * problem.n,
-             "input span size does not match the declared shape");
-    // A and B receive only reads from the generated code.
-    ptrA = const_cast<double*>(a.data());
-    ptrB = const_cast<double*>(b.data());
-    ptrC = c.data();
-    params = rt::bindParams(kernel.program, problem.m, problem.n, problem.k,
-                            problem.batch);
-  } else {
-    const PaddedShape padded =
-        padShape(problem.m, problem.n, problem.k, kernel.options, arch);
-    owned.push_back(sunway::HostArray::allocate(
-        "A", problem.batch, tA ? padded.k : padded.m, tA ? padded.m : padded.k));
-    owned.push_back(sunway::HostArray::allocate(
-        "B", problem.batch, tB ? padded.n : padded.k, tB ? padded.k : padded.n));
-    owned.push_back(sunway::HostArray::allocate("C", problem.batch, padded.m,
-                                                padded.n));
-    hostCopyBytes += packPadded(owned[0], a, problem.batch, aRows, aCols);
-    hostCopyBytes += packPadded(owned[1], b, problem.batch, bRows, bCols);
-    if (problem.beta != 0.0) {
-      hostCopyBytes += packPadded(owned[2], c, problem.batch, problem.m,
-                                  problem.n);
-    } else {
-      // beta == 0: C is write-only, never pack (possibly NaN) values.
-      SW_CHECK(static_cast<std::int64_t>(c.size()) ==
-                   problem.batch * problem.m * problem.n,
-               "input span size does not match the declared shape");
-    }
-    ptrA = &owned[0].at(0, 0, 0);
-    ptrB = &owned[1].at(0, 0, 0);
-    ptrC = &owned[2].at(0, 0, 0);
-    params = rt::bindParams(kernel.program, padded.m, padded.n, padded.k,
-                            problem.batch);
-  }
-
-  jit::NativeRunInput input;
-  input.alpha = problem.alpha;
-  input.beta = problem.beta;
-  for (const std::string& name : kernel.program.params)
-    input.params.push_back(params.at(name));
-  for (const codegen::ArrayInfo& array : kernel.program.arrays) {
-    if (array.name == "A")
-      input.arrays.push_back(ptrA);
-    else if (array.name == "B")
-      input.arrays.push_back(ptrB);
-    else if (array.name == "C")
-      input.arrays.push_back(ptrC);
-    else
-      throwInternal(strCat("unknown program array '", array.name, "'"));
-  }
-
-  jit::NativeEngineConfig engineConfig;
-  engineConfig.cacheDir = runConfig.jitCacheDir;
-  const double reportedFlops =
-      rt::gemmFlops(problem.m, problem.n, problem.k, problem.batch);
-  jit::NativeRunResult native;
-  const auto start = std::chrono::steady_clock::now();
-  try {
-    native = jit::runNative(kernel.program, engineConfig, input);
-  } catch (const TransientError& e) {
-    metrics::MetricsRegistry::global().add("jit.fallback", 1.0);
-    SW_WARN("jit", "event=fallback kernel=", kernel.program.name,
-            " reason=\"", e.what(), "\" next=plan");
-    return std::nullopt;
-  }
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-
-  rt::RunOutcome outcome;
-  outcome.engine = "native";
-  outcome.jitCacheHit = native.cacheHit;
-  outcome.seconds = wall;
-  outcome.gflops = metrics::safeDiv(reportedFlops, wall) / 1e9;
-  outcome.counters = native.counters;
-  outcome.metrics =
-      rt::deriveRunMetrics(native.counters, wall, arch.meshSize(),
-                           kernel.program, arch.spmBytes);
-  outcome.metrics.publish(metrics::MetricsRegistry::global(), "run.native.");
-  outcome.report =
-      rt::buildRunReport(kernel.program, "native", params, wall,
-                         arch.meshSize(), reportedFlops, native.counters,
-                         arch);
-  if (mode != PadMode::kEdge)
-    hostCopyBytes += unpackPadded(c, owned[2], problem.batch, problem.m,
-                                  problem.n);
-  outcome.hostCopyBytes = hostCopyBytes;
-  SW_DEBUG("jit", "event=native_run kernel=", kernel.program.name,
-           " wall_seconds=", wall, " gflops=", outcome.gflops,
-           " cache_hit=", native.cacheHit ? "true" : "false");
-  return outcome;
-}
-
 }  // namespace
 
 rt::RunOutcome runGemmFunctional(const CompiledKernel& kernel,
@@ -202,15 +65,6 @@ rt::RunOutcome runGemmFunctional(const CompiledKernel& kernel,
   SW_CHECK(kernel.options.batched || problem.batch == 1,
            "batch > 1 requires a kernel compiled with --batch");
   const PadMode mode = resolvePadMode(kernel, runConfig);
-  // Native JIT dispatch: real machine code when the environment allows it.
-  // A fault plan pins the run to the simulator (injection is a simulator
-  // feature); environmental failures degrade to the plan engine below.
-  if (runConfig.engine == rt::ExecEngine::kNative &&
-      runConfig.faultPlan == nullptr) {
-    if (std::optional<rt::RunOutcome> native = tryRunGemmNative(
-            kernel, arch, problem, a, b, c, mode, runConfig))
-      return *native;
-  }
   trace::Span span("run.functional",
                    {trace::arg("m", problem.m), trace::arg("n", problem.n),
                     trace::arg("k", problem.k),
@@ -284,8 +138,6 @@ rt::RunOutcome runGemmFunctional(const CompiledKernel& kernel,
   }
 
   rt::ExecScalars scalars{problem.alpha, problem.beta};
-  // kNative reaching this point means the JIT degraded (or a fault plan
-  // pinned the simulator): run the lowered plan, the next rung down.
   const rt::ExecutionPlan* plan =
       runConfig.engine == rt::ExecEngine::kTreeWalk ? nullptr
                                                     : kernel.plan.get();

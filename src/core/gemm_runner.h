@@ -42,22 +42,12 @@ struct FunctionalRunConfig {
   /// Installed on the mesh before running; nullptr disables injection.
   std::shared_ptr<const sunway::FaultPlan> faultPlan;
   /// Per-CPE engine: the lowered plan by default (falls back to the
-  /// tree-walk when the kernel carries no plan), the tree-walking
-  /// reference interpreter, or the native JIT engine (src/jit).  kNative
-  /// compiles the program to a host shared object and runs real machine
-  /// code: C results and discrete counters are bit-identical to the
-  /// simulator engines, but seconds are measured wall-clock and the
-  /// timing counters stay zero.  A fault plan forces the plan engine
-  /// (fault injection is a simulator feature), and any environmental JIT
-  /// failure (missing compiler, unwritable cache, dlopen error) degrades
-  /// to the plan engine after bumping the `jit.fallback` metric.
+  /// tree-walk when the kernel carries no plan) or the tree-walking
+  /// reference interpreter.  Both produce bit-identical C, counters and
+  /// simulated seconds.
   rt::ExecEngine engine = rt::ExecEngine::kPlan;
   /// Host-array strategy; see PadMode.
   PadMode padMode = PadMode::kAuto;
-  /// Native engine only: root of the JIT .so cache.  Empty resolves
-  /// $SWCODEGEN_JIT_CACHE_DIR, then a per-user temp directory (see
-  /// jit::resolveNativeCacheDir).
-  std::string jitCacheDir;
 };
 
 /// Run the compiled kernel functionally on the 64-CPE mesh simulator.

@@ -5,7 +5,7 @@
 // over C (rows × columns, not just row panels) plus an optional K split,
 // and executes the group sub-problems *concurrently*: one worker thread
 // per group, each driving its own MeshSimulator through the regular
-// runGemmFunctional path (plan, tree-walk and native engines all reuse).
+// runGemmFunctional path (the plan and tree-walk engines both reuse it).
 //
 // Bit-identity contract (the whole point): a sharded run produces results
 // byte-for-byte equal to the single-group run of the same kernel.

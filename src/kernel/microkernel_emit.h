@@ -6,8 +6,7 @@
 // and added to memory exactly once.  The block shape is baked in as enum
 // constants so the C compiler fully unrolls the register tile, and the
 // contract tiles pack B into a contiguous panel.  The generated text is
-// what the athread printer embeds for non-default variants and what the
-// native JIT engine compiles into the host shared object.
+// what the athread printer embeds in CPE sources for non-default variants.
 //
 // Bit-identity with the host micro-kernel (dgemmMicroKernel) holds by
 // construction: neither the traversal order of independent register

@@ -19,27 +19,21 @@ namespace sw::rt {
 struct ExecutionPlan;
 
 /// Which per-CPE engine executes the program: the lowered register-machine
-/// plan (default whenever a plan is supplied), the legacy tree-walking
-/// interpreter (the reference semantics), or the native JIT engine
-/// (src/jit): the program compiled to a host shared object and executed as
-/// real machine code, bit-identical results and discrete counters but no
-/// simulated timing.
+/// plan (default whenever a plan is supplied) or the legacy tree-walking
+/// interpreter (the reference semantics).  Both drive the same simulator
+/// services, so results, counters and simulated time are identical.
 enum class ExecEngine {
   kPlan,
   kTreeWalk,
-  kNative,
 };
 
 struct RunOutcome {
+  /// Simulated SW26010Pro seconds and the GFLOPS they imply.
   double seconds = 0.0;
   double gflops = 0.0;
-  /// Engine that produced this outcome: "plan", "tree" or "native".  For
-  /// "native", `seconds`/`gflops` are measured wall-clock quantities and
-  /// the timing counters are zero; everything else is simulated time.
+  /// Engine that produced this outcome: "plan" or "tree" (the estimator
+  /// reports the engine it stepped with).
   std::string engine = "plan";
-  /// Native engine only: the JIT shared object was reused from the
-  /// persistent cache (no compiler invocation).
-  bool jitCacheHit = false;
   sunway::CpeCounters counters;
   /// Derived gauges (overlap %, stall %, SPM high-water vs. budget,
   /// per-buffer bytes); filled by runOnMesh / estimateTiming.
@@ -68,7 +62,7 @@ struct RunOutcome {
     const sunway::ArchConfig& config, int concurrentGroups);
 
 /// Build one run's PerfReport from its aggregate counters; shared by the
-/// mesh, estimator and native (src/jit) engines.
+/// mesh and the estimator.
 [[nodiscard]] perf::PerfReport buildRunReport(
     const codegen::KernelProgram& program, const std::string& engine,
     const std::map<std::string, std::int64_t>& params, double wallSeconds,

@@ -12,7 +12,6 @@
 #include "codegen/athread_printer.h"
 #include "core/kernel_serdes.h"
 #include "frontend/pattern.h"
-#include "jit/native_engine.h"
 #include "runtime/plan.h"
 #include "support/digest.h"
 #include "support/error.h"
@@ -180,36 +179,14 @@ KernelService::KernelPtr KernelService::produce(
 
 void KernelService::admitLocked(const std::string& key,
                                 const KernelPtr& kernel, std::int64_t bytes) {
-  Entry entry{key, kernel, bytes, {}};
-  if (config_.nativeEngine) {
-    // The kernel's JIT object is part of its cache footprint: charge the
-    // artifact against the same byte budget, and let eviction reclaim it.
-    jit::NativeEngineConfig jitConfig;
-    jitConfig.cacheDir = config_.jitCacheDir;
-    const std::int64_t soBytes =
-        jit::nativeObjectBytes(kernel->program, jitConfig);
-    if (soBytes > 0) {
-      entry.bytes += soBytes;
-      entry.soPath = jit::nativeObjectPath(
-          jitConfig, jit::nativeObjectDigest(kernel->program));
-    }
-  }
-  stats_.bytes += entry.bytes;
-  lru_.push_front(std::move(entry));
+  stats_.bytes += bytes;
+  lru_.push_front(Entry{key, kernel, bytes});
   index_[key] = lru_.begin();
   while (lru_.size() > 1 &&
          (lru_.size() > config_.maxEntries || stats_.bytes > config_.maxBytes)) {
     const Entry& victim = lru_.back();
     stats_.bytes -= victim.bytes;
     ++stats_.evictions;
-    if (!victim.soPath.empty()) {
-      // Best effort: the engine recompiles on demand, so a removal failure
-      // only means the budget frees slower than accounted.
-      std::error_code ec;
-      fs::remove(victim.soPath, ec);
-      SW_DEBUG("service", "event=evict_jit_object path=", victim.soPath,
-               " removed=", ec ? "false" : "true");
-    }
     index_.erase(victim.key);
     lru_.pop_back();
   }
@@ -446,9 +423,7 @@ void KernelService::clearMemoryCache() {
 namespace {
 
 /// Human name of a ladder rung, used in DegradeStep and log lines.
-std::string tierName(const core::CodegenOptions& options,
-                     rt::ExecEngine engine) {
-  if (engine == rt::ExecEngine::kNative) return "native-jit";
+std::string tierName(const core::CodegenOptions& options) {
   if (options.useAsm) return "asm-microkernel";
   if (options.useRma) return "naive-compute";
   return "no-rma";
@@ -456,7 +431,6 @@ std::string tierName(const core::CodegenOptions& options,
 
 /// Metric suffix a downgrade *to* this rung records under service.degrade.
 const char* degradeMetric(const std::string& tier) {
-  if (tier == "asm-microkernel") return "service.degrade.to_plan";
   if (tier == "naive-compute") return "service.degrade.to_naive";
   if (tier == "no-rma") return "service.degrade.to_no_rma";
   return "service.degrade.to_estimator";
@@ -501,21 +475,11 @@ KernelService::ResilientRunResult KernelService::runResilient(
     };
   }
 
-  // The ladder trades performance features for protocol surface: leave
-  // native machine code for the simulator first, then drop the asm
-  // micro-kernel, then the RMA broadcasts (and with them the pipelined
+  // The ladder trades performance features for protocol surface: drop the
+  // asm micro-kernel, then the RMA broadcasts (and with them the pipelined
   // schedule).  Rungs equal to an earlier one are skipped, so a request
-  // that already is `--no-rma` has a two-rung ladder.  The native rung
-  // exists only when the service opted in and the request runs the
-  // default plan engine (an explicit tree-walk request stays tree-walk).
-  struct Rung {
-    core::CodegenOptions options;
-    rt::ExecEngine engine;
-  };
-  std::vector<Rung> rungs;
-  if (config_.nativeEngine && runConfig.engine == rt::ExecEngine::kPlan)
-    rungs.push_back(Rung{options, rt::ExecEngine::kNative});
-  rungs.push_back(Rung{options, runConfig.engine});
+  // that already is `--no-rma` has a two-rung ladder.
+  std::vector<core::CodegenOptions> rungs{options};
   core::CodegenOptions naive = options;
   naive.useAsm = false;
   core::CodegenOptions noRma = naive;
@@ -524,39 +488,33 @@ KernelService::ResilientRunResult KernelService::runResilient(
   for (const core::CodegenOptions& rung : {naive, noRma}) {
     const std::string key = core::canonicalRequestKey(rung, arch_);
     bool duplicate = false;
-    for (const Rung& seen : rungs)
-      duplicate |= seen.engine == runConfig.engine &&
-                   core::canonicalRequestKey(seen.options, arch_) == key;
-    if (!duplicate) rungs.push_back(Rung{rung, runConfig.engine});
+    for (const core::CodegenOptions& seen : rungs)
+      duplicate |= core::canonicalRequestKey(seen, arch_) == key;
+    if (!duplicate) rungs.push_back(rung);
   }
 
   ResilientRunResult result;
-  std::string lastTier = tierName(options, rungs.front().engine);
+  std::string lastTier = tierName(options);
   std::string lastError;
   KernelPtr lastKernel;
   // The inputs must survive a failed attempt unmodified, so every rung
   // works on a private copy of C and only a success is copied back.
   std::vector<double> scratch;
-  for (const Rung& rung : rungs) {
-    const std::string tier = tierName(rung.options, rung.engine);
+  for (const core::CodegenOptions& rung : rungs) {
+    const std::string tier = tierName(rung);
     if (!lastError.empty()) {
       recordDegrade(lastTier, tier, lastError);
       result.degradations.push_back(DegradeStep{lastTier, tier, lastError});
     }
     lastTier = tier;
     try {
-      KernelPtr kernel = compile(rung.options);
+      KernelPtr kernel = compile(rung);
       lastKernel = kernel;
       scratch.assign(c.begin(), c.end());
-      core::FunctionalRunConfig rungConfig = runConfig;
-      rungConfig.engine = rung.engine;
-      if (rung.engine == rt::ExecEngine::kNative &&
-          rungConfig.jitCacheDir.empty())
-        rungConfig.jitCacheDir = config_.jitCacheDir;
       result.outcome = run(*kernel, problem, a, b,
-                           std::span<double>(scratch), rungConfig);
+                           std::span<double>(scratch), runConfig);
       std::copy(scratch.begin(), scratch.end(), c.begin());
-      result.servedOptions = rung.options;
+      result.servedOptions = rung;
       span.addArg(trace::arg(
           "latency_bucket",
           recordLatency("service.run_latency", nowSeconds() - start)));

@@ -65,16 +65,6 @@ struct KernelServiceConfig {
 
   /// Search configuration resolveSchedule hands the two-stage driver.
   tuning::TunerConfig tuner;
-
-  /// Opt-in native JIT engine: when true, runResilient's top rung executes
-  /// with --engine native (src/jit) before the simulator rungs.  Off by
-  /// default — the generated host objects spawn 64 raw pthreads, which
-  /// sanitizer builds cannot instrument.
-  bool nativeEngine = false;
-  /// JIT object cache root for the native rung and for the LRU byte-budget
-  /// accounting of cached .so artifacts; empty resolves the jit defaults
-  /// ($SWCODEGEN_JIT_CACHE_DIR, then a per-user temp directory).
-  std::string jitCacheDir;
 };
 
 /// How a request was served; surfaced per request by compileBatch and in
@@ -199,13 +189,10 @@ class KernelService {
 
   /// Serve-and-run with graceful degradation.  Compiles `options` through
   /// the cache and runs it functionally; on failure (ProtocolError from a
-  /// hung/faulted mesh, pipeline errors) walks the ladder
-  ///   [native JIT →] asm-microkernel → naive compute+RMA → no-RMA
-  ///   schedule → estimator,
-  /// re-running each rung against the untouched inputs.  The native rung
-  /// exists only when KernelServiceConfig::nativeEngine is set and the
-  /// request uses the default plan engine; a downgrade off it records
-  /// `service.degrade.to_plan`.  Every downgrade
+  /// deadlocked/faulted mesh, pipeline errors) walks the ladder
+  ///   asm-microkernel → naive compute+RMA → no-RMA schedule → estimator,
+  /// re-running each rung, on the request's engine, against the untouched
+  /// inputs.  Every downgrade
   /// is recorded in the result, `service.degrade.*` metrics and a trace
   /// span; the terminal estimator rung provides timing only — `c` is
   /// zero-filled so callers never mistake a failed attempt's partial
@@ -273,12 +260,8 @@ class KernelService {
   struct Entry {
     std::string key;
     KernelPtr kernel;
-    /// LRU byte charge: serialized kernel bytes plus the kernel's cached
-    /// JIT .so artifact (when one exists on disk at admission time).
+    /// LRU byte charge: the kernel's serialized bytes.
     std::int64_t bytes = 0;
-    /// Path of the kernel's JIT object; evicting the entry removes it
-    /// best-effort so the byte budget bounds real disk+memory footprint.
-    std::string soPath;
   };
   using LruList = std::list<Entry>;
 

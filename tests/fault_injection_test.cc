@@ -244,78 +244,37 @@ TEST(Degradation, StopsAtFirstHealthyRung) {
             degradesBefore);
 }
 
-TEST(Degradation, NativeJitRungDegradesToPlanEngine) {
-  service::KernelServiceConfig config;
-  config.nativeEngine = true;
-  service::KernelService service(sunway::ArchConfig{}, config);
+TEST(Degradation, EveryRungRunsTheRequestedEngine) {
+  service::KernelService service;
   std::vector<rt::ExecEngine> enginesTried;
   service.setRunFnForTest(
-      [&enginesTried](const CompiledKernel&, const GemmProblem&,
+      [&enginesTried](const CompiledKernel& kernel, const GemmProblem&,
                       std::span<const double>, std::span<const double>,
-                      std::span<double> c,
+                      std::span<double>,
                       const FunctionalRunConfig& runConfig) -> rt::RunOutcome {
         enginesTried.push_back(runConfig.engine);
-        if (runConfig.engine == rt::ExecEngine::kNative)
-          throw TransientError("JIT toolchain unavailable (stub)");
-        c[0] = 43.0;
-        rt::RunOutcome outcome;
-        outcome.seconds = 1.0;
-        return outcome;
+        if (kernel.options.useAsm)
+          throw ProtocolError("asm rung faulted (stub)");
+        return rt::RunOutcome{};
       });
 
   GemmProblem problem{512, 512, 64, 1, 1.0, 0.0};
   std::vector<double> a(static_cast<std::size_t>(problem.m * problem.k), 0.0);
   std::vector<double> b(static_cast<std::size_t>(problem.k * problem.n), 0.0);
   std::vector<double> c(static_cast<std::size_t>(problem.m * problem.n), 0.0);
-  const double toPlanBefore =
-      metrics::MetricsRegistry::global().get("service.degrade.to_plan");
+  FunctionalRunConfig runConfig;
+  runConfig.engine = rt::ExecEngine::kTreeWalk;
 
-  auto result = service.runResilient(CodegenOptions{}, problem, a, b, c);
+  auto result =
+      service.runResilient(CodegenOptions{}, problem, a, b, c, runConfig);
 
-  // The top rung ran with the native engine, failed, and the ladder's
-  // next rung — the same asm schedule on the plan interpreter — served.
-  ASSERT_GE(enginesTried.size(), 2u);
-  EXPECT_EQ(enginesTried[0], rt::ExecEngine::kNative);
-  EXPECT_EQ(enginesTried[1], rt::ExecEngine::kPlan);
-  EXPECT_FALSE(result.usedEstimator);
-  EXPECT_TRUE(result.servedOptions.useAsm);
+  // Degrading changes the schedule, never the engine.
+  ASSERT_EQ(enginesTried.size(), 2u);
+  EXPECT_EQ(enginesTried[0], rt::ExecEngine::kTreeWalk);
+  EXPECT_EQ(enginesTried[1], rt::ExecEngine::kTreeWalk);
   ASSERT_EQ(result.degradations.size(), 1u);
-  EXPECT_EQ(result.degradations[0].from, "native-jit");
-  EXPECT_EQ(result.degradations[0].to, "asm-microkernel");
-  EXPECT_NE(result.degradations[0].error.find("JIT toolchain unavailable"),
-            std::string::npos);
-  EXPECT_EQ(c[0], 43.0);
-  EXPECT_GT(metrics::MetricsRegistry::global().get("service.degrade.to_plan"),
-            toPlanBefore);
-}
-
-TEST(Degradation, HealthyNativeRungServesWithoutDegrading) {
-  service::KernelServiceConfig config;
-  config.nativeEngine = true;
-  service::KernelService service(sunway::ArchConfig{}, config);
-  service.setRunFnForTest(
-      [](const CompiledKernel&, const GemmProblem&, std::span<const double>,
-         std::span<const double>, std::span<double> c,
-         const FunctionalRunConfig& runConfig) -> rt::RunOutcome {
-        EXPECT_EQ(runConfig.engine, rt::ExecEngine::kNative);
-        c[0] = 44.0;
-        rt::RunOutcome outcome;
-        outcome.engine = "native";
-        outcome.seconds = 1.0;
-        return outcome;
-      });
-
-  GemmProblem problem{512, 512, 64, 1, 1.0, 0.0};
-  std::vector<double> a(static_cast<std::size_t>(problem.m * problem.k), 0.0);
-  std::vector<double> b(static_cast<std::size_t>(problem.k * problem.n), 0.0);
-  std::vector<double> c(static_cast<std::size_t>(problem.m * problem.n), 0.0);
-
-  auto result = service.runResilient(CodegenOptions{}, problem, a, b, c);
-
-  EXPECT_TRUE(result.degradations.empty());
-  EXPECT_FALSE(result.usedEstimator);
-  EXPECT_EQ(result.outcome.engine, "native");
-  EXPECT_EQ(c[0], 44.0);
+  EXPECT_EQ(result.degradations[0].from, "asm-microkernel");
+  EXPECT_EQ(result.degradations[0].to, "naive-compute");
 }
 
 TEST(Degradation, AllMeshRungsFailingFallsBackToEstimator) {

@@ -16,7 +16,6 @@
 #include "core/gemm_runner.h"
 #include "core/kernel_serdes.h"
 #include "core/pipeline.h"
-#include "jit/native_engine.h"
 #include "service/kernel_service.h"
 #include "support/error.h"
 
@@ -108,46 +107,6 @@ TEST(KernelServiceTest, LruEvictsByByteBudgetButKeepsNewest) {
   service.compile(tileVariant(32));
   EXPECT_EQ(service.stats().entries, 1u);
   EXPECT_EQ(service.stats().evictions, 1);
-}
-
-TEST(KernelServiceTest, NativeEngineChargesJitObjectBytesAndEvictsThem) {
-  const sunway::ArchConfig arch;
-  const core::CodegenOptions options = tileVariant(64);
-
-  // Plant a fake JIT artifact where the native engine would cache this
-  // kernel's shared object (compiles are deterministic, so an offline
-  // compile yields the same program digest the service will compute).
-  const std::string jitDir = scratchDir("jit_bytes");
-  const core::CompiledKernel offline = core::SwGemmCompiler(arch).compile(options);
-  jit::NativeEngineConfig jitConfig;
-  jitConfig.cacheDir = jitDir;
-  const std::string soPath = jit::nativeObjectPath(
-      jitConfig, jit::nativeObjectDigest(offline.program));
-  fs::create_directories(fs::path(soPath).parent_path());
-  const std::string fakeObject(1000, 'x');
-  {
-    std::ofstream out(soPath, std::ios::binary);
-    out << fakeObject;
-  }
-
-  // Same compile with and without the native engine: the only footprint
-  // difference is the artifact's size.
-  KernelService plain(arch, {});
-  plain.compile(options);
-  KernelServiceConfig config;
-  config.nativeEngine = true;
-  config.jitCacheDir = jitDir;
-  config.maxEntries = 1;
-  KernelService native(arch, config);
-  native.compile(options);
-  EXPECT_EQ(native.stats().bytes,
-            plain.stats().bytes +
-                static_cast<std::int64_t>(fakeObject.size()));
-
-  // Evicting the entry reclaims the on-disk artifact too.
-  native.compile(tileVariant(32));
-  EXPECT_EQ(native.stats().evictions, 1);
-  EXPECT_FALSE(fs::exists(soPath));
 }
 
 TEST(KernelServiceTest, DiskRoundTripAcrossServiceInstances) {

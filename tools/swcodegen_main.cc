@@ -71,10 +71,8 @@ void usage(std::FILE* out) {
       "                     against the padded reference run\n"
       "  --engine ENGINE    execution engine for --run: 'plan' (default)\n"
       "                     interprets the lowered plan, 'tree' walks the\n"
-      "                     schedule tree, 'native' JIT-compiles the kernel\n"
-      "                     to a host shared object (prints a `jit:` cache\n"
-      "                     verdict; environmental JIT failures degrade to\n"
-      "                     the plan engine)\n"
+      "                     schedule tree; both give bit-identical results\n"
+      "                     and simulated times\n"
       "  --groups N         shard --run/--estimate across N concurrent core\n"
       "                     groups (1..6; default 1).  --run verifies the\n"
       "                     sharded result bit-for-bit against the\n"
@@ -85,7 +83,9 @@ void usage(std::FILE* out) {
       "  --profile          print a per-stage compile breakdown, the\n"
       "                     derived run metrics (overlap%%, stall%%, SPM),\n"
       "                     the grouped metrics-registry table and the\n"
-      "                     latency-histogram percentiles\n"
+      "                     latency-histogram percentiles.  The run metrics\n"
+      "                     are the --run shape's; without --run, a\n"
+      "                     one-mesh-tile side run's\n"
       "  --report MODE [PATH]\n"
       "                     emit the run's performance report (time\n"
       "                     attribution, roofline position, top\n"
@@ -95,7 +95,9 @@ void usage(std::FILE* out) {
       "                     --estimate shape, else a 1024^3 estimate\n"
       "  --trace OUT.json   write a Chrome trace-event file (open in\n"
       "                     https://ui.perfetto.dev): compile spans plus\n"
-      "                     per-CPE simulated-clock timelines\n"
+      "                     per-CPE simulated-clock timelines of the --run\n"
+      "                     shape (without --run, of a one-mesh-tile side\n"
+      "                     run)\n"
       "  --cache-dir DIR    persistent kernel cache: repeated compiles of\n"
       "                     the same options+architecture are served from\n"
       "                     disk without re-running the pipeline\n"
@@ -144,12 +146,7 @@ void usage(std::FILE* out) {
       "  SWCODEGEN_LOG         debug|info|warn — structured log threshold\n"
       "  SWCODEGEN_TRACE       path — enable tracing and write there on exit\n"
       "  SWCODEGEN_CACHE_DIR   default for --cache-dir\n"
-      "  SWCODEGEN_TUNING_DIR  default for --tuning-dir\n"
-      "  SWCODEGEN_CC          host compiler for --engine native (then $CC,\n"
-      "                        then 'cc')\n"
-      "  SWCODEGEN_JIT_CACHE_DIR\n"
-      "                        root of the native engine's .so cache\n"
-      "                        (default: a per-user temp directory)\n");
+      "  SWCODEGEN_TUNING_DIR  default for --tuning-dir\n");
 }
 
 std::string readFile(const std::string& path) {
@@ -174,13 +171,20 @@ std::vector<double> randomMatrix(std::int64_t count, unsigned seed) {
   return data;
 }
 
-/// The host clock of a simulator-engine run, and the vector ISA the host
-/// micro-kernel ran it on, on a line of their own.
+/// The host clock of a run, and the vector ISA the host micro-kernel ran
+/// it on, on a line of their own.
 void printHostLine(std::chrono::steady_clock::time_point start,
                    std::chrono::steady_clock::time_point done) {
   const std::chrono::duration<double, std::milli> wall = done - start;
   std::printf("host: %.1f ms wall-clock, micro-kernel %s\n", wall.count(),
               sw::kernel::hostMicroKernelIsa());
+}
+
+/// "MxNxK batch B" of a --run/--estimate shape.
+std::string shapeText(const std::vector<long>& shape) {
+  return std::to_string(shape[0]) + "x" + std::to_string(shape[1]) + "x" +
+         std::to_string(shape[2]) + " batch " +
+         std::to_string(shape.size() == 4 ? shape[3] : 1);
 }
 
 /// --run: functional mesh run of an arbitrary shape with random data.
@@ -230,7 +234,7 @@ int runShapeSmoke(const sw::core::CompiledKernel& kernel,
                 outcome.groupsUsed, outcome.rowBlocks, outcome.colBlocks,
                 static_cast<long long>(outcome.kChunks), outcome.gflops,
                 outcome.seconds * 1e3, outcome.contentionDerate);
-    if (engine != sw::rt::ExecEngine::kNative) printHostLine(start, done);
+    printHostLine(start, done);
     if (outcomeOut != nullptr) {
       outcomeOut->seconds = outcome.seconds;
       outcomeOut->gflops = outcome.gflops;
@@ -258,29 +262,14 @@ int runShapeSmoke(const sw::core::CompiledKernel& kernel,
   if (outcomeOut != nullptr) *outcomeOut = outcome;
   const bool ranEdge = kernel.options.edgeTiles &&
                        padMode != sw::core::PadMode::kPadded;
-  // The native engine times real machine code on the host's wall clock;
-  // the simulator engines report the modelled SW26010Pro clock.
-  const bool hostClock = outcome.engine == "native";
-  std::printf("ran %lldx%lldx%lld batch %lld (%s): %.2f GFLOPS %s, "
-              "%.3f ms %s, %.0f uKernel flops, %lld host copy bytes\n",
+  std::printf("ran %lldx%lldx%lld batch %lld (%s): %.2f GFLOPS modelled, "
+              "%.3f ms simulated, %.0f uKernel flops, %lld host copy bytes\n",
               static_cast<long long>(m), static_cast<long long>(n),
               static_cast<long long>(k), static_cast<long long>(batch),
               ranEdge ? "edge tiles, unpadded arrays" : "padded arrays",
-              outcome.gflops, hostClock ? "host wall-clock" : "modelled",
-              outcome.seconds * 1e3,
-              hostClock ? "host wall-clock" : "simulated",
-              outcome.counters.flops,
+              outcome.gflops, outcome.seconds * 1e3, outcome.counters.flops,
               static_cast<long long>(outcome.hostCopyBytes));
-  if (!hostClock) printHostLine(start, done);
-  // Machine-greppable JIT verdict: `jit: cache hit` on a warm cache,
-  // `jit: compiled` on a cold one, and an explicit degradation notice when
-  // the native engine was requested but the plan engine served the run.
-  if (outcome.engine == "native") {
-    std::printf("jit: %s\n", outcome.jitCacheHit ? "cache hit" : "compiled");
-  } else if (engine == sw::rt::ExecEngine::kNative) {
-    std::printf("jit: unavailable, ran on the %s engine\n",
-                outcome.engine.c_str());
-  }
+  printHostLine(start, done);
 
   if (!ranEdge) {
     std::printf("run: result=done\n");
@@ -308,8 +297,9 @@ int runShapeSmoke(const sw::core::CompiledKernel& kernel,
 }
 
 /// Smallest shape the kernel accepts unpadded: one mesh tile deep enough
-/// for a full pipeline round-trip.  Used to light up the 64 per-CPE trace
-/// lanes and the mesh-run metrics without a paper-scale functional run.
+/// for a full pipeline round-trip.  Without --run, --profile and --trace
+/// use it to light up the 64 per-CPE trace lanes and the mesh-run metrics
+/// without a paper-scale functional run.
 sw::rt::RunOutcome runFunctionalSmoke(const sw::core::CompiledKernel& kernel,
                                       const sw::sunway::ArchConfig& arch) {
   const sw::core::PaddedShape shape =
@@ -344,27 +334,32 @@ void printStageBreakdown() {
   std::printf("\n");
 }
 
-void printRunMetrics(const char* title, const sw::rt::RunOutcome& outcome,
-                     const sw::sunway::ArchConfig& arch) {
-  const sw::metrics::DerivedRunMetrics& m = outcome.metrics;
-  std::printf("%s:\n", title);
+/// One run's simulated-clock numbers.  Sharded outcomes sum counters over
+/// several core groups and carry no derived gauges, so `withGauges` false
+/// prints only their seconds, GFLOPS and counters.
+void printRunMetrics(const std::string& title,
+                     const sw::rt::RunOutcome& outcome, bool withGauges) {
+  std::printf("%s:\n", title.c_str());
   std::printf("  %-24s %12.3f ms\n", "simulated time", outcome.seconds * 1e3);
   std::printf("  %-24s %12.2f\n", "model GFLOPS", outcome.gflops);
-  std::printf("  %-24s %12.1f %%   (DMA+RMA busy time hidden "
-              "behind compute)\n",
-              "overlap", m.overlapPct);
-  std::printf("  %-24s %12.1f %%   (CPE active time lost to reply "
-              "waits)\n",
-              "stall", m.stallPct);
-  std::printf("  %-24s %12.1f %%\n", "compute occupancy", m.computePct);
-  std::printf("  %-24s %9.1f KB   of %.0f KB budget (%.1f%%)\n",
-              "SPM high-water",
-              static_cast<double>(m.spmHighWaterBytes) / 1024.0,
-              static_cast<double>(m.spmBudgetBytes) / 1024.0,
-              m.spmBudgetPct);
-  for (const auto& [set, bytes] : m.perBufferBytes)
-    std::printf("    buffer %-18s %9.1f KB\n", set.c_str(),
-                static_cast<double>(bytes) / 1024.0);
+  if (withGauges) {
+    const sw::metrics::DerivedRunMetrics& m = outcome.metrics;
+    std::printf("  %-24s %12.1f %%   (DMA+RMA busy time hidden "
+                "behind compute)\n",
+                "overlap", m.overlapPct);
+    std::printf("  %-24s %12.1f %%   (CPE active time lost to reply "
+                "waits)\n",
+                "stall", m.stallPct);
+    std::printf("  %-24s %12.1f %%\n", "compute occupancy", m.computePct);
+    std::printf("  %-24s %9.1f KB   of %.0f KB budget (%.1f%%)\n",
+                "SPM high-water",
+                static_cast<double>(m.spmHighWaterBytes) / 1024.0,
+                static_cast<double>(m.spmBudgetBytes) / 1024.0,
+                m.spmBudgetPct);
+    for (const auto& [set, bytes] : m.perBufferBytes)
+      std::printf("    buffer %-18s %9.1f KB\n", set.c_str(),
+                  static_cast<double>(bytes) / 1024.0);
+  }
   std::printf("  %-24s %12lld\n", "DMA messages",
               static_cast<long long>(outcome.counters.dmaMessages));
   std::printf("  %-24s %12lld\n", "RMA broadcasts",
@@ -377,7 +372,6 @@ void printRunMetrics(const char* title, const sw::rt::RunOutcome& outcome,
     std::printf("  %-24s %12lld\n", "DMA retries",
                 static_cast<long long>(outcome.counters.dmaRetries));
   }
-  (void)arch;
   std::printf("\n");
 }
 
@@ -868,8 +862,7 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--engine") {
       if (i + 1 >= argc) {
-        std::fprintf(stderr,
-                     "swcodegen: --engine requires tree, plan or native\n");
+        std::fprintf(stderr, "swcodegen: --engine requires tree or plan\n");
         return 2;
       }
       const std::string name = argv[++i];
@@ -877,12 +870,9 @@ int main(int argc, char** argv) {
         engine = sw::rt::ExecEngine::kPlan;
       } else if (name == "tree") {
         engine = sw::rt::ExecEngine::kTreeWalk;
-      } else if (name == "native") {
-        engine = sw::rt::ExecEngine::kNative;
       } else {
         std::fprintf(stderr,
-                     "swcodegen: unknown --engine '%s' (want tree, plan or "
-                     "native)\n",
+                     "swcodegen: unknown --engine '%s' (want tree or plan)\n",
                      name.c_str());
         return 2;
       }
@@ -1146,10 +1136,12 @@ int main(int argc, char** argv) {
       runRc = runShapeSmoke(kernel, compiler.arch(), runShape, padMode,
                             engine, groups, &runOutcome);
 
-    // A functional mesh run lights up the 64 per-CPE trace lanes and the
-    // threaded-runtime metrics.
+    // --profile and --trace describe the requested run.  Without --run, a
+    // one-mesh-tile side run lights up the 64 per-CPE trace lanes and the
+    // mesh-run metrics instead.
     sw::rt::RunOutcome smoke;
-    const bool wantSmoke = (!tracePath.empty() || profile) && !faultPlan;
+    const bool wantSmoke = (!tracePath.empty() || profile) && !faultPlan &&
+                           runShape.empty();
     if (wantSmoke) smoke = runFunctionalSmoke(kernel, compiler.arch());
 
     int chaosRc = 0;
@@ -1161,10 +1153,18 @@ int main(int argc, char** argv) {
       printStageBreakdown();
       if (!estimate.empty())
         printRunMetrics("estimated run metrics (symmetric model)", estimated,
-                        compiler.arch());
+                        /*withGauges=*/groups <= 1);
+      if (!runShape.empty()) {
+        const std::string where =
+            groups > 1 ? std::to_string(groups) + " core groups, sharded"
+                       : "one core group, 64 CPEs";
+        printRunMetrics("functional mesh run " + shapeText(runShape) + " (" +
+                            where + ")",
+                        runOutcome, /*withGauges=*/groups <= 1);
+      }
       if (wantSmoke)
         printRunMetrics("functional mesh smoke run (one mesh tile, 64 CPEs)",
-                        smoke, compiler.arch());
+                        smoke, /*withGauges=*/true);
       std::printf("metrics registry:\n%s",
                   sw::metrics::formatMetricsTable(
                       sw::metrics::MetricsRegistry::global().snapshot())
