@@ -1,7 +1,7 @@
 // Kernel-service benchmark: what the cache and the batch thread pool buy.
 //
 // Prints a serving-latency table first (cold pipeline run vs warm
-// memory/disk hits, sequential vs pooled batch), then registers
+// in-memory hits, sequential vs pooled batch), then registers
 // google-benchmark cases whose counters carry the same quantities
 // ("cold_ms", "warm_ms", "speedup", "cache_hit_rate") so CI harnesses can
 // track them.  Targets: a warm hit ≥ 10x faster than a cold compile, and a
@@ -13,7 +13,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <filesystem>
 #include <thread>
 #include <vector>
 
@@ -45,11 +44,9 @@ std::vector<core::CodegenOptions> mixedBatch() {
   return requests;
 }
 
-service::KernelService makeService(int threads,
-                                   const std::string& cacheDir = {}) {
+service::KernelService makeService(int threads) {
   service::KernelServiceConfig config;
   config.threads = threads;
-  config.cacheDir = cacheDir;
   return service::KernelService(sunway::ArchConfig{}, config);
 }
 
@@ -79,18 +76,6 @@ void printServingTable() {
   for (int i = 0; i < 100; ++i) service.compile(options);
   const double warmMs = (nowSeconds() - t0) * 1e3 / 100.0;
 
-  // Disk: a new service over a populated cache directory (new-process
-  // stand-in), memory tier empty.
-  const std::string cacheDir =
-      (std::filesystem::temp_directory_path() / "swk_bench_cache").string();
-  std::filesystem::remove_all(cacheDir);
-  makeService(1, cacheDir).compile(options);
-  service::KernelService diskService = makeService(1, cacheDir);
-  t0 = nowSeconds();
-  diskService.compile(options);
-  const double diskMs = (nowSeconds() - t0) * 1e3;
-  std::filesystem::remove_all(cacheDir);
-
   // Batch: 16 mixed shapes, sequential vs 8-thread pool, each from cold.
   const std::vector<core::CodegenOptions> requests = mixedBatch();
   std::vector<core::CompiledKernel> sequentialKernels, pooledKernels;
@@ -108,8 +93,6 @@ void printServingTable() {
               "1x");
   std::printf("%-34s %12.4f %11.0fx\n", "warm hit (in-memory LRU)", warmMs,
               coldMs / warmMs);
-  std::printf("%-34s %12.3f %11.1fx\n", "disk hit (persistent cache)", diskMs,
-              coldMs / diskMs);
   printRule(62);
   std::printf("batch of %zu mixed shapes (%u hardware threads available):\n",
               requests.size(), std::thread::hardware_concurrency());
@@ -145,20 +128,6 @@ void BM_WarmCompile(benchmark::State& state) {
   state.counters["speedup"] = warmMs > 0.0 ? coldMs / warmMs : 0.0;
 }
 BENCHMARK(BM_WarmCompile)->Unit(benchmark::kMicrosecond);
-
-void BM_DiskHit(benchmark::State& state) {
-  const core::CodegenOptions options;
-  const std::string cacheDir =
-      (std::filesystem::temp_directory_path() / "swk_bench_disk").string();
-  std::filesystem::remove_all(cacheDir);
-  makeService(1, cacheDir).compile(options);  // populate the disk tier
-  for (auto _ : state) {
-    service::KernelService service = makeService(1, cacheDir);
-    benchmark::DoNotOptimize(service.compile(options));
-  }
-  std::filesystem::remove_all(cacheDir);
-}
-BENCHMARK(BM_DiskHit)->Unit(benchmark::kMillisecond);
 
 void BM_Batch16(benchmark::State& state) {
   const std::vector<core::CodegenOptions> requests = mixedBatch();

@@ -30,6 +30,8 @@ struct LoopOp {
   sched::Extent begin;
   sched::Extent end;
   OpList body;
+
+  bool operator==(const LoopOp&) const = default;
 };
 
 /// Peeled single iteration: var = value; { body }  (no loop emitted).
@@ -37,12 +39,16 @@ struct AssignOp {
   std::string var;
   sched::Extent value;
   OpList body;
+
+  bool operator==(const AssignOp&) const = default;
 };
 
 /// Issue one non-blocking DMA message (dma_iget / dma_iput); resets the
 /// reply slot to zero first, per the protocol in §4.
 struct DmaOp {
   sched::CopyStmt stmt;
+
+  bool operator==(const DmaOp&) const = default;
 };
 
 /// Issue one non-blocking RMA broadcast (rma_row_ibcast / rma_col_ibcast);
@@ -50,6 +56,8 @@ struct DmaOp {
 /// row/column receives.
 struct RmaOp {
   sched::CopyStmt stmt;
+
+  bool operator==(const RmaOp&) const = default;
 };
 
 /// dma_wait_value / rma_wait_value on a reply slot.
@@ -59,25 +67,35 @@ struct WaitOp {
   /// RMA only: whether the awaited broadcast travels along a row (true) or
   /// a column (false); tells the runtime which mesh line's channel to poll.
   bool isRowBroadcast = true;
+
+  bool operator==(const WaitOp&) const = default;
 };
 
 /// Mesh-wide synchronisation (athread synch(); required before RMA, §5).
-struct SyncOp {};
+struct SyncOp {
+  bool operator==(const SyncOp&) const = default;
+};
 
 /// Micro-kernel invocation (§7.2) or the naive loop-nest fallback.
 struct ComputeOp {
   sched::ComputeMarkInfo info;
+
+  bool operator==(const ComputeOp&) const = default;
 };
 
 /// Element-wise tile operation (alpha/beta handling, fusion §7.3).
 struct ElementwiseOp {
   sched::ElementwiseMarkInfo info;
+
+  bool operator==(const ElementwiseOp&) const = default;
 };
 
 struct Op {
   std::variant<LoopOp, AssignOp, DmaOp, RmaOp, WaitOp, SyncOp, ComputeOp,
                ElementwiseOp>
       v;
+
+  bool operator==(const Op&) const = default;
 };
 
 /// One SPM buffer set (§6.3): `phases` > 1 means double-buffered.
@@ -95,6 +113,8 @@ struct SpmBufferDecl {
   [[nodiscard]] std::int64_t totalBytes() const {
     return bytesPerPhase() * phases;
   }
+
+  bool operator==(const SpmBufferDecl&) const = default;
 };
 
 /// Shape of a global (main-memory) array, by parameter names.
@@ -104,6 +124,8 @@ struct ArrayInfo {
   std::string batchParam;
   std::string rowsParam;
   std::string colsParam;
+
+  bool operator==(const ArrayInfo&) const = default;
 };
 
 struct KernelProgram {
@@ -122,6 +144,9 @@ struct KernelProgram {
   [[nodiscard]] const SpmBufferDecl& buffer(const std::string& set) const;
   /// Total SPM bytes consumed; must not exceed the architecture's SPM size.
   [[nodiscard]] std::int64_t spmBytesUsed() const;
+
+  /// Structural equality; compile determinism is stated in terms of it.
+  bool operator==(const KernelProgram&) const = default;
 };
 
 /// Assign SPM offsets to all buffer declarations and verify the layout fits

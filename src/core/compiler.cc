@@ -1,11 +1,67 @@
 #include "core/compiler.h"
 
+#include <cstdio>
+
 #include "codegen/athread_printer.h"
 #include "runtime/plan.h"
 #include "support/logging.h"
 #include "support/trace.h"
 
 namespace sw::core {
+
+std::string canonicalRequestKey(const CodegenOptions& options,
+                                const sunway::ArchConfig& arch) {
+  // Space-terminated tokens: integers in decimal, doubles with %.17g
+  // (round-trip exact), booleans as 0/1.
+  std::string key = "swkey ";
+  const auto num = [&key](std::int64_t v) {
+    key += std::to_string(v);
+    key += ' ';
+  };
+  const auto real = [&key](double v) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.17g ", v);
+    key += buf;
+  };
+  num(kRequestKeyVersion);
+  num(options.useAsm);
+  num(options.useRma);
+  num(options.hideLatency);
+  num(options.batched);
+  num(static_cast<std::int64_t>(options.fusion));
+  num(options.transposeA);
+  num(options.transposeB);
+  num(options.tileM);
+  num(options.tileN);
+  num(options.tileK);
+  num(options.stripFactor);
+  num(options.microMr);
+  num(options.microNr);
+  num(options.edgeTiles);
+  num(arch.meshRows);
+  num(arch.meshCols);
+  num(arch.spmBytes);
+  real(arch.cpeFrequencyHz);
+  real(arch.cpeFlopsPerCycle);
+  real(arch.asmKernelEfficiency);
+  real(arch.naiveFlopsPerCycle);
+  real(arch.elementwiseFlopsPerCycle);
+  real(arch.ddrBandwidthBytesPerSec);
+  real(arch.dmaStartupSeconds);
+  real(arch.dmaStridePenaltySecondsPerRow);
+  real(arch.rmaBandwidthBytesPerSec);
+  real(arch.rmaStartupSeconds);
+  real(arch.syncSeconds);
+  real(arch.spawnOverheadSeconds);
+  real(arch.mpeFlopsPerCycle);
+  real(arch.mpeFrequencyHz);
+  real(arch.mpeMemBandwidthBytesPerSec);
+  num(arch.coreGroups);
+  real(arch.nodeDdrBandwidthBytesPerSec);
+  real(arch.nocBandwidthBytesPerSec);
+  real(arch.nocLatencySeconds);
+  return key;
+}
 
 CompiledKernel SwGemmCompiler::compile(const CodegenOptions& options) const {
   trace::Span span("compile",

@@ -4,6 +4,8 @@
 // CodegenOptions, or a naive C source accepted by the frontend) into a
 // CompiledKernel: the executable per-CPE program, the generated athread C
 // sources, and the schedule-tree dumps of every pipeline stage.
+// canonicalRequestKey names a compile request; the kernel service caches
+// compiled kernels under it and the tuning database embeds it.
 #pragma once
 
 #include <memory>
@@ -32,10 +34,21 @@ struct CompiledKernel {
   std::string tiledTreeDump;
   std::string finalTreeDump;
   /// Lowered hot-path execution plan (runtime/plan.h), produced once here
-  /// and shared by every run of this kernel.  Not serialized — re-lowered
-  /// when a kernel is loaded from the persistent cache.
+  /// and shared by every run of this kernel.
   std::shared_ptr<const rt::ExecutionPlan> plan;
 };
+
+/// Version of the canonicalRequestKey rendering.  Tuning-database keys
+/// embed the request key, so bumping it orphans every stored record.
+inline constexpr int kRequestKeyVersion = 3;
+
+/// Canonical, byte-stable rendering of everything a compile's output
+/// depends on: every CodegenOptions field plus every ArchConfig field,
+/// prefixed with kRequestKeyVersion.  Two requests with equal keys produce
+/// identical kernels (tests/compile_determinism_test.cc); the kernel
+/// service caches by this key.
+[[nodiscard]] std::string canonicalRequestKey(const CodegenOptions& options,
+                                              const sunway::ArchConfig& arch);
 
 class SwGemmCompiler {
  public:

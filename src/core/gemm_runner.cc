@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "support/error.h"
+#include "support/format.h"
 #include "support/trace.h"
 #include "sunway/mesh.h"
 
@@ -54,6 +55,18 @@ PadMode resolvePadMode(const CompiledKernel& kernel,
 
 }  // namespace
 
+void checkBatch(const CodegenOptions& options, const GemmProblem& problem) {
+  if (problem.batch < 1)
+    throwInput(strCat("batch must be at least 1, got ", problem.batch));
+  // An unbatched kernel binds no BATCH parameter: it would compute one
+  // GEMM and be charged the flops of all of them.
+  if (problem.batch > 1 && !options.batched)
+    throwInput(strCat("batch ", problem.batch,
+                      " needs a batched kernel, but this kernel computes "
+                      "one GEMM per call; compile a batched GEMM source "
+                      "or use batch 1"));
+}
+
 rt::RunOutcome runGemmFunctional(const CompiledKernel& kernel,
                                  const sunway::ArchConfig& arch,
                                  const GemmProblem& problem,
@@ -61,9 +74,7 @@ rt::RunOutcome runGemmFunctional(const CompiledKernel& kernel,
                                  std::span<const double> b,
                                  std::span<double> c,
                                  const FunctionalRunConfig& runConfig) {
-  SW_CHECK(problem.batch >= 1, "batch must be >= 1");
-  SW_CHECK(kernel.options.batched || problem.batch == 1,
-           "batch > 1 requires a kernel compiled with --batch");
+  checkBatch(kernel.options, problem);
   const PadMode mode = resolvePadMode(kernel, runConfig);
   trace::Span span("run.functional",
                    {trace::arg("m", problem.m), trace::arg("n", problem.n),
@@ -155,6 +166,7 @@ rt::RunOutcome runGemmFunctional(const CompiledKernel& kernel,
 rt::RunOutcome estimateGemm(const CompiledKernel& kernel,
                             const sunway::ArchConfig& arch,
                             const GemmProblem& problem) {
+  checkBatch(kernel.options, problem);
   trace::Span span("run.estimate_gemm",
                    {trace::arg("m", problem.m), trace::arg("n", problem.n),
                     trace::arg("k", problem.k),

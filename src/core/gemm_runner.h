@@ -50,6 +50,11 @@ struct FunctionalRunConfig {
   PadMode padMode = PadMode::kAuto;
 };
 
+/// Throws InputError unless a kernel compiled with `options` can take
+/// `problem.batch`: the batch is at least 1, and above 1 only for a
+/// batched kernel.  The runners below check it themselves.
+void checkBatch(const CodegenOptions& options, const GemmProblem& problem);
+
 /// Run the compiled kernel functionally on the 64-CPE mesh simulator.
 /// `a` is batch*m*k row-major, `b` batch*k*n, `c` batch*m*n (read-write:
 /// C = alpha*A*B + beta*C lands back in `c`; transposed operands use their

@@ -34,6 +34,8 @@ struct SpmBufferRef {
   /// (phaseVar + phaseOffset) mod 2 when double-buffered, else 0.
   std::optional<std::string> phaseVar;
   std::int64_t phaseOffset = 0;
+
+  bool operator==(const SpmBufferRef&) const = default;
 };
 
 /// Condition guarding execution to one sender per row/column, e.g.
@@ -41,6 +43,8 @@ struct SpmBufferRef {
 struct SenderGuard {
   std::string meshVar;       // "Rid" or "Cid"
   poly::AffineExpr equals;   // expression over schedule vars
+
+  bool operator==(const SenderGuard&) const = default;
 };
 
 struct CopyStmt {
@@ -87,6 +91,8 @@ struct CopyStmt {
   [[nodiscard]] std::int64_t sizeElements() const {
     return tileRows * tileCols;
   }
+
+  bool operator==(const CopyStmt&) const = default;
 };
 
 /// A reply-wait statement (dma_wait_value / rma_wait_value); separated from
@@ -104,6 +110,8 @@ struct ReplyWaitStmt {
 struct ComputeClamp {
   poly::AffineExpr origin;  // global start index of this dimension's tile
   std::string boundParam;   // "M", "N", or "K"
+
+  bool operator==(const ComputeClamp&) const = default;
 };
 
 /// Payload of the mark node that replaces the innermost point band with a
@@ -128,6 +136,8 @@ struct ComputeMarkInfo {
   std::optional<ComputeClamp> clampM;
   std::optional<ComputeClamp> clampN;
   std::optional<ComputeClamp> clampK;
+
+  bool operator==(const ComputeMarkInfo&) const = default;
 };
 
 /// Payload of a mark node performing an element-wise operation over an SPM
@@ -149,6 +159,8 @@ struct ElementwiseMarkInfo {
   std::optional<SpmBufferRef> source;
   /// The user statement this mark implements, if any (for provenance).
   std::string statement;
+
+  bool operator==(const ElementwiseMarkInfo&) const = default;
 };
 
 }  // namespace sw::sched

@@ -3,14 +3,11 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <thread>
 #include <utility>
 
 #include "codegen/athread_printer.h"
-#include "core/kernel_serdes.h"
 #include "frontend/pattern.h"
 #include "runtime/plan.h"
 #include "support/digest.h"
@@ -23,31 +20,12 @@
 
 namespace sw::service {
 
-namespace fs = std::filesystem;
-
 namespace {
-
-/// Disk-entry magic; the directory name carries the serdes version, the
-/// magic guards against foreign files landing in the cache directory.
-constexpr std::string_view kDiskMagic = "swkcache1 ";
-
-std::string versionDirName() {
-  return strCat("v", core::kKernelSerdesVersion);
-}
 
 double nowSeconds() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-/// Where the tuning database lives: an explicit tuningDir wins, else the
-/// issue's `<cacheDir>/tune` layout, else nowhere (no persistence).
-std::string effectiveTuningDir(const KernelServiceConfig& config) {
-  if (!config.tuningDir.empty()) return config.tuningDir;
-  if (!config.cacheDir.empty())
-    return (fs::path(config.cacheDir) / "tune").string();
-  return {};
 }
 
 /// Record one request latency into the named histogram, refresh the
@@ -66,7 +44,6 @@ std::string recordLatency(const char* histogram, double seconds) {
 const char* toString(ServeOutcome outcome) {
   switch (outcome) {
     case ServeOutcome::kMemoryHit: return "memory_hit";
-    case ServeOutcome::kDiskHit: return "disk_hit";
     case ServeOutcome::kCompiled: return "compile";
     case ServeOutcome::kShared: return "shared";
   }
@@ -86,7 +63,7 @@ KernelService::KernelService(CompileFn compileFn, sunway::ArchConfig arch,
     : compileFn_(std::move(compileFn)),
       arch_(arch),
       config_(std::move(config)),
-      tuningDb_(effectiveTuningDir(config_)) {}
+      tuningDb_(config_.tuningDir) {}
 
 KernelService::KernelPtr KernelService::compile(
     const core::CodegenOptions& options) {
@@ -153,44 +130,24 @@ KernelService::KernelPtr KernelService::serve(
 KernelService::KernelPtr KernelService::produce(
     const std::string& key, const core::CodegenOptions& options,
     ServeOutcome* outcome) {
-  std::int64_t bytes = 0;
-  if (KernelPtr fromDisk = tryLoadFromDisk(key, &bytes)) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.diskHits;
-    admitLocked(key, fromDisk, bytes);
-    *outcome = ServeOutcome::kDiskHit;
-    return fromDisk;
-  }
-
   core::CompiledKernel compiled = compileFn_(options);
   // Custom CompileFn implementations (test doubles) may hand back plan-less
   // kernels; every kernel served by the cache carries its lowered plan.
   if (!compiled.plan) compiled.plan = rt::lowerToPlan(compiled.program);
   auto kernel =
       std::make_shared<const core::CompiledKernel>(std::move(compiled));
-  const std::string serialized = serializeCompiledKernel(*kernel);
-  storeToDisk(key, serialized);
   std::lock_guard<std::mutex> lock(mutex_);
   ++stats_.compiles;
-  admitLocked(key, kernel, static_cast<std::int64_t>(serialized.size()));
-  *outcome = ServeOutcome::kCompiled;
-  return kernel;
-}
-
-void KernelService::admitLocked(const std::string& key,
-                                const KernelPtr& kernel, std::int64_t bytes) {
-  stats_.bytes += bytes;
-  lru_.push_front(Entry{key, kernel, bytes});
+  lru_.push_front(Entry{key, kernel});
   index_[key] = lru_.begin();
-  while (lru_.size() > 1 &&
-         (lru_.size() > config_.maxEntries || stats_.bytes > config_.maxBytes)) {
-    const Entry& victim = lru_.back();
-    stats_.bytes -= victim.bytes;
+  while (lru_.size() > 1 && lru_.size() > config_.maxEntries) {
     ++stats_.evictions;
-    index_.erase(victim.key);
+    index_.erase(lru_.back().key);
     lru_.pop_back();
   }
   stats_.entries = lru_.size();
+  *outcome = ServeOutcome::kCompiled;
+  return kernel;
 }
 
 void KernelService::publishGaugesLocked() const {
@@ -199,106 +156,17 @@ void KernelService::publishGaugesLocked() const {
                static_cast<double>(stats_.requests));
   registry.set("service.cache.memory_hits",
                static_cast<double>(stats_.memoryHits));
-  registry.set("service.cache.disk_hits",
-               static_cast<double>(stats_.diskHits));
   registry.set("service.cache.compiles",
                static_cast<double>(stats_.compiles));
   registry.set("service.cache.shared", static_cast<double>(stats_.shared));
   registry.set("service.cache.evictions",
                static_cast<double>(stats_.evictions));
-  registry.set("service.cache.corrupt_disk_entries",
-               static_cast<double>(stats_.corruptDiskEntries));
   registry.set("service.cache.entries", static_cast<double>(stats_.entries));
-  registry.set("service.cache.bytes", static_cast<double>(stats_.bytes));
   registry.set("service.cache.hit_rate", stats_.hitRate());
 }
 
-std::string KernelService::diskPathForKey(
-    const std::string& canonicalKey) const {
-  if (config_.cacheDir.empty()) return {};
-  return (fs::path(config_.cacheDir) / versionDirName() /
-          (digestHex(fnv1a64(canonicalKey)) + ".swk"))
-      .string();
-}
-
-KernelService::KernelPtr KernelService::tryLoadFromDisk(
-    const std::string& key, std::int64_t* bytes) {
-  const std::string path = diskPathForKey(key);
-  if (path.empty()) return nullptr;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return nullptr;  // plain miss
-  std::ostringstream body;
-  body << in.rdbuf();
-  const std::string content = body.str();
-
-  try {
-    if (content.compare(0, kDiskMagic.size(), kDiskMagic) != 0)
-      throwInput("bad cache-entry magic");
-    std::size_t pos = kDiskMagic.size();
-    const std::size_t colon = content.find(':', pos);
-    if (colon == std::string::npos)
-      throwInput("cache entry missing key length");
-    const std::string lenText = content.substr(pos, colon - pos);
-    char* end = nullptr;
-    const long long keyLen = std::strtoll(lenText.c_str(), &end, 10);
-    if (end != lenText.c_str() + lenText.size() || keyLen < 0 ||
-        colon + 1 + static_cast<std::size_t>(keyLen) > content.size())
-      throwInput("cache entry key truncated");
-    const std::string storedKey =
-        content.substr(colon + 1, static_cast<std::size_t>(keyLen));
-    if (storedKey != key)
-      throwInput("cache entry key mismatch (digest collision or stale file)");
-    const std::string serialized =
-        content.substr(colon + 1 + static_cast<std::size_t>(keyLen));
-    *bytes = static_cast<std::int64_t>(serialized.size());
-    return std::make_shared<const core::CompiledKernel>(
-        core::deserializeCompiledKernel(serialized));
-  } catch (const Error& e) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++stats_.corruptDiskEntries;
-    }
-    SW_WARN("service",
-            "event=cache_entry_corrupt path=", path,
-            " action=recompile error=\"", e.what(), "\"");
-    std::error_code ec;
-    fs::remove(path, ec);  // best effort; the rewrite overwrites anyway
-    return nullptr;
-  }
-}
-
-void KernelService::storeToDisk(const std::string& key,
-                                const std::string& serialized) {
-  const std::string path = diskPathForKey(key);
-  if (path.empty()) return;
-  try {
-    fs::create_directories(fs::path(path).parent_path());
-    // Atomic publish: write the full entry to a per-thread temp name in
-    // the same directory, then rename over the final path.  Readers never
-    // observe a partial file.
-    static std::atomic<std::uint64_t> tmpCounter{0};
-    const std::string tmpPath =
-        strCat(path, ".tmp.", tmpCounter.fetch_add(1));
-    {
-      std::ofstream out(tmpPath, std::ios::binary | std::ios::trunc);
-      if (!out) throwInput(strCat("cannot open '", tmpPath, "'"));
-      out << kDiskMagic << key.size() << ':' << key << serialized;
-      out.flush();
-      if (!out) throwInput(strCat("short write to '", tmpPath, "'"));
-    }
-    fs::rename(tmpPath, path);
-    SW_DEBUG("service", "event=cache_entry_stored path=", path,
-             " bytes=", serialized.size());
-  } catch (const std::exception& e) {
-    // A failed store degrades to a cold cache, never a failed request.
-    SW_WARN("service", "event=cache_store_failed path=", path,
-            " error=\"", e.what(), "\"");
-  }
-}
-
 core::CompiledKernel KernelService::compileSource(const std::string& source,
-                                                  core::CodegenOptions base,
-                                                  ServeOutcome* outcome) {
+                                                  core::CodegenOptions base) {
   frontend::GemmPatternInfo pattern;
   {
     trace::Span span("frontend.parse",
@@ -320,9 +188,7 @@ core::CompiledKernel KernelService::compileSource(const std::string& source,
       base.fusion = core::FusionKind::kEpilogueRelu;
       break;
   }
-  ServeOutcome localOutcome;
-  KernelPtr cached = compile(base, &localOutcome);
-  if (outcome != nullptr) *outcome = localOutcome;
+  KernelPtr cached = compile(base);
   // The cache stores the canonical kernel; rename to the user's function
   // and re-print the sources under that name (printing is cheap relative
   // to the pipeline).
@@ -407,15 +273,6 @@ KernelServiceStats KernelService::stats() const {
   std::lock_guard<std::mutex> tuneLock(tuneMutex_);
   std::lock_guard<std::mutex> lock(mutex_);
   return stats_;
-}
-
-void KernelService::clearMemoryCache() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  lru_.clear();
-  index_.clear();
-  stats_.bytes = 0;
-  stats_.entries = 0;
-  publishGaugesLocked();
 }
 
 // --- graceful degradation -----------------------------------------------

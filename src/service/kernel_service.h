@@ -2,26 +2,25 @@
 //
 // Production GEMM workloads hammer a small, repeated set of kernel
 // signatures, so re-running the polyhedral pipeline (§3–§7) per request is
-// the dominant avoidable cost.  KernelService removes it with three
+// the dominant avoidable cost.  KernelService removes it with two
 // cooperating mechanisms:
-//   * an in-memory LRU cache with an entry count and byte budget,
-//   * a persistent on-disk cache (versioned layout, atomic write-then-
-//     rename, corrupt or stale-version entries recompiled with a warning),
+//   * an in-memory LRU cache bounded by an entry count,
 //   * single-flight deduplication: N concurrent requests for the same key
 //     trigger exactly one pipeline run, the rest block on its result.
+// Nothing compiled outlives the process; the costly artifact, a tuned
+// schedule, persists in the tuning database (tuning/tuning_db.h) instead.
 // A thread-pool batch API (compileBatch) compiles a manifest of shapes
 // concurrently; the CLI exposes it as `swcodegen --serve-batch/--warm`.
 //
-// Requests are addressed by the canonical cache key of
-// core::canonicalRequestKey (every CodegenOptions + ArchConfig field, plus
-// the serdes version).  Cache correctness rests on compile determinism —
-// identical keys yield byte-identical kernels — which
-// tests/compile_determinism_test.cc guards.
+// Requests are addressed by core::canonicalRequestKey (every
+// CodegenOptions + ArchConfig field, plus the key version).  Cache
+// correctness rests on compile determinism — identical keys yield
+// identical kernels — which tests/compile_determinism_test.cc guards.
 //
 // Observability: every request opens a trace span on its worker thread
-// ("service.request", outcome=memory_hit|disk_hit|compile|shared) and the
-// service publishes "service.cache.*" gauges (hits, misses, evictions,
-// entries, bytes, hit_rate) into the global MetricsRegistry.
+// ("service.request", outcome=memory_hit|compile|shared) and the service
+// publishes "service.cache.*" gauges (requests, memory_hits, compiles,
+// shared, evictions, entries, hit_rate) into the global MetricsRegistry.
 #pragma once
 
 #include <cstdint>
@@ -43,23 +42,15 @@
 namespace sw::service {
 
 struct KernelServiceConfig {
-  /// In-memory LRU budget: maximum cached kernels and maximum total
-  /// serialized bytes.  Admitting a kernel evicts least-recently-used
-  /// entries until both budgets hold again (the newest entry is kept even
-  /// if it alone exceeds maxBytes).
+  /// In-memory LRU budget: admitting a kernel beyond this many cached
+  /// kernels evicts the least recently used one.
   std::size_t maxEntries = 128;
-  std::int64_t maxBytes = std::int64_t{256} * 1024 * 1024;
-
-  /// Persistent cache directory; empty disables the disk tier.  Entries
-  /// live under `<cacheDir>/v<serdes-version>/<key-digest>.swk`.
-  std::string cacheDir;
 
   /// Worker threads for compileBatch; 0 picks hardware_concurrency.
   int threads = 0;
 
-  /// Persistent tuning database root for resolveSchedule; empty falls
-  /// back to `<cacheDir>/tune` (the issue's layout), or disables
-  /// persistence when there is no cacheDir either.  Records live under
+  /// Persistent tuning database root for resolveSchedule; empty disables
+  /// persistence.  Records live under
   /// `<dir>/v<tuning-db-version>/<tune-key-digest>.json`.
   std::string tuningDir;
 
@@ -71,7 +62,6 @@ struct KernelServiceConfig {
 /// aggregate by stats().
 enum class ServeOutcome {
   kMemoryHit,  // served from the in-memory LRU
-  kDiskHit,    // deserialized from the persistent cache
   kCompiled,   // full pipeline run
   kShared,     // joined an in-flight compile of the same key
 };
@@ -81,13 +71,10 @@ enum class ServeOutcome {
 struct KernelServiceStats {
   std::int64_t requests = 0;
   std::int64_t memoryHits = 0;
-  std::int64_t diskHits = 0;
   std::int64_t compiles = 0;
   std::int64_t shared = 0;          // single-flight joiners
   std::int64_t evictions = 0;
-  std::int64_t corruptDiskEntries = 0;
   std::size_t entries = 0;          // current LRU size
-  std::int64_t bytes = 0;           // current LRU serialized bytes
 
   // resolveSchedule traffic: full searches run, tuning-DB disk hits, and
   // joiners that shared an in-flight search of the same key.
@@ -99,7 +86,7 @@ struct KernelServiceStats {
   [[nodiscard]] double hitRate() const {
     return requests == 0
                ? 0.0
-               : static_cast<double>(memoryHits + diskHits + shared) /
+               : static_cast<double>(memoryHits + shared) /
                      static_cast<double>(requests);
   }
 };
@@ -121,7 +108,7 @@ class KernelService {
   [[nodiscard]] const sunway::ArchConfig& arch() const { return arch_; }
   [[nodiscard]] const KernelServiceConfig& config() const { return config_; }
 
-  /// Serve one request through the cache tiers.  Thread-safe; concurrent
+  /// Serve one request through the cache.  Thread-safe; concurrent
   /// calls with the same key share one underlying compile.  Exceptions
   /// from the pipeline propagate to every waiter of the key.
   KernelPtr compile(const core::CodegenOptions& options);
@@ -136,8 +123,7 @@ class KernelService {
   /// function and its athread sources re-printed under that name (cheap
   /// relative to the pipeline; the cache stores the canonical kernel).
   core::CompiledKernel compileSource(const std::string& source,
-                                     core::CodegenOptions base = {},
-                                     ServeOutcome* outcome = nullptr);
+                                     core::CodegenOptions base = {});
 
   struct BatchResult {
     core::CodegenOptions options;
@@ -243,42 +229,27 @@ class KernelService {
       const core::GemmProblem&, const tuning::TunerConfig&)>;
   void setSearchFnForTest(SearchFn searchFn);
 
-  /// Absolute path a tune key's DB record would live at; empty when the
-  /// service has neither a tuningDir nor a cacheDir.
+  /// Absolute path a tune key's DB record would live at; empty without a
+  /// tuningDir.
   [[nodiscard]] std::string tuningDbPath(const std::string& tuneKey) const;
 
   [[nodiscard]] KernelServiceStats stats() const;
-
-  /// Drop the in-memory tier (the disk tier is untouched).
-  void clearMemoryCache();
-
-  /// Absolute path a key's disk entry would live at; empty without a
-  /// cacheDir.  Exposed for tests and the CLI's cache report.
-  [[nodiscard]] std::string diskPathForKey(const std::string& canonicalKey) const;
 
  private:
   struct Entry {
     std::string key;
     KernelPtr kernel;
-    /// LRU byte charge: the kernel's serialized bytes.
-    std::int64_t bytes = 0;
   };
   using LruList = std::list<Entry>;
 
   KernelPtr serve(const std::string& key, const core::CodegenOptions& options,
                   ServeOutcome* outcome);
-  /// Leader path: disk load or compile, then admit + store.  Never holds
-  /// mutex_ while compiling.
+  /// Leader path: compile, then admit to the LRU (evicting the least
+  /// recently used entries beyond maxEntries).  Never holds mutex_ while
+  /// compiling.
   KernelPtr produce(const std::string& key,
                     const core::CodegenOptions& options, ServeOutcome* outcome);
-  void admitLocked(const std::string& key, const KernelPtr& kernel,
-                   std::int64_t bytes);
   void publishGaugesLocked() const;
-
-  /// Disk tier; both return/log through the structured logger.  On success
-  /// `bytes` receives the entry's serialized size (the LRU charge).
-  KernelPtr tryLoadFromDisk(const std::string& key, std::int64_t* bytes);
-  void storeToDisk(const std::string& key, const std::string& serialized);
 
   /// Leader path of resolveSchedule: DB lookup, search, store.
   tuning::TunedScheduleRecord produceSchedule(

@@ -284,8 +284,8 @@ SoakReport runSoak(KernelService& service, const SoakConfig& config) {
   const std::int64_t requestsDelta =
       statsAfter.requests - statsBefore.requests;
   const std::int64_t hitsDelta =
-      (statsAfter.memoryHits + statsAfter.diskHits + statsAfter.shared) -
-      (statsBefore.memoryHits + statsBefore.diskHits + statsBefore.shared);
+      (statsAfter.memoryHits + statsAfter.shared) -
+      (statsBefore.memoryHits + statsBefore.shared);
   report.hitRate = requestsDelta == 0
                        ? 0.0
                        : static_cast<double>(hitsDelta) /

@@ -77,8 +77,7 @@ class SymmetricCpeServices final : public CpeServices {
   void rmaIssue(const RmaRequest& request) override {
     ++counters_.rmaBroadcastsSent;
     counters_.rmaBytesSent += request.bytes;
-    double transfer = config_.rmaSeconds(request.bytes);
-    if (request.kind == RmaKind::kPointToPoint) transfer *= 2.0;  // worst hop
+    const double transfer = config_.rmaSeconds(request.bytes);
     counters_.rmaBusySeconds += transfer;
     setCompletion(request.slotId >= 0 ? request.slotId
                                       : internSlot(request.slot),
@@ -91,14 +90,6 @@ class SymmetricCpeServices final : public CpeServices {
           {trace::arg("bytes", request.bytes),
            trace::arg("slot", request.slot)});
     clock_ += kIssueOverheadSeconds;
-  }
-
-  void rmaWaitPoint(const std::string& slot) override {
-    waitSlot(slot, /*isRma=*/true, /*isRowBroadcast=*/false);
-  }
-
-  void rmaWaitPointId(int slotId) override {
-    waitSlotId(slotId, /*isRma=*/true, /*isRowBroadcast=*/false);
   }
 
   void waitSlot(const std::string& slot, bool isRma,

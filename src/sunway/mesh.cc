@@ -223,7 +223,6 @@ class MeshSimulator::Impl {
   struct SlotChannels {
     std::vector<RmaChannel> row;
     std::vector<RmaChannel> col;
-    std::vector<RmaChannel> p2p;
   };
   std::vector<std::unique_ptr<SlotChannels>> channels_;
 
@@ -241,25 +240,17 @@ class MeshSimulator::Impl {
   std::exception_ptr firstError_;
   bool aborted_ = false;
 
-  /// Rendezvous channels: broadcasts use one channel per mesh line,
-  /// point-to-point one channel per destination CPE.
-  RmaChannel& channel(int slotId,
-                      std::vector<RmaChannel> SlotChannels::*scope, int index,
-                      int scopeSize) {
+  /// Rendezvous channel of a broadcast: one per slot and mesh line.
+  RmaChannel& lineChannel(int slotId, bool isRow, int line) {
     if (channels_.size() <= static_cast<std::size_t>(slotId))
       channels_.resize(static_cast<std::size_t>(slotId) + 1);
     auto& entry = channels_[static_cast<std::size_t>(slotId)];
     if (!entry) entry = std::make_unique<SlotChannels>();
-    auto& lines = (*entry).*scope;
-    if (lines.empty()) lines.resize(static_cast<std::size_t>(scopeSize));
-    return lines.at(static_cast<std::size_t>(index));
-  }
-  RmaChannel& lineChannel(int slotId, bool isRow, int line) {
-    return channel(slotId, isRow ? &SlotChannels::row : &SlotChannels::col,
-                   line, isRow ? config_.meshRows : config_.meshCols);
-  }
-  RmaChannel& pointChannel(int slotId, int cpeId) {
-    return channel(slotId, &SlotChannels::p2p, cpeId, meshSize_);
+    auto& lines = isRow ? entry->row : entry->col;
+    if (lines.empty())
+      lines.resize(static_cast<std::size_t>(isRow ? config_.meshRows
+                                                  : config_.meshCols));
+    return lines.at(static_cast<std::size_t>(line));
   }
 
   void abortWith(std::exception_ptr error) {
@@ -525,31 +516,13 @@ class CpeFiber final : public CpeServices {
 
     const int slotId =
         request.slotId >= 0 ? request.slotId : internSlot(request.slot);
-    RmaChannel* channel = nullptr;
-    switch (request.kind) {
-      case RmaKind::kRowBroadcast:
-        channel = &mesh_.lineChannel(slotId, /*isRow=*/true, rid_);
-        break;
-      case RmaKind::kColBroadcast:
-        channel = &mesh_.lineChannel(slotId, /*isRow=*/false, cid_);
-        break;
-      case RmaKind::kPointToPoint: {
-        // Messages that leave both the row and the column of the sender
-        // pass through a transit CPE (Fig.8a); the model charges the extra
-        // hop as a second transfer.
-        const int target =
-            request.dstRid * mesh_.config_.meshCols + request.dstCid;
-        channel = &mesh_.pointChannel(slotId, target);
-        break;
-      }
-    }
+    const bool isRow = request.isRowBroadcast();
+    RmaChannel& channel =
+        mesh_.lineChannel(slotId, isRow, isRow ? rid_ : cid_);
     const bool dropped = fault.dropTransient || fault.dropPermanent;
     if (mesh_.functional_ && !dropped) moveRmaData(request);
-    double transfer = mesh_.config_.rmaSeconds(request.bytes) +
-                      fault.delaySeconds;
-    if (request.kind == RmaKind::kPointToPoint && request.dstRid != rid_ &&
-        request.dstCid != cid_)
-      transfer *= 2.0;  // transit hop
+    const double transfer =
+        mesh_.config_.rmaSeconds(request.bytes) + fault.delaySeconds;
     counters_.rmaBusySeconds += transfer;
     // A permanently lost message appends no round, so every receiver of
     // this line parks on the slot's next ordinal until the scheduler finds
@@ -557,29 +530,16 @@ class CpeFiber final : public CpeServices {
     // round, or receivers would silently consume the *next* round's data
     // under this ordinal and produce wrong results.
     if (!fault.dropPermanent)
-      channel->push_back(
+      channel.push_back(
           RmaRound{clock_, transfer, /*dropped=*/fault.dropTransient});
-    if (tracing_) {
-      const char* kind = request.kind == RmaKind::kRowBroadcast
-                             ? "rowbcast"
-                             : request.kind == RmaKind::kColBroadcast
-                                   ? "colbcast"
-                                   : "p2p";
+    if (tracing_)
       trace::Tracer::global().simSpan(
           trace::kMeshPid, trace::kRmaLaneOffset + cpeId_,
-          strCat("rma:", kind), "rma", clock_, clock_ + transfer,
+          isRow ? "rma:rowbcast" : "rma:colbcast", "rma", clock_,
+          clock_ + transfer,
           {trace::arg("bytes", request.bytes),
            trace::arg("slot", request.slot)});
-    }
     clock_ += issueOverheadSeconds;
-  }
-
-  void rmaWaitPoint(const std::string& slot) override {
-    rmaWaitPointId(internSlot(slot));
-  }
-
-  void rmaWaitPointId(int slotId) override {
-    consumeRound(mesh_.pointChannel(slotId, cpeId_), slotId);
   }
 
   void waitSlot(const std::string& slot, bool isRma,
@@ -785,14 +745,7 @@ class CpeFiber final : public CpeServices {
 
   void moveRmaData(const RmaRequest& request) {
     const double* src = spmPtrOf(cpeId_, request.srcSpmOffsetBytes);
-    if (request.kind == RmaKind::kPointToPoint) {
-      const int target =
-          request.dstRid * mesh_.config_.meshCols + request.dstCid;
-      std::memcpy(spmPtrOf(target, request.dstSpmOffsetBytes), src,
-                  static_cast<std::size_t>(request.bytes));
-      return;
-    }
-    const bool isRow = request.kind == RmaKind::kRowBroadcast;
+    const bool isRow = request.isRowBroadcast();
     const int peers =
         isRow ? mesh_.config_.meshCols : mesh_.config_.meshRows;
     for (int p = 0; p < peers; ++p) {

@@ -48,13 +48,11 @@ struct DmaRequest {
   int slotId = -1;
 };
 
-/// The three RMA manners of §5 (Fig.8): point-to-point between two CPEs,
-/// row/column-wise broadcast, and the all-broadcast composed from them
-/// (see sunway/collectives.h).
+/// The RMA manners generated kernels issue (§5, Fig.8b): row- and
+/// column-wise broadcast.
 enum class RmaKind {
   kRowBroadcast,
   kColBroadcast,
-  kPointToPoint,
 };
 
 /// A fully evaluated RMA message.
@@ -68,9 +66,6 @@ struct RmaRequest {
   /// Dense id interned via CpeServices::internSlot; negative means "not
   /// interned" (the runtime interns `slot` on the fly).
   int slotId = -1;
-  /// Point-to-point only: mesh coordinates of the destination CPE.
-  int dstRid = 0;
-  int dstCid = 0;
 
   [[nodiscard]] bool isRowBroadcast() const {
     return kind == RmaKind::kRowBroadcast;
@@ -166,10 +161,6 @@ class CpeServices {
   virtual void waitSlot(const std::string& slot, bool isRma,
                         bool isRowBroadcast) = 0;
 
-  /// Receive side of a point-to-point RMA (Fig.8a): block until the next
-  /// message addressed to this CPE on `slot` arrives.
-  virtual void rmaWaitPoint(const std::string& slot) = 0;
-
   /// Account `flops` of compute at the given rate class (advances clock;
   /// the functional runtime performs the math separately via spmPtr data).
   virtual void computeTime(double flops, ComputeRate rate) = 0;
@@ -237,11 +228,6 @@ class CpeServices {
   virtual void waitSlotId(int slotId, bool isRma, bool isRowBroadcast) {
     waitSlot(slotNames_.at(static_cast<std::size_t>(slotId)), isRma,
              isRowBroadcast);
-  }
-
-  /// Integer-keyed variant of rmaWaitPoint.
-  virtual void rmaWaitPointId(int slotId) {
-    rmaWaitPoint(slotNames_.at(static_cast<std::size_t>(slotId)));
   }
 
  protected:

@@ -114,6 +114,9 @@ ScheduleSearchResult searchSchedules(const core::CodegenOptions& base,
                                      const sunway::ArchConfig& arch,
                                      const core::GemmProblem& problem,
                                      const TunerConfig& config) {
+  // A batch the base kernel cannot take fails every candidate alike; say
+  // so once instead of reporting an empty search space.
+  core::checkBatch(base, problem);
   const auto start = std::chrono::steady_clock::now();
   trace::Span searchSpan(
       "tuner.search",

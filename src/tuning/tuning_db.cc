@@ -11,7 +11,6 @@
 #include <sstream>
 #include <string_view>
 
-#include "core/kernel_serdes.h"
 #include "support/digest.h"
 #include "support/error.h"
 #include "support/format.h"

@@ -1,13 +1,16 @@
 // Property tests of the performance model across wide parameter sweeps:
 // physical sanity (never above peak, monotone in hardware capability),
 // paper-shaped relationships (variant ordering holds everywhere, batch
-// scaling is sublinear-overhead), and estimator determinism.
+// scaling is sublinear-overhead, a batch needs a batched kernel), and
+// estimator determinism.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "core/compiler.h"
 #include "core/gemm_runner.h"
+#include "core/sharded_gemm.h"
+#include "support/error.h"
 
 namespace sw::core {
 namespace {
@@ -142,6 +145,29 @@ TEST(EstimatorProperty, BatchScalingApproachesLinear) {
   // than 15x (no superlinear magic).
   EXPECT_LT(t16, 16.0 * t1);
   EXPECT_GT(t16, 15.0 * t1);
+}
+
+TEST(EstimatorProperty, BatchNeedsBatchedKernelAndStaysUnderPeak) {
+  // An unbatched kernel binds no BATCH parameter: asked for batch 4 it
+  // used to model one GEMM yet charge the flops of four, far above peak.
+  SwGemmCompiler compiler;
+  const GemmProblem problem{1024, 1024, 1024, 4};
+  CodegenOptions batchedOptions;
+  batchedOptions.batched = true;
+  const CompiledKernel batched = compiler.compile(batchedOptions);
+  const double gflops =
+      estimateGemm(batched, compiler.arch(), problem).gflops;
+  EXPECT_GT(gflops, 0.0);
+  EXPECT_LT(gflops, compiler.arch().peakFlops() / 1e9);
+
+  const CompiledKernel plain = compiler.compile(CodegenOptions{});
+  EXPECT_THROW((void)estimateGemm(plain, compiler.arch(), problem),
+               InputError);
+  ShardedConfig sixGroups;
+  sixGroups.groups = 6;
+  EXPECT_THROW(
+      (void)estimateSharded(plain, compiler.arch(), sixGroups, problem),
+      InputError);
 }
 
 TEST(EstimatorProperty, DeterministicAcrossCalls) {

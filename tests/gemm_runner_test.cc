@@ -41,11 +41,13 @@ TEST(GemmRunner, RejectsWrongSpanSizes) {
 }
 
 TEST(GemmRunner, RejectsBatchOnPlainKernel) {
+  // A batch is user input, so asking an unbatched kernel for one is an
+  // InputError, not an internal check failure.
   std::vector<double> a(2 * 64 * 64), b(2 * 64 * 64), c(2 * 64 * 64);
   GemmProblem problem{64, 64, 64, 2};
   EXPECT_THROW(
       runGemmFunctional(defaultKernel(), arch(), problem, a, b, c),
-      sw::InternalError);
+      sw::InputError);
 }
 
 struct ScalarCase {

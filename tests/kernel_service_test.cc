@@ -1,28 +1,21 @@
-// Kernel-service tests: cache hit/miss accounting, LRU eviction under
-// entry and byte budgets, persistent disk round-trips across service
-// instances (a "new process" stand-in), corrupt-entry recovery, and
-// single-flight deduplication observed through a counting compiler stub.
+// Kernel-service tests: cache hit/miss accounting, LRU eviction under the
+// entry budget, and single-flight deduplication observed through a
+// counting compiler stub.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <condition_variable>
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 #include "core/gemm_runner.h"
-#include "core/kernel_serdes.h"
 #include "core/pipeline.h"
 #include "service/kernel_service.h"
 #include "support/error.h"
 
 namespace sw::service {
 namespace {
-
-namespace fs = std::filesystem;
 
 core::CodegenOptions tileVariant(std::int64_t tileM) {
   core::CodegenOptions options;
@@ -43,15 +36,6 @@ struct CountingCompiler {
   }
 };
 
-/// Fresh per-test scratch directory under the gtest temp root.
-std::string scratchDir(const std::string& name) {
-  const fs::path dir =
-      fs::path(::testing::TempDir()) / ("swk_service_" + name);
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir.string();
-}
-
 TEST(KernelServiceTest, MemoryHitServesWithoutRecompile) {
   CountingCompiler counting;
   const sunway::ArchConfig arch;
@@ -70,7 +54,6 @@ TEST(KernelServiceTest, MemoryHitServesWithoutRecompile) {
   EXPECT_EQ(stats.memoryHits, 1);
   EXPECT_EQ(stats.compiles, 2);
   EXPECT_EQ(stats.entries, 2u);
-  EXPECT_GT(stats.bytes, 0);
   EXPECT_NEAR(stats.hitRate(), 1.0 / 3.0, 1e-12);
 }
 
@@ -93,112 +76,6 @@ TEST(KernelServiceTest, LruEvictsByEntryBudget) {
   EXPECT_EQ(counting.calls.load(), 3);
   service.compile(tileVariant(64));
   EXPECT_EQ(counting.calls.load(), 4);
-}
-
-TEST(KernelServiceTest, LruEvictsByByteBudgetButKeepsNewest) {
-  CountingCompiler counting;
-  const sunway::ArchConfig arch;
-  KernelServiceConfig config;
-  config.maxBytes = 1;  // below any kernel's size
-  KernelService service(counting.fn(arch), arch, config);
-
-  service.compile(tileVariant(64));
-  EXPECT_EQ(service.stats().entries, 1u);  // newest survives over-budget
-  service.compile(tileVariant(32));
-  EXPECT_EQ(service.stats().entries, 1u);
-  EXPECT_EQ(service.stats().evictions, 1);
-}
-
-TEST(KernelServiceTest, DiskRoundTripAcrossServiceInstances) {
-  const sunway::ArchConfig arch;
-  KernelServiceConfig config;
-  config.cacheDir = scratchDir("roundtrip");
-
-  core::CompiledKernel fresh;
-  {
-    CountingCompiler counting;
-    KernelService warmup(counting.fn(arch), arch, config);
-    fresh = *warmup.compile(tileVariant(64));
-    EXPECT_EQ(counting.calls.load(), 1);
-  }
-
-  // A brand-new service over the same directory stands in for a new
-  // process: it must serve from disk without compiling at all.
-  CountingCompiler counting;
-  KernelService reloadedService(counting.fn(arch), arch, config);
-  ServeOutcome outcome;
-  const KernelService::KernelPtr reloaded =
-      reloadedService.compile(tileVariant(64), &outcome);
-  EXPECT_EQ(counting.calls.load(), 0);
-  EXPECT_EQ(outcome, ServeOutcome::kDiskHit);
-  EXPECT_EQ(reloaded->cpeSource, fresh.cpeSource);
-  EXPECT_EQ(reloaded->mpeSource, fresh.mpeSource);
-
-  // And the reloaded kernel must be functionally identical on the mesh.
-  const std::int64_t m = 64, n = 64, k = 64;
-  std::vector<double> a(m * k), b(k * n);
-  for (std::size_t i = 0; i < a.size(); ++i) a[i] = 0.5 * (i % 3) - 0.5;
-  for (std::size_t i = 0; i < b.size(); ++i) b[i] = 0.25 * (i % 5) - 0.5;
-  std::vector<double> cFresh(m * n, 2.0), cReloaded(m * n, 2.0);
-  const core::GemmProblem problem{m, n, k, 1};
-  core::runGemmFunctional(fresh, arch, problem, a, b, cFresh);
-  core::runGemmFunctional(*reloaded, arch, problem, a, b, cReloaded);
-  EXPECT_EQ(cFresh, cReloaded);
-}
-
-TEST(KernelServiceTest, CorruptDiskEntryIsRecompiledAndRepaired) {
-  const sunway::ArchConfig arch;
-  KernelServiceConfig config;
-  config.cacheDir = scratchDir("corrupt");
-
-  std::string entryPath;
-  {
-    CountingCompiler counting;
-    KernelService warmup(counting.fn(arch), arch, config);
-    warmup.compile(tileVariant(64));
-    entryPath = warmup.diskPathForKey(
-        core::canonicalRequestKey(tileVariant(64), arch));
-    ASSERT_TRUE(fs::exists(entryPath));
-  }
-
-  // Truncate the entry mid-stream: the service must warn, recompile and
-  // rewrite, never misparse.
-  {
-    std::ofstream out(entryPath, std::ios::binary | std::ios::trunc);
-    out << "swkcache1 5:hello GARBAGE";
-  }
-  CountingCompiler counting;
-  KernelService service(counting.fn(arch), arch, config);
-  ServeOutcome outcome;
-  service.compile(tileVariant(64), &outcome);
-  EXPECT_EQ(counting.calls.load(), 1);
-  EXPECT_EQ(outcome, ServeOutcome::kCompiled);
-  EXPECT_EQ(service.stats().corruptDiskEntries, 1);
-
-  // The rewrite healed the entry: one more fresh service now disk-hits.
-  CountingCompiler countingAfter;
-  KernelService healed(countingAfter.fn(arch), arch, config);
-  healed.compile(tileVariant(64), &outcome);
-  EXPECT_EQ(countingAfter.calls.load(), 0);
-  EXPECT_EQ(outcome, ServeOutcome::kDiskHit);
-}
-
-TEST(KernelServiceTest, StaleVersionDirectoryIsIgnored) {
-  const sunway::ArchConfig arch;
-  KernelServiceConfig config;
-  config.cacheDir = scratchDir("stale");
-  // Entries of a hypothetical older format live in their own version
-  // directory and are simply invisible to the current reader.
-  fs::create_directories(fs::path(config.cacheDir) / "v0");
-  std::ofstream(fs::path(config.cacheDir) / "v0" / "deadbeef.swk")
-      << "old format";
-
-  CountingCompiler counting;
-  KernelService service(counting.fn(arch), arch, config);
-  ServeOutcome outcome;
-  service.compile(tileVariant(64), &outcome);
-  EXPECT_EQ(outcome, ServeOutcome::kCompiled);
-  EXPECT_EQ(service.stats().corruptDiskEntries, 0);
 }
 
 TEST(KernelServiceTest, SingleFlightDeduplicatesConcurrentRequests) {

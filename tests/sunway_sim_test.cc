@@ -7,7 +7,6 @@
 #include <atomic>
 #include <cmath>
 
-#include "sunway/collectives.h"
 #include "sunway/estimator.h"
 #include "sunway/host_memory.h"
 #include "sunway/mesh.h"
@@ -180,75 +179,6 @@ TEST(Mesh, ColumnBroadcastDeliversToWholeColumn) {
     }
     cpe.waitSlot("cc", true, false);
     EXPECT_EQ(cpe.spmPtr(0)[0], 500.0 + cpe.cid());
-  });
-}
-
-TEST(Mesh, PointToPointDeliversToOneCpe) {
-  // Fig.8a: CPE (1,2) sends to (5,6); a diagonal route passes a transit
-  // CPE, which the timing model charges as a second hop.
-  ArchConfig config;
-  MeshSimulator mesh(config, /*functional=*/true);
-  mesh.run([&](CpeServices& cpe) {
-    cpe.spmPtr(512)[0] = 0.0;
-    cpe.sync();  // receiver buffers must be settled before the send
-    if (cpe.rid() == 1 && cpe.cid() == 2) {
-      cpe.spmPtr(0)[0] = 42.0;
-      RmaRequest request;
-      request.kind = RmaKind::kPointToPoint;
-      request.isSender = true;
-      request.bytes = 8;
-      request.srcSpmOffsetBytes = 0;
-      request.dstSpmOffsetBytes = 512;
-      request.dstRid = 5;
-      request.dstCid = 6;
-      request.slot = "p2p";
-      cpe.rmaIssue(request);
-    }
-    if (cpe.rid() == 5 && cpe.cid() == 6) {
-      cpe.rmaWaitPoint("p2p");
-      EXPECT_EQ(cpe.spmPtr(512)[0], 42.0);
-    }
-  });
-}
-
-TEST(Mesh, PointToPointTransitHopCostsMore) {
-  ArchConfig config;
-  SymmetricCpeServices direct(config);
-  RmaRequest sameRow;
-  sameRow.kind = RmaKind::kPointToPoint;
-  sameRow.isSender = true;
-  sameRow.bytes = 16384;
-  sameRow.slot = "p";
-  // The symmetric estimator charges the worst case (transit) for p2p;
-  // compare against a broadcast of the same size, which is single-hop.
-  direct.rmaIssue(sameRow);
-  direct.waitSlot("p", true, false);
-  SymmetricCpeServices bcast(config);
-  RmaRequest row;
-  row.kind = RmaKind::kRowBroadcast;
-  row.isSender = true;
-  row.bytes = 16384;
-  row.slot = "b";
-  bcast.rmaIssue(row);
-  bcast.waitSlot("b", true, true);
-  EXPECT_GT(direct.clockSeconds(), bcast.clockSeconds());
-}
-
-TEST(Mesh, AllBroadcastReachesEveryCpe) {
-  // Fig.8c: composed row + column broadcast from CPE (2,3).
-  ArchConfig config;
-  MeshSimulator mesh(config, /*functional=*/true);
-  mesh.run([&](CpeServices& cpe) {
-    if (cpe.rid() == 2 && cpe.cid() == 3) cpe.spmPtr(0)[0] = 77.0;
-    AllBroadcastArgs args;
-    args.srcRid = 2;
-    args.srcCid = 3;
-    args.srcSpmOffsetBytes = 0;
-    args.dstSpmOffsetBytes = 4096;
-    args.bytes = 8;
-    rmaAllBroadcast(cpe, args);
-    EXPECT_EQ(cpe.spmPtr(4096)[0], 77.0)
-        << "CPE (" << cpe.rid() << "," << cpe.cid() << ")";
   });
 }
 

@@ -1,6 +1,6 @@
 // Tests of the persistent tuning database (src/tuning/tuning_db.*) and
 // its service integration (KernelService::resolveSchedule): round-trip,
-// corrupt/truncated/stale recovery, the `<cacheDir>/tune` fallback, and
+// corrupt/truncated/stale recovery, searching without a database, and
 // single-flight deduplication of concurrent searches.
 #include <gtest/gtest.h>
 
@@ -238,24 +238,6 @@ TEST(ResolveSchedule, SecondCallServesFromTheTuningDb) {
   EXPECT_EQ(reloaded.stats().tuneSearches, 0);
 }
 
-TEST(ResolveSchedule, TuningDirFallsBackToCacheDirTune) {
-  const sunway::ArchConfig arch;
-  KernelServiceConfig config;
-  config.cacheDir = scratchDir("resolve_fallback");
-
-  std::atomic<int> searches{0};
-  KernelService service(arch, config);
-  service.setSearchFnForTest(countingSearch(&searches));
-  service.resolveSchedule(core::CodegenOptions{}, {96, 96, 96});
-
-  // The record must land under `<cacheDir>/tune/v1/`.
-  const std::string path = service.tuningDbPath(canonicalTuneKey(
-      core::CodegenOptions{}, arch, core::GemmProblem{96, 96, 96}));
-  EXPECT_NE(path.find(config.cacheDir), std::string::npos);
-  EXPECT_NE(path.find("tune"), std::string::npos);
-  EXPECT_TRUE(fs::exists(path));
-}
-
 TEST(ResolveSchedule, NoDirectoriesStillSearches) {
   std::atomic<int> searches{0};
   KernelService service(sunway::ArchConfig{}, KernelServiceConfig{});
@@ -270,6 +252,11 @@ TEST(ResolveSchedule, NoDirectoriesStillSearches) {
   // second call re-searches (and that is the documented contract).
   service.resolveSchedule(core::CodegenOptions{}, {96, 96, 96});
   EXPECT_EQ(searches.load(), 2);
+  EXPECT_TRUE(service
+                  .tuningDbPath(canonicalTuneKey(core::CodegenOptions{},
+                                                 sunway::ArchConfig{},
+                                                 {96, 96, 96}))
+                  .empty());
 }
 
 TEST(ResolveSchedule, ConcurrentCallsSingleFlightTheSearch) {

@@ -5,16 +5,20 @@
 //
 //   swcodegen input.c [-o PREFIX] [--no-use-asm] [--no-rma] [--no-hiding]
 //             [--dump-schedule] [--estimate M N K [B]]
-//             [--profile] [--trace OUT.json] [--cache-dir DIR]
-//   swcodegen --warm SHAPES | --serve-batch FILE  [--cache-dir DIR] [-j N]
-//   swcodegen --tune M N K [B]  [--tuning-dir DIR] [--cache-dir DIR]
+//             [--profile] [--trace OUT.json]
+//   swcodegen --warm SHAPES | --serve-batch FILE  [-j N]
+//   swcodegen --tune M N K [B]  [--tuning-dir DIR]
 //
 // --batch is detected automatically from the input program (a 4-deep nest
 // over 3D arrays), as are the fusion patterns; the explicit flags mirror
-// the paper's tool for the ablation variants.  With --cache-dir (or
-// $SWCODEGEN_CACHE_DIR) compiles are served through the kernel service's
-// persistent cache; --warm/--serve-batch compile many option variants
-// concurrently on the service's thread pool.
+// the paper's tool for the ablation variants.  Compiles are served through
+// the kernel service's in-memory cache; --warm/--serve-batch compile many
+// option variants concurrently on the service's thread pool.  Only tuned
+// schedules persist, in the --tuning-dir database.
+//
+// Exit codes: 0 on success; 2 for a usage or input error (bad arguments,
+// an unreadable input, a shape the kernel cannot take); 1 for any other
+// failure, including a verification mismatch.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -28,7 +32,6 @@
 
 #include "core/compiler.h"
 #include "core/gemm_runner.h"
-#include "core/kernel_serdes.h"
 #include "core/sharded_gemm.h"
 #include "kernel/microkernel.h"
 #include "service/kernel_service.h"
@@ -98,17 +101,15 @@ void usage(std::FILE* out) {
       "                     per-CPE simulated-clock timelines of the --run\n"
       "                     shape (without --run, of a one-mesh-tile side\n"
       "                     run)\n"
-      "  --cache-dir DIR    persistent kernel cache: repeated compiles of\n"
-      "                     the same options+architecture are served from\n"
-      "                     disk without re-running the pipeline\n"
       "  --tune M N K [B]   search the schedule space for the shape (two\n"
       "                     stages: estimator ranking, then measured mesh\n"
       "                     validation of the top candidates), print the\n"
       "                     winner and write its athread sources; no\n"
-      "                     INPUT.c needed.  Repeat invocations are served\n"
-      "                     from the tuning database without re-searching\n"
-      "  --tuning-dir DIR   persistent tuning database for --tune (default:\n"
-      "                     <cache-dir>/tune when --cache-dir is set)\n"
+      "                     INPUT.c needed, B > 1 tunes the batched\n"
+      "                     kernel.  Repeat invocations are served from\n"
+      "                     the tuning database without re-searching\n"
+      "  --tuning-dir DIR   persistent tuning database for --tune; without\n"
+      "                     it nothing persists\n"
       "  --inject SPEC      run a chaos smoke: functional mesh run under a\n"
       "                     deterministic fault plan with retry and\n"
       "                     graceful degradation.  SPEC is ';'-separated\n"
@@ -145,7 +146,6 @@ void usage(std::FILE* out) {
       "environment:\n"
       "  SWCODEGEN_LOG         debug|info|warn — structured log threshold\n"
       "  SWCODEGEN_TRACE       path — enable tracing and write there on exit\n"
-      "  SWCODEGEN_CACHE_DIR   default for --cache-dir\n"
       "  SWCODEGEN_TUNING_DIR  default for --tuning-dir\n");
 }
 
@@ -675,12 +675,10 @@ int reportBatch(sw::service::KernelService& service,
   }
   const sw::service::KernelServiceStats stats = service.stats();
   std::printf("\nbatch of %zu requests in %.3f ms: %lld compiled, "
-              "%lld memory hits, %lld disk hits, %lld shared "
-              "(hit rate %.1f%%)\n",
+              "%lld memory hits, %lld shared (hit rate %.1f%%)\n",
               results.size(), wallMs,
               static_cast<long long>(stats.compiles),
               static_cast<long long>(stats.memoryHits),
-              static_cast<long long>(stats.diskHits),
               static_cast<long long>(stats.shared),
               100.0 * stats.hitRate());
   return failures == 0 ? 0 : 1;
@@ -692,7 +690,6 @@ int main(int argc, char** argv) {
   std::string inputPath;
   std::string outputPrefix;
   std::string tracePath;
-  std::string cacheDir;
   std::string tuningDir;
   std::string warmShapes;
   std::string batchManifestPath;
@@ -761,13 +758,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       tracePath = argv[++i];
-    } else if (arg == "--cache-dir") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr,
-                     "swcodegen: --cache-dir requires a directory path\n");
-        return 2;
-      }
-      cacheDir = argv[++i];
     } else if (arg == "--tuning-dir") {
       if (i + 1 >= argc) {
         std::fprintf(stderr,
@@ -914,10 +904,6 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (cacheDir.empty()) {
-    const char* env = std::getenv("SWCODEGEN_CACHE_DIR");
-    if (env != nullptr && env[0] != '\0') cacheDir = env;
-  }
   if (tuningDir.empty()) {
     const char* env = std::getenv("SWCODEGEN_TUNING_DIR");
     if (env != nullptr && env[0] != '\0') tuningDir = env;
@@ -925,6 +911,10 @@ int main(int argc, char** argv) {
   const bool batchMode = !warmShapes.empty() || !batchManifestPath.empty();
   const bool tuneMode = !tuneShape.empty();
   const bool soakMode = soakRequests > 0;
+  // --tune has no INPUT.c to detect a batched GEMM from: a batch count
+  // above 1 asks for the batched kernel.
+  if (tuneMode && tuneShape.size() == 4 && tuneShape[3] > 1)
+    options.batched = true;
   if (inputPath.empty() && !batchMode && !tuneMode && !soakMode) {
     usage(stderr);
     return 2;
@@ -994,7 +984,6 @@ int main(int argc, char** argv) {
 
   try {
     sw::service::KernelServiceConfig serviceConfig;
-    serviceConfig.cacheDir = cacheDir;
     serviceConfig.tuningDir = tuningDir;
     serviceConfig.threads = static_cast<int>(jobs);
     if (groups > 1)
@@ -1057,16 +1046,9 @@ int main(int argc, char** argv) {
     const sw::core::SwGemmCompiler compiler;  // estimate/smoke share arch
     // Every single-kernel compile is served through the kernel service so
     // the request latency histogram and the service gauges cover the CLI
-    // path too; without --cache-dir the service simply has no disk tier.
-    sw::service::ServeOutcome outcome = sw::service::ServeOutcome::kCompiled;
+    // path too.
     sw::core::CompiledKernel kernel =
-        service.compileSource(readFile(inputPath), options, &outcome);
-    if (outcome == sw::service::ServeOutcome::kMemoryHit ||
-        outcome == sw::service::ServeOutcome::kDiskHit) {
-      std::printf("cache hit (%s): pipeline not re-run, kernel served "
-                  "from %s\n",
-                  sw::service::toString(outcome), cacheDir.c_str());
-    }
+        service.compileSource(readFile(inputPath), options);
 
     if (dumpSchedule) {
       std::printf("--- initial schedule tree ---\n%s\n",
@@ -1218,6 +1200,9 @@ int main(int argc, char** argv) {
                   sw::trace::Tracer::global().eventCount());
     }
     return chaosRc != 0 ? chaosRc : runRc;
+  } catch (const sw::InputError& e) {
+    std::fprintf(stderr, "swcodegen: error: %s\n", e.what());
+    return 2;
   } catch (const sw::Error& e) {
     std::fprintf(stderr, "swcodegen: error: %s\n", e.what());
     return 1;
