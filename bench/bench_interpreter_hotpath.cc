@@ -4,7 +4,9 @@
 // replaces that with dense frame slots, pooled expressions, and interned
 // IDs.  This bench measures both engines on the same compiled kernel —
 // timing-only (SymmetricCpeServices, pure interpreter cost) and functional
-// (64-CPE fiber mesh) — plus the one-time cost of lowering itself.
+// (64-CPE fiber mesh) — plus the one-time cost of lowering itself.  The
+// plan's timing-only run also fast-forwards steady-state loop iterations
+// (runtime/plan.h), so some of the ops it counts were jumped, not decoded.
 #include <chrono>
 
 #include "bench_common.h"
@@ -148,7 +150,7 @@ void benchPadMode(benchmark::State& state, sw::core::PadMode mode,
     benchmark::DoNotOptimize(&outcome);
   }
   state.counters["ukernel_flops"] =
-      benchmark::Counter(outcome.counters.flops);
+      benchmark::Counter(static_cast<double>(outcome.counters.flops));
   state.counters["host_copy_bytes"] =
       benchmark::Counter(static_cast<double>(outcome.hostCopyBytes));
   state.counters["sim_gflops"] = benchmark::Counter(outcome.gflops);
@@ -204,11 +206,12 @@ int main(int argc, char** argv) {
                  "pad tax, functional 100x100x100: edge %.3g uKernel flops "
                  "+ %lld host copy bytes vs padded %.3g flops + %lld bytes "
                  "(%.0fx flop inflation retired)\n",
-                 edge.counters.flops,
+                 static_cast<double>(edge.counters.flops),
                  static_cast<long long>(edge.hostCopyBytes),
-                 padded.counters.flops,
+                 static_cast<double>(padded.counters.flops),
                  static_cast<long long>(padded.hostCopyBytes),
-                 padded.counters.flops / edge.counters.flops);
+                 static_cast<double>(padded.counters.flops) /
+                     static_cast<double>(edge.counters.flops));
     // Paper-scale irregular depth on the timing model: K=1000 rounds up to
     // 1024, so even the symmetric per-CPE model pays the padded k-loop.
     GemmProblem irregular{12288, 12288, 1000, 1};
@@ -219,8 +222,9 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "pad tax, estimated 12288x12288x1000: edge %.2f GFLOPS vs "
                  "padded %.2f GFLOPS (per-CPE flops %.3g vs %.3g)\n\n",
-                 edgeEst.gflops, paddedEst.gflops, edgeEst.counters.flops,
-                 paddedEst.counters.flops);
+                 edgeEst.gflops, paddedEst.gflops,
+                 static_cast<double>(edgeEst.counters.flops),
+                 static_cast<double>(paddedEst.counters.flops));
   }
 
   benchmark::RegisterBenchmark("HotPath/timing_tree_walk", benchTimingOnly,

@@ -92,9 +92,9 @@ std::vector<double> gatherB(std::span<const double> b,
 /// beta != 0, or the previous partial of a chained K chunk).  Groups == 1
 /// never crosses the NoC and is charged nothing — a one-group shard must
 /// cost exactly the single-group estimate.
-double shardCommSeconds(const sunway::ArchConfig& arch, int groups,
-                        const GemmProblem& p, const Shard& s) {
-  if (groups <= 1) return 0.0;
+sunway::SimTime shardCommTime(const sunway::ArchConfig& arch, int groups,
+                              const GemmProblem& p, const Shard& s) {
+  if (groups <= 1) return 0;
   const double aBytes =
       static_cast<double>(p.batch * s.bm * s.bk) * sizeof(double);
   const double bBytes =
@@ -104,9 +104,50 @@ double shardCommSeconds(const sunway::ArchConfig& arch, int groups,
   const bool readsC = s.chunk > 0 || p.beta != 0.0;
   const double messages = readsC ? 4.0 : 3.0;
   const double bytes = aBytes + bBytes + cBytes + (readsC ? cBytes : 0.0);
-  return messages * arch.nocLatencySeconds +
-         bytes / arch.nocBandwidthBytesPerSec;
+  return sunway::ticksFromSeconds(messages * arch.nocLatencySeconds +
+                                 bytes / arch.nocBandwidthBytesPerSec);
 }
+
+/// The sharded run's simulated critical path, in ticks: each group's busy
+/// and hand-off timeline and each C block's chain of K chunks.
+class CriticalPath {
+ public:
+  CriticalPath(int groups, int blocks)
+      : groupBusy_(static_cast<std::size_t>(groups)),
+        groupComm_(static_cast<std::size_t>(groups)),
+        chain_(static_cast<std::size_t>(blocks)) {}
+
+  void add(const Shard& s, sunway::SimTime time, sunway::SimTime comm) {
+    const auto gi = static_cast<std::size_t>(s.group);
+    groupBusy_[gi] = sunway::addTicks(groupBusy_[gi], time);
+    groupComm_[gi] = sunway::addTicks(groupComm_[gi], comm);
+    auto& chain = chain_[static_cast<std::size_t>(s.block)];
+    chain = sunway::addTicks(chain, sunway::addTicks(time, comm));
+  }
+
+  /// Wall time: the busiest group's timeline, or the longest chained K
+  /// reduction if its serial chain dominates.
+  void finish(const GemmProblem& problem, ShardedOutcome& outcome) const {
+    sunway::SimTime wall = 0, compute = 0, comm = 0;
+    for (std::size_t gi = 0; gi < groupBusy_.size(); ++gi) {
+      wall = std::max(wall, sunway::addTicks(groupBusy_[gi], groupComm_[gi]));
+      compute = std::max(compute, groupBusy_[gi]);
+      comm = std::max(comm, groupComm_[gi]);
+    }
+    for (const sunway::SimTime chain : chain_) wall = std::max(wall, chain);
+    outcome.seconds = sunway::toSeconds(wall);
+    outcome.computeSeconds = sunway::toSeconds(compute);
+    outcome.communicationSeconds = sunway::toSeconds(comm);
+    const double flops =
+        rt::gemmFlops(problem.m, problem.n, problem.k, problem.batch);
+    outcome.gflops = wall > 0 ? flops / outcome.seconds / 1e9 : 0.0;
+  }
+
+ private:
+  std::vector<sunway::SimTime> groupBusy_;
+  std::vector<sunway::SimTime> groupComm_;
+  std::vector<sunway::SimTime> chain_;
+};
 
 GemmProblem shardProblem(const GemmProblem& p, const Shard& s) {
   GemmProblem sub = p;
@@ -158,22 +199,7 @@ perf::PerfReport buildShardedReport(const CompiledKernel& kernel,
   sample.wallSeconds = outcome.seconds;
   sample.cpeCount = cpeCount;
   sample.reportedFlops = rt::gemmFlops(p.m, p.n, p.k, p.batch);
-  const sunway::CpeCounters& totals = outcome.counters;
-  sample.computeSeconds = totals.computeSeconds;
-  sample.dmaStallSeconds = totals.dmaStallSeconds;
-  sample.rmaStallSeconds = totals.rmaStallSeconds;
-  sample.syncStallSeconds = totals.syncStallSeconds;
-  sample.retryStallSeconds = totals.retryStallSeconds;
-  sample.dmaBusySeconds = totals.dmaBusySeconds;
-  sample.rmaBusySeconds = totals.rmaBusySeconds;
-  sample.dmaMessages = totals.dmaMessages;
-  sample.dmaBytes = totals.dmaBytes;
-  sample.rmaBroadcastsSent = totals.rmaBroadcastsSent;
-  sample.rmaBytesSent = totals.rmaBytesSent;
-  sample.syncs = totals.syncs;
-  sample.microKernelCalls = totals.microKernelCalls;
-  sample.faultsInjected = totals.faultsInjected;
-  sample.dmaRetries = totals.dmaRetries;
+  rt::fillSampleCounters(outcome.counters, sample);
   return perf::buildPerfReport(
       sample, rt::machineModelFromArch(arch, outcome.concurrentGroups));
 }
@@ -299,13 +325,11 @@ ShardedOutcome runShardedFunctional(const CompiledKernel& kernel,
   std::vector<char> started(plan.shards.size(), 0);
   std::exception_ptr abortError;
 
-  // What each shard contributes to the totals, kept in plan order and
-  // summed after the join: floating-point sums then do not depend on the
-  // order in which the groups finish.
+  // What each shard contributes to the totals, summed after the join.
   struct ShardResult {
     sunway::CpeCounters counters;
-    double seconds = 0.0;
-    double commSeconds = 0.0;
+    sunway::SimTime time = 0;
+    sunway::SimTime commTime = 0;
     std::int64_t hostCopyBytes = 0;
     std::optional<ShardedOutcome::GroupFailure> failure;
   };
@@ -377,8 +401,8 @@ ShardedOutcome runShardedFunctional(const CompiledKernel& kernel,
                                   sizeof(double)) +
         cGatherBytes + cScatterBytes;
     result.counters = run.counters;
-    result.seconds = run.seconds;
-    result.commSeconds = shardCommSeconds(arch, concurrency, problem, s);
+    result.time = run.time;
+    result.commTime = shardCommTime(arch, concurrency, problem, s);
     result.hostCopyBytes = run.hostCopyBytes + gatherBytes;
   };
 
@@ -432,36 +456,16 @@ ShardedOutcome runShardedFunctional(const CompiledKernel& kernel,
   for (std::thread& t : threads) t.join();
   if (abortError != nullptr) std::rethrow_exception(abortError);
 
-  std::vector<double> groupBusy(static_cast<std::size_t>(config.groups));
-  std::vector<double> groupComm(static_cast<std::size_t>(config.groups));
-  std::vector<double> chainSeconds(
-      static_cast<std::size_t>(plan.blocks()));
+  CriticalPath path(config.groups, plan.blocks());
   for (std::size_t i = 0; i < plan.shards.size(); ++i) {
-    const Shard& s = plan.shards[i];
     ShardResult& result = results[i];
     if (result.failure) outcome.failures.push_back(std::move(*result.failure));
     outcome.counters.add(result.counters);
     outcome.hostCopyBytes += result.hostCopyBytes;
     outcome.shardsRun += 1;
-    groupBusy[static_cast<std::size_t>(s.group)] += result.seconds;
-    groupComm[static_cast<std::size_t>(s.group)] += result.commSeconds;
-    chainSeconds[static_cast<std::size_t>(s.block)] +=
-        result.seconds + result.commSeconds;
+    path.add(plan.shards[i], result.time, result.commTime);
   }
-
-  double wall = 0.0;
-  for (int g = 0; g < config.groups; ++g) {
-    const std::size_t gi = static_cast<std::size_t>(g);
-    wall = std::max(wall, groupBusy[gi] + groupComm[gi]);
-    outcome.computeSeconds = std::max(outcome.computeSeconds, groupBusy[gi]);
-    outcome.communicationSeconds =
-        std::max(outcome.communicationSeconds, groupComm[gi]);
-  }
-  for (const double chain : chainSeconds) wall = std::max(wall, chain);
-  outcome.seconds = wall;
-  const double flops =
-      rt::gemmFlops(problem.m, problem.n, problem.k, problem.batch);
-  outcome.gflops = wall > 0.0 ? flops / wall / 1e9 : 0.0;
+  path.finish(problem, outcome);
   // Mesh-run counters are 64-CPE sums per shard, so the aggregate wall
   // normaliser is CPEs across all concurrently streaming meshes.
   outcome.report =
@@ -487,44 +491,37 @@ ShardedOutcome estimateSharded(const CompiledKernel& kernel,
   outcome.concurrentGroups = concurrency;
   outcome.contentionDerate = arch.contentionDerate(concurrency);
 
-  std::vector<double> groupBusy(static_cast<std::size_t>(config.groups));
-  std::vector<double> groupComm(static_cast<std::size_t>(config.groups));
-  std::vector<double> chainSeconds(
-      static_cast<std::size_t>(plan.blocks()));
+  CriticalPath path(config.groups, plan.blocks());
   std::vector<char> groupUsed(static_cast<std::size_t>(config.groups), 0);
+  // The shards' steady states: summed jumps, time-weighted coverage and
+  // the first shard's innermost loop.
+  perf::PerfReport::SteadyState steady;
+  double coveredSeconds = 0.0, shardSeconds = 0.0;
   for (const Shard& s : plan.shards) {
     const GemmProblem sub = shardProblem(problem, s);
     const rt::RunOutcome est = estimateGemm(kernel, groupArch, sub);
-    const double comm = shardCommSeconds(arch, concurrency, problem, s);
-    const std::size_t gi = static_cast<std::size_t>(s.group);
-    groupBusy[gi] += est.seconds;
-    groupComm[gi] += comm;
-    groupUsed[gi] = 1;
-    chainSeconds[static_cast<std::size_t>(s.block)] += est.seconds + comm;
+    path.add(s, est.time, shardCommTime(arch, concurrency, problem, s));
+    groupUsed[static_cast<std::size_t>(s.group)] = 1;
     outcome.counters.add(est.counters);
-    outcome.shardsRun += 1;
+    const perf::PerfReport::SteadyState& shard = est.report.steadyState;
+    if (outcome.shardsRun++ == 0) {
+      steady = shard;
+    } else {
+      steady.jumps += shard.jumps;
+      steady.iterationsJumped += shard.iterationsJumped;
+    }
+    coveredSeconds += shard.coveredPct / 100.0 * est.seconds;
+    shardSeconds += est.seconds;
   }
   for (const char used : groupUsed) outcome.groupsUsed += used != 0;
-
-  // Critical path: the busiest group's timeline, or the longest chained
-  // K reduction if its serial chain dominates.
-  double wall = 0.0;
-  for (std::size_t gi = 0; gi < groupBusy.size(); ++gi) {
-    wall = std::max(wall, groupBusy[gi] + groupComm[gi]);
-    outcome.computeSeconds = std::max(outcome.computeSeconds, groupBusy[gi]);
-    outcome.communicationSeconds =
-        std::max(outcome.communicationSeconds, groupComm[gi]);
-  }
-  for (const double chain : chainSeconds) wall = std::max(wall, chain);
-  outcome.seconds = wall;
-  const double flops =
-      rt::gemmFlops(problem.m, problem.n, problem.k, problem.batch);
-  outcome.gflops = wall > 0.0 ? flops / wall / 1e9 : 0.0;
+  path.finish(problem, outcome);
   // Estimator counters are symmetric single-CPE samples per shard: the
   // sample's cpeCount is the group count while the machine model carries
   // the node-wide mesh size, preserving the estimator's meshScale.
   outcome.report = buildShardedReport(kernel, arch, problem, outcome,
                                       "sharded-estimator", concurrency);
+  steady.coveredPct = metrics::safePct(coveredSeconds, shardSeconds);
+  outcome.report.steadyState = steady;
   return outcome;
 }
 

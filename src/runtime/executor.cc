@@ -21,11 +21,61 @@ std::int64_t paramOrZero(const std::map<std::string, std::int64_t>& params,
   return it == params.end() ? 0 : it->second;
 }
 
+/// Rethrow a clock-range overflow naming the kernel and the shape.
+[[noreturn]] void throwClockRangeFor(
+    const codegen::KernelProgram& program,
+    const std::map<std::string, std::int64_t>& params,
+    const sunway::ClockRangeError& error) {
+  std::string shape;
+  for (const std::string& name : program.params)
+    shape += strCat(shape.empty() ? "" : " ", name, "=",
+                    paramOrZero(params, name.c_str()));
+  throw sunway::ClockRangeError(strCat("kernel '", program.name, "' at ",
+                                       shape, ": ", error.what()));
+}
+
+/// The estimator's jumps as the report's steady_state block.
+perf::PerfReport::SteadyState steadyStateReport(
+    const sunway::SteadyStateStats& stats, sunway::SimTime wall) {
+  using sunway::toSeconds;
+  perf::PerfReport::SteadyState out;
+  out.jumps = stats.jumps;
+  out.iterationsJumped = stats.iterationsJumped;
+  out.coveredPct =
+      metrics::safePct(toSeconds(stats.ticksJumped), toSeconds(wall));
+  out.loop = stats.loopVar;
+  out.periodIterations = stats.periodIterations;
+  out.periodSeconds = toSeconds(stats.periodTicks);
+  out.periodExposedDmaPct = metrics::safePct(
+      toSeconds(stats.periodDmaStallTicks), toSeconds(stats.periodTicks));
+  return out;
+}
+
 }  // namespace
+
+void fillSampleCounters(const sunway::CpeCounters& totals,
+                        perf::RunSample& sample) {
+  using sunway::toSeconds;
+  sample.computeSeconds = toSeconds(totals.computeTicks);
+  sample.dmaStallSeconds = toSeconds(totals.dmaStallTicks);
+  sample.rmaStallSeconds = toSeconds(totals.rmaStallTicks);
+  sample.syncStallSeconds = toSeconds(totals.syncStallTicks);
+  sample.retryStallSeconds = toSeconds(totals.retryStallTicks);
+  sample.dmaBusySeconds = toSeconds(totals.dmaBusyTicks);
+  sample.rmaBusySeconds = toSeconds(totals.rmaBusyTicks);
+  sample.dmaMessages = totals.dmaMessages;
+  sample.dmaBytes = totals.dmaBytes;
+  sample.rmaBroadcastsSent = totals.rmaBroadcastsSent;
+  sample.rmaBytesSent = totals.rmaBytesSent;
+  sample.syncs = totals.syncs;
+  sample.microKernelCalls = totals.microKernelCalls;
+  sample.faultsInjected = totals.faultsInjected;
+  sample.dmaRetries = totals.dmaRetries;
+}
 
 perf::PerfReport buildRunReport(
     const codegen::KernelProgram& program, const std::string& engine,
-    const std::map<std::string, std::int64_t>& params, double wallSeconds,
+    const std::map<std::string, std::int64_t>& params, sunway::SimTime wall,
     int cpeCount, double reportedFlops, const sunway::CpeCounters& totals,
     const sunway::ArchConfig& config) {
   perf::RunSample sample;
@@ -35,24 +85,10 @@ perf::PerfReport buildRunReport(
   sample.n = paramOrZero(params, "N");
   sample.k = paramOrZero(params, "K");
   sample.batch = paramOrZero(params, "BATCH");
-  sample.wallSeconds = wallSeconds;
+  sample.wallSeconds = sunway::toSeconds(wall);
   sample.cpeCount = cpeCount;
   sample.reportedFlops = reportedFlops;
-  sample.computeSeconds = totals.computeSeconds;
-  sample.dmaStallSeconds = totals.dmaStallSeconds;
-  sample.rmaStallSeconds = totals.rmaStallSeconds;
-  sample.syncStallSeconds = totals.syncStallSeconds;
-  sample.retryStallSeconds = totals.retryStallSeconds;
-  sample.dmaBusySeconds = totals.dmaBusySeconds;
-  sample.rmaBusySeconds = totals.rmaBusySeconds;
-  sample.dmaMessages = totals.dmaMessages;
-  sample.dmaBytes = totals.dmaBytes;
-  sample.rmaBroadcastsSent = totals.rmaBroadcastsSent;
-  sample.rmaBytesSent = totals.rmaBytesSent;
-  sample.syncs = totals.syncs;
-  sample.microKernelCalls = totals.microKernelCalls;
-  sample.faultsInjected = totals.faultsInjected;
-  sample.dmaRetries = totals.dmaRetries;
+  fillSampleCounters(totals, sample);
   return perf::buildPerfReport(sample, machineModelFromArch(config));
 }
 
@@ -79,18 +115,20 @@ perf::MachineModel machineModelFromArch(const sunway::ArchConfig& config,
 }
 
 metrics::DerivedRunMetrics deriveRunMetrics(
-    const sunway::CpeCounters& totals, double wallSeconds, int cpeCount,
+    const sunway::CpeCounters& totals, sunway::SimTime wall, int cpeCount,
     const codegen::KernelProgram& program, std::int64_t spmBudgetBytes) {
+  using sunway::toSeconds;
   metrics::DerivedRunMetrics m;
-  const double busy = totals.dmaBusySeconds + totals.rmaBusySeconds;
-  const double hidden = std::clamp(busy - totals.waitStallSeconds, 0.0, busy);
+  const double busy = toSeconds(totals.dmaBusyTicks) +
+                      toSeconds(totals.rmaBusyTicks);
+  const double waitStall = toSeconds(totals.waitStallTicks);
+  const double compute = toSeconds(totals.computeTicks);
+  const double hidden = std::clamp(busy - waitStall, 0.0, busy);
   // safePct maps an idle engine (busy == 0) to 0%, never NaN.
   m.overlapPct = metrics::safePct(hidden, busy);
-  const double active = totals.computeSeconds + totals.waitStallSeconds;
-  m.stallPct = metrics::safePct(totals.waitStallSeconds, active);
-  const double aggregateWall = wallSeconds * static_cast<double>(cpeCount);
-  m.computePct = std::min(
-      100.0, metrics::safePct(totals.computeSeconds, aggregateWall));
+  m.stallPct = metrics::safePct(waitStall, compute + waitStall);
+  const double aggregateWall = toSeconds(wall) * static_cast<double>(cpeCount);
+  m.computePct = std::min(100.0, metrics::safePct(compute, aggregateWall));
   m.spmHighWaterBytes = program.spmBytesUsed();
   m.spmBudgetBytes = spmBudgetBytes;
   if (spmBudgetBytes > 0)
@@ -146,16 +184,17 @@ RunOutcome runOnMesh(sunway::MeshSimulator& mesh,
       });
   RunOutcome outcome;
   outcome.engine = plan != nullptr ? "plan" : "tree";
-  outcome.seconds = meshResult.seconds;
-  outcome.gflops = metrics::safeDiv(reportedFlops, meshResult.seconds) / 1e9;
+  outcome.time = meshResult.time;
+  outcome.seconds = sunway::toSeconds(meshResult.time);
+  outcome.gflops = metrics::safeDiv(reportedFlops, outcome.seconds) / 1e9;
   outcome.counters = meshResult.totals;
   outcome.metrics =
-      deriveRunMetrics(meshResult.totals, meshResult.seconds,
+      deriveRunMetrics(meshResult.totals, meshResult.time,
                        mesh.config().meshSize(), program,
                        mesh.config().spmBytes);
   outcome.metrics.publish(metrics::MetricsRegistry::global(), "run.mesh.");
   outcome.report =
-      buildRunReport(program, "mesh", params, meshResult.seconds,
+      buildRunReport(program, "mesh", params, meshResult.time,
                      mesh.config().meshSize(), reportedFlops,
                      meshResult.totals, mesh.config());
   // Resilience counters accumulate across runs (unlike the per-run gauges
@@ -182,24 +221,31 @@ RunOutcome estimateTiming(const sunway::ArchConfig& config,
                     trace::arg("engine", plan != nullptr ? "plan" : "tree")},
                    "run");
   sunway::SymmetricCpeServices services(config);
-  if (plan != nullptr)
-    runCpePlan(*plan, params, ExecScalars{}, services);
-  else
-    runCpeProgram(program, params, ExecScalars{}, services);
   RunOutcome outcome;
+  try {
+    if (plan != nullptr)
+      runCpePlan(*plan, params, ExecScalars{}, services);
+    else
+      runCpeProgram(program, params, ExecScalars{}, services);
+    outcome.time = services.total();
+  } catch (const sunway::ClockRangeError& error) {
+    throwClockRangeFor(program, params, error);
+  }
   outcome.engine = plan != nullptr ? "plan" : "tree";
-  outcome.seconds = services.totalSeconds();
+  outcome.seconds = sunway::toSeconds(outcome.time);
   outcome.gflops = metrics::safeDiv(reportedFlops, outcome.seconds) / 1e9;
   outcome.counters = services.counters();
-  outcome.metrics = deriveRunMetrics(outcome.counters, outcome.seconds,
+  outcome.metrics = deriveRunMetrics(outcome.counters, outcome.time,
                                      /*cpeCount=*/1, program,
                                      config.spmBytes);
   outcome.metrics.publish(metrics::MetricsRegistry::global(),
                           "run.estimate.");
   outcome.report =
-      buildRunReport(program, "estimator", params, outcome.seconds,
+      buildRunReport(program, "estimator", params, outcome.time,
                      /*cpeCount=*/1, reportedFlops, outcome.counters,
                      config);
+  outcome.report.steadyState =
+      steadyStateReport(services.steadyStateStats(), outcome.time);
   SW_DEBUG("executor", "event=estimate kernel=", program.name,
            " sim_seconds=", outcome.seconds, " gflops=", outcome.gflops,
            " overlap_pct=", outcome.metrics.overlapPct,

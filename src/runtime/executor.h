@@ -28,7 +28,9 @@ enum class ExecEngine {
 };
 
 struct RunOutcome {
-  /// Simulated SW26010Pro seconds and the GFLOPS they imply.
+  /// Simulated SW26010Pro time in ticks, the same in seconds, and the
+  /// GFLOPS they imply.
+  sunway::SimTime time = 0;
   double seconds = 0.0;
   double gflops = 0.0;
   /// Engine that produced this outcome: "plan" or "tree" (the estimator
@@ -61,11 +63,16 @@ struct RunOutcome {
 [[nodiscard]] perf::MachineModel machineModelFromArch(
     const sunway::ArchConfig& config, int concurrentGroups);
 
+/// Copy `totals` into `sample`'s counter evidence, times in seconds;
+/// shared by single-group and sharded reports.
+void fillSampleCounters(const sunway::CpeCounters& totals,
+                        perf::RunSample& sample);
+
 /// Build one run's PerfReport from its aggregate counters; shared by the
 /// mesh and the estimator.
 [[nodiscard]] perf::PerfReport buildRunReport(
     const codegen::KernelProgram& program, const std::string& engine,
-    const std::map<std::string, std::int64_t>& params, double wallSeconds,
+    const std::map<std::string, std::int64_t>& params, sunway::SimTime wall,
     int cpeCount, double reportedFlops, const sunway::CpeCounters& totals,
     const sunway::ArchConfig& config);
 
@@ -73,7 +80,7 @@ struct RunOutcome {
 /// `cpeCount` is the number of CPEs the counters were summed over (64 for
 /// a mesh run, 1 for the symmetric estimator).
 metrics::DerivedRunMetrics deriveRunMetrics(
-    const sunway::CpeCounters& totals, double wallSeconds, int cpeCount,
+    const sunway::CpeCounters& totals, sunway::SimTime wall, int cpeCount,
     const codegen::KernelProgram& program, std::int64_t spmBudgetBytes);
 
 /// Bind program parameter names to concrete (padded) sizes.
@@ -97,7 +104,10 @@ RunOutcome runOnMesh(sunway::MeshSimulator& mesh,
                      const ExecutionPlan* plan = nullptr);
 
 /// Estimate timing with the sequential symmetric single-CPE model; scales
-/// to paper-sized shapes.  `plan` selects the engine as in runOnMesh.
+/// to paper-sized shapes.  `plan` selects the engine as in runOnMesh; the
+/// plan engine fast-forwards uniform loop iterations (exactly), the
+/// tree-walk steps every op.  A shape whose simulated time leaves the
+/// ~9,223 s clock range throws ClockRangeError naming the shape.
 RunOutcome estimateTiming(const sunway::ArchConfig& config,
                           const codegen::KernelProgram& program,
                           const std::map<std::string, std::int64_t>& params,

@@ -234,8 +234,7 @@ class Interpreter {
                                      "' still failing after ", attempt,
                                      " retries: ", error.what()));
         services_.noteDmaRetry();
-        services_.stallFor(kRetryBackoffSeconds * static_cast<double>(
-                                                      1 << attempt));
+        services_.stallFor(kRetryBackoffTicks << attempt);
         services_.dmaIssue(pending->second);
       }
     }
@@ -258,8 +257,7 @@ class Interpreter {
       k = std::min(k, envValue(info.clampK->boundParam) -
                           info.clampK->origin.evaluate(env_));
     if (m <= 0 || n <= 0 || k <= 0) return;
-    const double flops = 2.0 * static_cast<double>(m) *
-                         static_cast<double>(n) * static_cast<double>(k);
+    const std::int64_t flops = 2 * m * n * k;
     if (info.kind == ComputeMarkInfo::Kind::kAsm)
       services_.computeTimeMicro(flops, info.mr, info.nr);
     else
@@ -284,8 +282,7 @@ class Interpreter {
   void exec(const ElementwiseOp& op) {
     const ElementwiseMarkInfo& info = op.info;
     const std::int64_t count = info.rows * info.cols;
-    services_.computeTime(static_cast<double>(count),
-                          sunway::ComputeRate::kElementwise);
+    services_.computeTime(count, sunway::ComputeRate::kElementwise);
     if (!services_.functional()) return;
     double* tile = services_.spmPtr(resolveBuffer(info.target));
     switch (info.op) {
@@ -313,7 +310,7 @@ class Interpreter {
   /// Retry budget for transiently failed DMA and the base backoff stall
   /// (doubles per attempt: 1 µs, 2 µs, 4 µs of simulated time).
   static constexpr int kMaxDmaRetries = 3;
-  static constexpr double kRetryBackoffSeconds = 1e-6;
+  static constexpr sunway::SimTime kRetryBackoffTicks = 1'000'000'000;
 
   const KernelProgram& program_;
   const ExecScalars scalars_;

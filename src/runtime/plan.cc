@@ -47,6 +47,17 @@ class Lowerer {
     plan_->cidSlot = pushVar("Cid");
     lowerOps(program_.body);
     plan_->frameSlots = nextSlot_;
+    for (std::size_t i = 0; i < plan_->loops.size(); ++i) {
+      PlanLoop& l = plan_->loops[i];
+      l.clampsBegin = static_cast<int>(plan_->clamps.size());
+      plan_->clamps.insert(plan_->clamps.end(), loopClamps_[i].begin(),
+                           loopClamps_[i].end());
+      l.clampsEnd = static_cast<int>(plan_->clamps.size());
+      l.innerBegin = static_cast<int>(plan_->innerVars.size());
+      plan_->innerVars.insert(plan_->innerVars.end(), loopInner_[i].begin(),
+                              loopInner_[i].end());
+      l.innerEnd = static_cast<int>(plan_->innerVars.size());
+    }
     return std::move(plan_);
   }
 
@@ -128,6 +139,60 @@ class Lowerer {
 
   void emit(PlanOpcode op, int a) { plan_->code.push_back({op, a}); }
 
+  // --- fast-forward records: each open loop learns the variables bound in
+  // its body and the clamps whose origin reads its variable ---
+
+  void noteInnerVar(int slot, int extent, std::int64_t offset) {
+    for (const int loop : openLoops_)
+      loopInner_[static_cast<std::size_t>(loop)].push_back(
+          {slot, extent, offset});
+  }
+
+  /// A loop fast-forwards only if every DMA or clamp origin that reads its
+  /// variable never decreases: the clamp horizon search rests on that, and
+  /// so does skipping the negative-origin check in jumped iterations (each
+  /// origin there is at least its value in a stepped one).
+  void noteOrigin(int originExpr) {
+    for (const int loop : openLoops_) {
+      PlanLoop& l = plan_->loops[static_cast<std::size_t>(loop)];
+      if (reads(originExpr, l.varSlot) && !nonDecreasing(originExpr))
+        l.fastForward = false;
+    }
+  }
+
+  void noteClamp(int originExpr, int boundSlot, std::int64_t full) {
+    noteOrigin(originExpr);
+    for (const int loop : openLoops_)
+      if (reads(originExpr,
+                plan_->loops[static_cast<std::size_t>(loop)].varSlot))
+        loopClamps_[static_cast<std::size_t>(loop)].push_back(
+            {originExpr, boundSlot, full});
+  }
+
+  bool reads(int id, int slot) const {
+    const PlanExpr& e = plan_->exprs[static_cast<std::size_t>(id)];
+    for (int t = e.termsBegin; t < e.termsEnd; ++t)
+      if (plan_->terms[static_cast<std::size_t>(t)].slot == slot) return true;
+    for (int d = e.divsBegin; d < e.divsEnd; ++d)
+      if (reads(plan_->divTerms[static_cast<std::size_t>(d)].expr, slot))
+        return true;
+    return false;
+  }
+
+  /// Affine with nonnegative coefficients (floordiv terms included), so
+  /// the value never decreases as any variable grows.
+  bool nonDecreasing(int id) const {
+    const PlanExpr& e = plan_->exprs[static_cast<std::size_t>(id)];
+    for (int t = e.termsBegin; t < e.termsEnd; ++t)
+      if (plan_->terms[static_cast<std::size_t>(t)].coeff < 0) return false;
+    for (int d = e.divsBegin; d < e.divsEnd; ++d) {
+      const PlanDivTerm& div = plan_->divTerms[static_cast<std::size_t>(d)];
+      if (div.coeff < 0 || div.denom <= 0 || !nonDecreasing(div.expr))
+        return false;
+    }
+    return true;
+  }
+
   // --- op lowering ---
 
   void lowerOps(const OpList& ops) {
@@ -141,12 +206,19 @@ class Lowerer {
     l.endExtent = internExtent(loop.end);
     l.varSlot = pushVar(loop.var);
     l.limitSlot = nextSlot_++;
+    l.var = loop.var;
+    l.depth = static_cast<int>(openLoops_.size());
+    noteInnerVar(l.varSlot, l.endExtent, -1);
     const int index = static_cast<int>(plan_->loops.size());
     plan_->loops.push_back(l);
+    loopClamps_.emplace_back();
+    loopInner_.emplace_back();
     emit(PlanOpcode::kLoop, index);
     plan_->loops[static_cast<std::size_t>(index)].bodyPc =
         static_cast<int>(plan_->code.size());
+    openLoops_.push_back(index);
     lowerOps(loop.body);
+    openLoops_.pop_back();
     emit(PlanOpcode::kLoopEnd, index);
     plan_->loops[static_cast<std::size_t>(index)].endPc =
         static_cast<int>(plan_->code.size());
@@ -157,6 +229,7 @@ class Lowerer {
     PlanAssign a;
     a.extent = internExtent(assign.value);
     a.varSlot = pushVar(assign.var);
+    noteInnerVar(a.varSlot, a.extent, 0);
     plan_->assigns.push_back(a);
     emit(PlanOpcode::kAssign, static_cast<int>(plan_->assigns.size()) - 1);
     lowerOps(assign.body);
@@ -183,9 +256,14 @@ class Lowerer {
     d.base.slot = stmt.replySlot;
     d.slot = internName(plan_->slotNames, stmt.replySlot);
     d.array = internName(plan_->arrayNames, stmt.array);
-    if (stmt.batchIndex) d.batchExpr = lowerExpr(*stmt.batchIndex);
+    if (stmt.batchIndex) {
+      d.batchExpr = lowerExpr(*stmt.batchIndex);
+      noteOrigin(d.batchExpr);
+    }
     d.rowExpr = lowerExpr(stmt.rowStart);
     d.colExpr = lowerExpr(stmt.colStart);
+    noteOrigin(d.rowExpr);
+    noteOrigin(d.colExpr);
     if (stmt.clampToBounds) {
       // Edge tiles: the executor clamps rows/cols against the shape
       // parameters at issue time, keeping the full-tile SPM row stride.
@@ -193,6 +271,8 @@ class Lowerer {
       d.base.spmRowStrideElems = stmt.tileCols;
       d.rowBoundSlot = slotOf(stmt.rowsParam);
       d.colBoundSlot = slotOf(stmt.colsParam);
+      noteClamp(d.rowExpr, d.rowBoundSlot, stmt.tileRows);
+      noteClamp(d.colExpr, d.colBoundSlot, stmt.tileCols);
     }
     d.buffer = lowerBuffer(stmt.buffer);
     if (d.buffer.base < 0)
@@ -252,19 +332,21 @@ class Lowerer {
     c.m = info.m;
     c.n = info.n;
     c.k = info.k;
-    c.flops = 2.0 * static_cast<double>(info.m) *
-              static_cast<double>(info.n) * static_cast<double>(info.k);
+    c.flops = 2 * info.m * info.n * info.k;
     if (info.clampM) {
       c.mOriginExpr = lowerExpr(info.clampM->origin);
       c.mBoundSlot = slotOf(info.clampM->boundParam);
+      noteClamp(c.mOriginExpr, c.mBoundSlot, c.m);
     }
     if (info.clampN) {
       c.nOriginExpr = lowerExpr(info.clampN->origin);
       c.nBoundSlot = slotOf(info.clampN->boundParam);
+      noteClamp(c.nOriginExpr, c.nBoundSlot, c.n);
     }
     if (info.clampK) {
       c.kOriginExpr = lowerExpr(info.clampK->origin);
       c.kBoundSlot = slotOf(info.clampK->boundParam);
+      noteClamp(c.kOriginExpr, c.kBoundSlot, c.k);
     }
     c.a = lowerBuffer(info.a);
     c.b = lowerBuffer(info.b);
@@ -293,12 +375,18 @@ class Lowerer {
   std::shared_ptr<ExecutionPlan> plan_;
   std::map<std::string, std::vector<int>> scope_;
   int nextSlot_ = 0;
+  /// Loops enclosing the op being lowered, outermost first, and each
+  /// loop's fast-forward records until lower() pools them.
+  std::vector<int> openLoops_;
+  std::vector<std::vector<PlanClamp>> loopClamps_;
+  std::vector<std::vector<PlanInnerVar>> loopInner_;
 };
 
 /// Register-machine executor over one CPE's frame.  All name resolution
 /// happened at lowering; the bind step (constructor) maps the plan's
 /// interned ids onto the runtime's and evaluates the extent table, so the
-/// dispatch loop below touches only integers.
+/// dispatch loop below touches only integers.  Against a SteadyState it
+/// fast-forwards loops at their back-edges (fastForward below).
 class PlanExecutor {
  public:
   PlanExecutor(const ExecutionPlan& plan,
@@ -309,7 +397,9 @@ class PlanExecutor {
         services_(services),
         functional_(services.functional()),
         guardAlwaysTrue_(services.guardAlwaysTrue()),
+        steady_(services.steadyState()),
         frame_(static_cast<std::size_t>(plan.frameSlots), 0) {
+    if (steady_ != nullptr) history_.resize(plan.loops.size());
     for (const auto& [name, slot] : plan.paramSlots) {
       auto it = params.find(name);
       if (it == params.end())
@@ -367,16 +457,22 @@ class PlanExecutor {
           const std::int64_t limit =
               extentValues_[static_cast<std::size_t>(l.endExtent)];
           frame_[static_cast<std::size_t>(l.limitSlot)] = limit;
+          if (steady_ != nullptr) {
+            LoopHistory& h = history_[static_cast<std::size_t>(in.a)];
+            h.taken = 0;
+            h.horizonKnown = false;
+          }
           pc = begin < limit ? l.bodyPc : l.endPc;
           break;
         }
         case PlanOpcode::kLoopEnd: {
           const PlanLoop& l = plan_.loops[static_cast<std::size_t>(in.a)];
-          const std::int64_t next =
-              ++frame_[static_cast<std::size_t>(l.varSlot)];
-          pc = next < frame_[static_cast<std::size_t>(l.limitSlot)]
-                   ? l.bodyPc
-                   : pc + 1;
+          std::int64_t& var = frame_[static_cast<std::size_t>(l.varSlot)];
+          const std::int64_t limit =
+              frame_[static_cast<std::size_t>(l.limitSlot)];
+          if (++var < limit && steady_ != nullptr && l.fastForward)
+            fastForward(in.a);
+          pc = var < limit ? l.bodyPc : pc + 1;
           break;
         }
         case PlanOpcode::kAssign: {
@@ -425,7 +521,7 @@ class PlanExecutor {
  private:
   /// Same retry budget and backoff as the tree-walking interpreter.
   static constexpr int kMaxDmaRetries = 3;
-  static constexpr double kRetryBackoffSeconds = 1e-6;
+  static constexpr sunway::SimTime kRetryBackoffTicks = 1'000'000'000;
 
   std::int64_t evalExpr(int id) const {
     const PlanExpr& e = plan_.exprs[static_cast<std::size_t>(id)];
@@ -439,6 +535,81 @@ class PlanExecutor {
       value += div.coeff * floorDiv(evalExpr(div.expr), div.denom);
     }
     return value;
+  }
+
+  /// Back-edge of loop `index`, its variable already at the next
+  /// iteration: snapshot the timing state and, once it repeats with a
+  /// period of 1 or 2 iterations, jump every whole period left before the
+  /// clamp horizon.  The measured iterations lie below the horizon too, so
+  /// they issue the same ops as the skipped ones.
+  void fastForward(int index) {
+    const PlanLoop& l = plan_.loops[static_cast<std::size_t>(index)];
+    LoopHistory& h = history_[static_cast<std::size_t>(index)];
+    std::int64_t& var = frame_[static_cast<std::size_t>(l.varSlot)];
+    if (!h.horizonKnown) {
+      h.horizon = clampHorizon(l);
+      h.horizonKnown = true;
+    }
+    if (var > h.horizon) return;
+    sunway::TimingSnapshot& now = h.snaps[h.taken % 3];
+    steady_->snapshot(now);
+    ++h.taken;
+    for (int period = 1; period <= 2 && period < h.taken; ++period) {
+      const sunway::TimingSnapshot& past = h.snaps[(h.taken - 1 - period) % 3];
+      if (past.relative != now.relative) continue;
+      const std::int64_t periods = (h.horizon - var + 1) / period;
+      if (periods == 0) return;
+      sunway::SteadyStateJump jump;
+      jump.loopVar = &l.var;
+      jump.depth = l.depth;
+      jump.periodIterations = period;
+      jump.periods = periods;
+      jump.periodTicks = now.clock - past.clock;
+      jump.periodCounters = now.counters.minus(past.counters);
+      steady_->jump(jump);
+      var += periods * period;
+      h.taken = 0;
+      return;
+    }
+  }
+
+  /// The last iteration of `l`, from the current one on, in which no clamp
+  /// whose origin reads its variable binds (the current one minus 1 when
+  /// one binds now).  Origins never decrease (lowering checks), so setting
+  /// every variable bound in the body to its largest value covers the whole
+  /// body, and the binding iterations form a suffix: binary search.  The
+  /// body's variables are dead at a back-edge, so overwriting them is safe.
+  std::int64_t clampHorizon(const PlanLoop& l) {
+    std::int64_t& var = frame_[static_cast<std::size_t>(l.varSlot)];
+    const std::int64_t current = var;
+    std::int64_t lo = current - 1;
+    std::int64_t hi = frame_[static_cast<std::size_t>(l.limitSlot)] - 1;
+    if (l.clampsBegin == l.clampsEnd) return hi;
+    for (int i = l.innerBegin; i < l.innerEnd; ++i) {
+      const PlanInnerVar& inner = plan_.innerVars[static_cast<std::size_t>(i)];
+      frame_[static_cast<std::size_t>(inner.slot)] =
+          extentValues_[static_cast<std::size_t>(inner.extent)] + inner.offset;
+    }
+    const auto uniform = [&](std::int64_t iteration) {
+      var = iteration;
+      for (int c = l.clampsBegin; c < l.clampsEnd; ++c) {
+        const PlanClamp& clamp = plan_.clamps[static_cast<std::size_t>(c)];
+        if (frame_[static_cast<std::size_t>(clamp.boundSlot)] -
+                evalExpr(clamp.originExpr) <
+            clamp.full)
+          return false;
+      }
+      return true;
+    };
+    while (lo < hi) {
+      const std::int64_t mid = lo + (hi - lo + 1) / 2;
+      if (uniform(mid))
+        lo = mid;
+      else
+        hi = mid - 1;
+    }
+    var = current;
+    return lo;
   }
 
   std::int64_t resolveBuffer(const PlanBufferRef& ref) const {
@@ -527,8 +698,7 @@ class PlanExecutor {
                      "' still failing after ", attempt,
                      " retries: ", error.what()));
         services_.noteDmaRetry();
-        services_.stallFor(kRetryBackoffSeconds *
-                           static_cast<double>(1 << attempt));
+        services_.stallFor(kRetryBackoffTicks << attempt);
         services_.dmaIssue(dmaRequests_[static_cast<std::size_t>(last)]);
       }
     }
@@ -539,7 +709,7 @@ class PlanExecutor {
     // Edge tiles: clamp each dimension to the valid extent; a fully
     // out-of-range tile skips the kernel (and charges zero flops).
     std::int64_t m = c.m, n = c.n, k = c.k;
-    double flops = c.flops;
+    std::int64_t flops = c.flops;
     if (c.mBoundSlot >= 0)
       m = std::min(m, frame_[static_cast<std::size_t>(c.mBoundSlot)] -
                           evalExpr(c.mOriginExpr));
@@ -552,8 +722,7 @@ class PlanExecutor {
     const bool partial = m != c.m || n != c.n || k != c.k;
     if (partial) {
       if (m <= 0 || n <= 0 || k <= 0) return;
-      flops = 2.0 * static_cast<double>(m) * static_cast<double>(n) *
-              static_cast<double>(k);
+      flops = 2 * m * n * k;
     }
     if (c.isAsm)
       services_.computeTimeMicro(flops, c.mr, c.nr);
@@ -580,8 +749,7 @@ class PlanExecutor {
     const PlanElementwise& e =
         plan_.elementwises[static_cast<std::size_t>(index)];
     const std::int64_t count = e.rows * e.cols;
-    services_.computeTime(static_cast<double>(count),
-                          sunway::ComputeRate::kElementwise);
+    services_.computeTime(count, sunway::ComputeRate::kElementwise);
     if (!functional_) return;
     double* tile = services_.spmPtr(resolveBuffer(e.target));
     switch (e.op) {
@@ -610,6 +778,18 @@ class PlanExecutor {
   sunway::CpeServices& services_;
   const bool functional_;
   const bool guardAlwaysTrue_;
+  /// Non-null for a timing-only runtime whose loops may fast-forward.
+  sunway::SteadyState* const steady_;
+  /// Per-loop steady-state detection state, reset whenever the loop is
+  /// entered: the last three back-edge snapshots (a ring), how many were
+  /// taken since entry or the last jump, and the clamp horizon.
+  struct LoopHistory {
+    sunway::TimingSnapshot snaps[3];
+    int taken = 0;
+    bool horizonKnown = false;
+    std::int64_t horizon = 0;
+  };
+  std::vector<LoopHistory> history_;
   std::vector<std::int64_t> frame_;
   std::vector<std::int64_t> extentValues_;
   /// Plan-local id -> runtime id, bound once per run.

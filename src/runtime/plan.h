@@ -25,6 +25,16 @@
 // semantics bit-identical to the tree-walking interpreter (see
 // tests/plan_equivalence_test.cc), including the DMA retry protocol under
 // fault injection.
+//
+// Against a timing-only backend with a SteadyState (the symmetric
+// estimator), the executor also fast-forwards: at a loop's back-edge it
+// snapshots the relative timing state, and when it equals the one 1 or 2
+// back-edges earlier it jumps the remaining uniform iterations at once
+// (see sunway/estimator.h for why that is exact).  Iterations are uniform
+// up to the loop's clamp horizon: the last iteration in which no edge-tile
+// clamp whose origin reads the loop variable can bind.  Lowering records
+// those clamps per loop; the jumped result equals stepping in every tick
+// and counter (tests/fast_forward_test.cc).
 #pragma once
 
 #include <cstdint>
@@ -74,6 +84,22 @@ struct PlanBufferRef {
   int phases = 1;
 };
 
+/// An edge-tile clamp `min(full, frame[boundSlot] - eval(originExpr))`;
+/// it binds in an iteration where the bound leaves less than `full`.
+struct PlanClamp {
+  int originExpr = 0;
+  int boundSlot = 0;
+  std::int64_t full = 0;
+};
+
+/// A loop or assign variable bound inside a loop body, at its largest
+/// value: extentValues[extent] + offset (-1 past a loop's end).
+struct PlanInnerVar {
+  int slot = 0;
+  int extent = 0;
+  std::int64_t offset = 0;
+};
+
 /// for-loop descriptor; begin/end are per-run extent-table entries (loop
 /// extents only ever depend on structure parameters).
 struct PlanLoop {
@@ -83,6 +109,18 @@ struct PlanLoop {
   int endExtent = 0;
   int bodyPc = 0;
   int endPc = 0;
+  /// Steady-state fast-forward: the variable's name and the loop's nesting
+  /// depth (0 outermost), for the report and the trace; the clamps whose
+  /// origin reads the variable and the variables bound in the body, as
+  /// ranges into ExecutionPlan::clamps / innerVars.  `fastForward` is
+  /// false when a clamp or DMA origin that reads the variable is not
+  /// affine with nonnegative coefficients: the horizon search needs
+  /// origins that never decrease.
+  std::string var;
+  int depth = 0;
+  bool fastForward = true;
+  int clampsBegin = 0, clampsEnd = 0;
+  int innerBegin = 0, innerEnd = 0;
 };
 
 /// Peeled single iteration: frame[varSlot] = extentValues[extent].
@@ -132,7 +170,7 @@ struct PlanCompute {
   /// Register-block variant of the generated micro-kernel (kAsm only).
   int mr = 4, nr = 8;
   std::int64_t m = 0, n = 0, k = 0;
-  double flops = 0.0;
+  std::int64_t flops = 0;
   PlanBufferRef a, b, c;
   /// Edge-tile clamps (boundSlot < 0 means the dimension is unclamped):
   /// effective extent = min(full, frame[boundSlot] - eval(originExpr)).
@@ -185,6 +223,10 @@ struct ExecutionPlan {
   std::vector<PlanExpr> exprs;
   std::vector<PlanTerm> terms;
   std::vector<PlanDivTerm> divTerms;
+
+  /// Per-loop fast-forward records (PlanLoop ranges point here).
+  std::vector<PlanClamp> clamps;
+  std::vector<PlanInnerVar> innerVars;
 
   /// Loop/assign extents, deduplicated; evaluated once per run into a value
   /// table (they depend only on structure parameters).

@@ -7,11 +7,14 @@
 // *relationships* the paper reports (the breakdown factors of §8.1, the
 // latency-hiding overlap counts of §6, the xMath crossovers of §8.2)
 // reproduce.  Every quantity is a plain named field so ablation benches can
-// sweep it.
+// sweep it.  The fields are plain seconds and rates; the duration
+// functions below round each op's time once into SimTime ticks.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+
+#include "sunway/sim_time.h"
 
 namespace sw::sunway {
 
@@ -119,21 +122,34 @@ struct ArchConfig {
   }
 
   /// Time for one DMA message of `bytes` spread over `rows` strided rows.
-  [[nodiscard]] double dmaSeconds(std::int64_t bytes, std::int64_t rows) const {
-    return dmaStartupSeconds + static_cast<double>(bytes) / dmaShareBytesPerSec() +
-           dmaStridePenaltySecondsPerRow * static_cast<double>(rows);
+  [[nodiscard]] SimTime dmaTime(std::int64_t bytes, std::int64_t rows) const {
+    return ticksFromSeconds(
+        dmaStartupSeconds +
+        static_cast<double>(bytes) / dmaShareBytesPerSec() +
+        dmaStridePenaltySecondsPerRow * static_cast<double>(rows));
   }
 
   /// Time for one RMA broadcast of `bytes` along a row or column.
-  [[nodiscard]] double rmaSeconds(std::int64_t bytes) const {
-    return rmaStartupSeconds +
-           static_cast<double>(bytes) / rmaBandwidthBytesPerSec;
+  [[nodiscard]] SimTime rmaTime(std::int64_t bytes) const {
+    return ticksFromSeconds(rmaStartupSeconds +
+                            static_cast<double>(bytes) /
+                                rmaBandwidthBytesPerSec);
   }
 
   /// Time to execute `flops` on one CPE at `flopsPerCycle * efficiency`.
-  [[nodiscard]] double cpeComputeSeconds(double flops, double flopsPerCycle,
-                                         double efficiency = 1.0) const {
-    return flops / (cpeFrequencyHz * flopsPerCycle * efficiency);
+  [[nodiscard]] SimTime cpeComputeTime(std::int64_t flops,
+                                       double flopsPerCycle,
+                                       double efficiency = 1.0) const {
+    return ticksFromSeconds(static_cast<double>(flops) /
+                            (cpeFrequencyHz * flopsPerCycle * efficiency));
+  }
+
+  /// Mesh barrier cost and athread_spawn + join overhead.
+  [[nodiscard]] SimTime syncTime() const {
+    return ticksFromSeconds(syncSeconds);
+  }
+  [[nodiscard]] SimTime spawnOverheadTime() const {
+    return ticksFromSeconds(spawnOverheadSeconds);
   }
 
   /// Sustained-efficiency model for a generated MR x NR micro-kernel

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -132,6 +133,12 @@ FaultSpec parseOne(const std::string& raw) {
       if (out.seconds <= 0.0) {
         throw InputError("fault spec '" + spec + "': seconds must be > 0");
       }
+      if (!(out.seconds <
+            toSeconds(std::numeric_limits<SimTime>::max()))) {
+        throw InputError("fault spec '" + spec +
+                         "': seconds must stay inside the ~9,223 s "
+                         "simulated clock range");
+      }
     } else if (field == "rate") {
       out.rate = parseDouble(value, field, spec);
       if (out.rate <= 0.0 || out.rate > 1.0) {
@@ -259,10 +266,10 @@ FaultDecision FaultPlan::decide(FaultOpClass opClass, int cpe,
         break;
       case FaultKind::kDmaDelay:
       case FaultKind::kRmaDelay:
-        d.delaySeconds += spec.seconds;
+        d.delayTicks = addTicks(d.delayTicks, ticksFromSeconds(spec.seconds));
         break;
       case FaultKind::kCpeStall:
-        d.stallSeconds += spec.seconds;
+        d.stallTicks = addTicks(d.stallTicks, ticksFromSeconds(spec.seconds));
         break;
     }
   }

@@ -17,6 +17,8 @@
 #include <string>
 #include <vector>
 
+#include "sunway/sim_time.h"
+
 namespace sw::sunway {
 
 /// Operation classes fault sites are keyed on (per-CPE ordinals).
@@ -61,8 +63,8 @@ struct FaultDecision {
   bool dropTransient = false;  // detected failure: wait throws TransientError
   bool dropPermanent = false;  // message lost forever: waiters hang
   bool corrupt = false;        // corrupt the landed tile, flag the slot
-  double delaySeconds = 0.0;   // added to the message completion time
-  double stallSeconds = 0.0;   // added to the CPE clock at the site
+  SimTime delayTicks = 0;      // added to the message completion time
+  SimTime stallTicks = 0;      // added to the CPE clock at the site
   int injected = 0;            // matched specs (feeds counters.faultsInjected)
 
   [[nodiscard]] bool any() const { return injected > 0; }

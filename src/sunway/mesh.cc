@@ -33,8 +33,8 @@ namespace {
 
 /// One in-flight or completed broadcast round on a mesh line.
 struct RmaRound {
-  double sendTimeSeconds = 0.0;
-  double transferSeconds = 0.0;
+  SimTime sendTime = 0;
+  SimTime transfer = 0;
   /// Injected transient loss: the round exists (so ordinal matching on the
   /// slot stays aligned) but carries no data; receivers fail cleanly.
   bool dropped = false;
@@ -190,7 +190,7 @@ class MeshSimulator::Impl {
         config_(config),
         functional_(functional),
         meshSize_(config.meshSize()),
-        clocks_(static_cast<std::size_t>(meshSize_), 0.0) {
+        clocks_(static_cast<std::size_t>(meshSize_), 0) {
     if (functional_) {
       spms_.resize(static_cast<std::size_t>(meshSize_));
       const std::size_t words =
@@ -207,8 +207,8 @@ class MeshSimulator::Impl {
   // --- barrier with clock-max completion ---
   int barrierArrived_ = 0;
   std::int64_t barrierGeneration_ = 0;
-  double barrierMaxClock_ = 0.0;
-  std::vector<double> clocks_;
+  SimTime barrierMaxClock_ = 0;
+  std::vector<SimTime> clocks_;
 
   // --- mesh-wide interners: slot / array names -> dense ids shared by
   // every CPE, so RMA channel lines and lowered-plan bindings agree across
@@ -278,6 +278,7 @@ class CpeFiber final : public CpeServices {
         rid_(cpeId / mesh.config_.meshCols),
         cid_(cpeId % mesh.config_.meshCols),
         tracing_(trace::enabled()),
+        syncTicks_(mesh.config_.syncTime()),
         body_(body),
         stack_(stack) {}
   ~CpeFiber() override {
@@ -342,7 +343,8 @@ class CpeFiber final : public CpeServices {
     if (state_ == CpeState::kDmaHang)
       os << " blocked_on=\"dma_wait_value slot='" << waitSlot
          << "' (reply permanently dropped)\"";
-    os << " clock=" << clock_ << "s dma_msgs=" << counters_.dmaMessages
+    os << " clock=" << toSeconds(clock_)
+       << "s dma_msgs=" << counters_.dmaMessages
        << " rma_sent=" << counters_.rmaBroadcastsSent
        << " syncs=" << counters_.syncs
        << " faults=" << counters_.faultsInjected
@@ -389,11 +391,11 @@ class CpeFiber final : public CpeServices {
     return mesh_.arrayNames_.intern(name);
   }
 
-  void stallFor(double seconds) override {
-    if (seconds <= 0.0) return;
-    counters_.waitStallSeconds += seconds;
-    counters_.retryStallSeconds += seconds;
-    clock_ += seconds;
+  void stallFor(SimTime ticks) override {
+    if (ticks <= 0) return;
+    counters_.waitStallTicks = addTicks(counters_.waitStallTicks, ticks);
+    counters_.retryStallTicks = addTicks(counters_.retryStallTicks, ticks);
+    clock_ = addTicks(clock_, ticks);
   }
 
   void noteDmaRetry() override { ++counters_.dmaRetries; }
@@ -404,15 +406,17 @@ class CpeFiber final : public CpeServices {
       const FaultDecision fault =
           plan_->decide(FaultOpClass::kSync, cpeId_, syncOccurrence_++);
       counters_.faultsInjected += fault.injected;
-      if (fault.stallSeconds > 0.0) {
+      if (fault.stallTicks > 0) {
         // The stalled CPE reaches the barrier late; everyone inherits the
         // delay through the barrier's clock max.
-        counters_.waitStallSeconds += fault.stallSeconds;
-        counters_.syncStallSeconds += fault.stallSeconds;
-        clock_ += fault.stallSeconds;
+        counters_.waitStallTicks =
+            addTicks(counters_.waitStallTicks, fault.stallTicks);
+        counters_.syncStallTicks =
+            addTicks(counters_.syncStallTicks, fault.stallTicks);
+        clock_ = addTicks(clock_, fault.stallTicks);
       }
     }
-    const double entryClock = clock_;
+    const SimTime entryClock = clock_;
     mesh_.clocks_[static_cast<std::size_t>(cpeId_)] = clock_;
     if (++mesh_.barrierArrived_ == mesh_.meshSize_) {
       mesh_.barrierMaxClock_ =
@@ -425,11 +429,13 @@ class CpeFiber final : public CpeServices {
       if (mesh_.aborted_)
         throw ProtocolError("mesh aborted while waiting at a barrier");
     }
-    clock_ = mesh_.barrierMaxClock_ + mesh_.config_.syncSeconds;
-    counters_.syncStallSeconds += clock_ - entryClock;
+    clock_ = addTicks(mesh_.barrierMaxClock_, syncTicks_);
+    counters_.syncStallTicks =
+        addTicks(counters_.syncStallTicks, clock_ - entryClock);
     if (tracing_)
       trace::Tracer::global().simSpan(trace::kMeshPid, cpeId_, "sync", "sync",
-                                      entryClock, clock_);
+                                      toSeconds(entryClock),
+                                      toSeconds(clock_));
   }
 
   void dmaIssue(const DmaRequest& request) override {
@@ -486,20 +492,20 @@ class CpeFiber final : public CpeServices {
     // Non-blocking, but messages from this CPE serialise on its DMA engine;
     // the reply slot was reset by the issue itself (reply = 0; dma_iget(...)
     // pattern of §4).
-    const double start = std::max(clock_, dmaEngineBusyUntil_);
-    const double done = start +
-                        mesh_.config_.dmaSeconds(bytes, request.tileRows) +
-                        fault.delaySeconds;
-    counters_.dmaBusySeconds += done - start;
+    const SimTime start = std::max(clock_, dmaEngineBusyUntil_);
+    const SimTime transfer = addTicks(
+        mesh_.config_.dmaTime(bytes, request.tileRows), fault.delayTicks);
+    const SimTime done = addTicks(start, transfer);
+    counters_.dmaBusyTicks = addTicks(counters_.dmaBusyTicks, transfer);
     dmaEngineBusyUntil_ = done;
     slot.completion = done;
     slot.hasMessage = true;
-    clock_ += issueOverheadSeconds;
+    clock_ = addTicks(clock_, kIssueOverheadTicks);
     if (tracing_)
       trace::Tracer::global().simSpan(
           trace::kMeshPid, trace::kDmaLaneOffset + cpeId_,
           strCat("dma:", request.isPut ? "put:" : "get:", request.array),
-          "dma", start, done,
+          "dma", toSeconds(start), toSeconds(done),
           {trace::arg("bytes", bytes), trace::arg("slot", request.slot)});
   }
 
@@ -521,9 +527,10 @@ class CpeFiber final : public CpeServices {
         mesh_.lineChannel(slotId, isRow, isRow ? rid_ : cid_);
     const bool dropped = fault.dropTransient || fault.dropPermanent;
     if (mesh_.functional_ && !dropped) moveRmaData(request);
-    const double transfer =
-        mesh_.config_.rmaSeconds(request.bytes) + fault.delaySeconds;
-    counters_.rmaBusySeconds += transfer;
+    const SimTime transfer =
+        addTicks(mesh_.config_.rmaTime(request.bytes), fault.delayTicks);
+    const SimTime done = addTicks(clock_, transfer);
+    counters_.rmaBusyTicks = addTicks(counters_.rmaBusyTicks, transfer);
     // A permanently lost message appends no round, so every receiver of
     // this line parks on the slot's next ordinal until the scheduler finds
     // the mesh deadlocked.  A transient drop must instead push a failed
@@ -535,11 +542,11 @@ class CpeFiber final : public CpeServices {
     if (tracing_)
       trace::Tracer::global().simSpan(
           trace::kMeshPid, trace::kRmaLaneOffset + cpeId_,
-          isRow ? "rma:rowbcast" : "rma:colbcast", "rma", clock_,
-          clock_ + transfer,
+          isRow ? "rma:rowbcast" : "rma:colbcast", "rma", toSeconds(clock_),
+          toSeconds(done),
           {trace::arg("bytes", request.bytes),
            trace::arg("slot", request.slot)});
-    clock_ += issueOverheadSeconds;
+    clock_ = addTicks(clock_, kIssueOverheadTicks);
   }
 
   void waitSlot(const std::string& slot, bool isRma,
@@ -555,13 +562,13 @@ class CpeFiber final : public CpeServices {
                                    mesh_.slotNames_.name(slotId),
                                    "' with no message"));
       if (slot.completion > clock_) {
-        counters_.waitStallSeconds += slot.completion - clock_;
-        counters_.dmaStallSeconds += slot.completion - clock_;
+        counters_.waitStallTicks += slot.completion - clock_;
+        counters_.dmaStallTicks += slot.completion - clock_;
         if (tracing_)
           trace::Tracer::global().simSpan(
               trace::kMeshPid, cpeId_,
-              strCat("wait:", mesh_.slotNames_.name(slotId)), "stall", clock_,
-              slot.completion);
+              strCat("wait:", mesh_.slotNames_.name(slotId)), "stall",
+              toSeconds(clock_), toSeconds(slot.completion));
         clock_ = slot.completion;
       }
       if (slot.hang) {
@@ -586,50 +593,39 @@ class CpeFiber final : public CpeServices {
     consumeRound(mesh_.lineChannel(slotId, isRowBroadcast, line), slotId);
   }
 
-  void computeTime(double flops, ComputeRate rate) override {
-    double seconds = 0.0;
+  void computeTime(std::int64_t flops, ComputeRate rate) override {
+    const ArchConfig& config = mesh_.config_;
+    SimTime ticks = 0;
     const char* name = "compute";
     switch (rate) {
       case ComputeRate::kAsmKernel:
-        seconds = mesh_.config_.cpeComputeSeconds(
-            flops, mesh_.config_.cpeFlopsPerCycle,
-            mesh_.config_.asmKernelEfficiency);
+        ticks = config.cpeComputeTime(flops, config.cpeFlopsPerCycle,
+                                      config.asmKernelEfficiency);
         ++counters_.microKernelCalls;
         counters_.flops += flops;
         name = "microkernel";
         break;
       case ComputeRate::kNaive:
-        seconds = mesh_.config_.cpeComputeSeconds(
-            flops, mesh_.config_.naiveFlopsPerCycle);
+        ticks = config.cpeComputeTime(flops, config.naiveFlopsPerCycle);
         counters_.flops += flops;
         name = "naive_compute";
         break;
       case ComputeRate::kElementwise:
-        seconds = mesh_.config_.cpeComputeSeconds(
-            flops, mesh_.config_.elementwiseFlopsPerCycle);
+        ticks = config.cpeComputeTime(flops, config.elementwiseFlopsPerCycle);
         name = "elementwise";
         break;
     }
-    if (tracing_)
-      trace::Tracer::global().simSpan(trace::kMeshPid, cpeId_, name,
-                                      "compute", clock_, clock_ + seconds,
-                                      {trace::arg("flops", flops)});
-    clock_ += seconds;
-    counters_.computeSeconds += seconds;
+    charge(name, flops, ticks);
   }
 
-  void computeTimeMicro(double flops, int mr, int nr) override {
-    const double seconds = mesh_.config_.cpeComputeSeconds(
-        flops, mesh_.config_.cpeFlopsPerCycle,
-        mesh_.config_.microKernelEfficiency(mr, nr));
+  void computeTimeMicro(std::int64_t flops, int mr, int nr) override {
+    const ArchConfig& config = mesh_.config_;
+    const SimTime ticks =
+        config.cpeComputeTime(flops, config.cpeFlopsPerCycle,
+                              config.microKernelEfficiency(mr, nr));
     ++counters_.microKernelCalls;
     counters_.flops += flops;
-    if (tracing_)
-      trace::Tracer::global().simSpan(trace::kMeshPid, cpeId_, "microkernel",
-                                      "compute", clock_, clock_ + seconds,
-                                      {trace::arg("flops", flops)});
-    clock_ += seconds;
-    counters_.computeSeconds += seconds;
+    charge("microkernel", flops, ticks);
   }
 
   [[nodiscard]] double* spmPtr(std::int64_t offsetBytes) override {
@@ -637,13 +633,25 @@ class CpeFiber final : public CpeServices {
     return spmPtrOf(cpeId_, offsetBytes);
   }
 
-  [[nodiscard]] double clockSeconds() const override { return clock_; }
+  [[nodiscard]] SimTime clock() const override { return clock_; }
   [[nodiscard]] const CpeCounters& counters() const override {
     return counters_;
   }
 
  private:
-  static constexpr double issueOverheadSeconds = 0.05e-6;
+  static constexpr SimTime kIssueOverheadTicks = 50'000'000;  // 0.05 µs
+
+  /// Compute of `ticks` on the CPE clock.
+  void charge(const char* name, std::int64_t flops, SimTime ticks) {
+    const SimTime start = clock_;
+    clock_ = addTicks(clock_, ticks);
+    counters_.computeTicks = addTicks(counters_.computeTicks, ticks);
+    if (tracing_)
+      trace::Tracer::global().simSpan(trace::kMeshPid, cpeId_, name,
+                                      "compute", toSeconds(start),
+                                      toSeconds(clock_),
+                                      {trace::arg("flops", flops)});
+  }
 
   /// makecontext passes int arguments only, so `this` arrives split.
   static void entry(unsigned high, unsigned low) {
@@ -774,15 +782,15 @@ class CpeFiber final : public CpeServices {
       throw ProtocolError(strCat("RMA round ", round, " on slot '",
                                  mesh_.slotNames_.name(slotId),
                                  "' was dropped in transit (injected fault)"));
-    const double completion = r.sendTimeSeconds + r.transferSeconds;
+    const SimTime completion = addTicks(r.sendTime, r.transfer);
     if (completion > clock_) {
-      counters_.waitStallSeconds += completion - clock_;
-      counters_.rmaStallSeconds += completion - clock_;
+      counters_.waitStallTicks += completion - clock_;
+      counters_.rmaStallTicks += completion - clock_;
       if (tracing_)
         trace::Tracer::global().simSpan(
             trace::kMeshPid, cpeId_,
-            strCat("wait:", mesh_.slotNames_.name(slotId)), "stall", clock_,
-            completion);
+            strCat("wait:", mesh_.slotNames_.name(slotId)), "stall",
+            toSeconds(clock_), toSeconds(completion));
       clock_ = completion;
     }
   }
@@ -792,7 +800,7 @@ class CpeFiber final : public CpeServices {
   /// in-flight descriptor for the deadlock dump.  Vector-indexed so the
   /// interned hot path is one load, no hashing.
   struct SlotState {
-    double completion = 0.0;
+    SimTime completion = 0;
     bool hasMessage = false;
     bool hang = false;                   // reply permanently dropped
     const char* failedReason = nullptr;  // transient failure, cleared by wait
@@ -813,8 +821,9 @@ class CpeFiber final : public CpeServices {
   int rid_;
   int cid_;
   bool tracing_;
-  double clock_ = 0.0;
-  double dmaEngineBusyUntil_ = 0.0;
+  SimTime syncTicks_;
+  SimTime clock_ = 0;
+  SimTime dmaEngineBusyUntil_ = 0;
   CpeCounters counters_;
   std::vector<SlotState> slots_;
   // Fault bookkeeping: per-op-class ordinals (the plan's occurrence key).
@@ -881,7 +890,7 @@ MeshRunResult MeshSimulator::run(
   mesh.firstError_ = nullptr;
   mesh.aborted_ = false;
   mesh.barrierArrived_ = 0;
-  std::fill(mesh.clocks_.begin(), mesh.clocks_.end(), 0.0);
+  std::fill(mesh.clocks_.begin(), mesh.clocks_.end(), 0);
   mesh.hostTsanFiber_ = tsanCurrentFiber();
 
   if (trace::enabled()) {
@@ -938,17 +947,16 @@ MeshRunResult MeshSimulator::run(
   if (mesh.firstError_) std::rethrow_exception(mesh.firstError_);
 
   MeshRunResult result;
-  result.perCpeSeconds.reserve(cpes.size());
+  result.perCpeTime.reserve(cpes.size());
   result.perCpeCounters.reserve(cpes.size());
   for (const auto& cpe : cpes) {
-    result.perCpeSeconds.push_back(cpe->clockSeconds());
+    result.perCpeTime.push_back(cpe->clock());
     result.perCpeCounters.push_back(cpe->counters());
     result.totals.add(cpe->counters());
   }
-  result.seconds =
-      *std::max_element(result.perCpeSeconds.begin(),
-                        result.perCpeSeconds.end()) +
-      config_.spawnOverheadSeconds;
+  result.time = addTicks(
+      *std::max_element(result.perCpeTime.begin(), result.perCpeTime.end()),
+      config_.spawnOverheadTime());
   return result;
 }
 

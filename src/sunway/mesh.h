@@ -8,12 +8,12 @@
 // a pass in which no CPE can run raises a ProtocolError with a per-CPE
 // state dump, at once and without any wall-clock deadline.
 //
-// Timing: every CPE advances a logical clock — compute adds time at the
-// configured rate, non-blocking DMA/RMA record completion times from the
-// ArchConfig cost model, waits advance the clock to the completion time,
-// and barriers take the maximum across the mesh.  Software-pipelining
-// benefit therefore *emerges* from the generated schedule instead of being
-// asserted by a formula.
+// Timing: every CPE advances a logical clock in SimTime ticks (integer
+// femtoseconds) — compute adds time at the configured rate, non-blocking
+// DMA/RMA record completion times from the ArchConfig cost model, waits
+// advance the clock to the completion time, and barriers take the maximum
+// across the mesh.  Software-pipelining benefit therefore *emerges* from
+// the generated schedule instead of being asserted by a formula.
 #pragma once
 
 #include <cstdint>
@@ -32,9 +32,9 @@ namespace sw::sunway {
 
 struct MeshRunResult {
   /// Wall-clock of the slowest CPE plus the spawn overhead.
-  double seconds = 0.0;
+  SimTime time = 0;
   CpeCounters totals;
-  std::vector<double> perCpeSeconds;
+  std::vector<SimTime> perCpeTime;
   /// Raw counters of each CPE in mesh order (rid * meshCols + cid), for
   /// per-lane attribution and the counter-invariant tests.
   std::vector<CpeCounters> perCpeCounters;

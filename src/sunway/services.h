@@ -7,12 +7,18 @@
 //   * SymmetricCpeServices (estimator.h) — sequential single-CPE model
 //     exploiting the mesh symmetry of the generated GEMM code; timing only,
 //     scales to paper-sized shapes.  Validated against the mesh runtime
-//     in tests.
+//     in tests.  It alone exposes a SteadyState, through which the plan
+//     executor fast-forwards uniform loop iterations.
+//
+// Every clock and every time counter is SimTime (integer femtoseconds,
+// sunway/sim_time.h).
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "sunway/sim_time.h"
 
 namespace sw::sunway {
 
@@ -73,6 +79,8 @@ struct RmaRequest {
 };
 
 /// Aggregate counters a run produces; summed over CPEs by the runtimes.
+/// Every field is an integer, times in SimTime ticks, so sums are exact
+/// and a steady-state jump adds R·δ bit-identically to stepping.
 struct CpeCounters {
   std::int64_t dmaMessages = 0;
   std::int64_t dmaBytes = 0;
@@ -84,51 +92,102 @@ struct CpeCounters {
   /// rates only, not element-wise ops).  Edge-tile runs charge the clamped
   /// effective shape, so partial tiles cost strictly fewer flops than the
   /// padded-full-tile convention they replace.
-  double flops = 0.0;
-  double computeSeconds = 0.0;
+  std::int64_t flops = 0;
+  SimTime computeTicks = 0;
   /// Time the CPE's DMA engine spends transferring (may overlap compute —
   /// that overlap is exactly what §6's pipelining buys).
-  double dmaBusySeconds = 0.0;
+  SimTime dmaBusyTicks = 0;
   /// Time this CPE's outbound RMA transfers occupy the mesh network (the
   /// receive side charges nothing; only exposed latency shows up as stall).
-  double rmaBusySeconds = 0.0;
+  SimTime rmaBusyTicks = 0;
   /// Time the CPE's clock is advanced by reply waits (exposed latency).
-  double waitStallSeconds = 0.0;
-  /// Exposed-latency split of waitStallSeconds for per-bucket attribution
+  SimTime waitStallTicks = 0;
+  /// Exposed-latency split of waitStallTicks for per-bucket attribution
   /// (PerfReport): stall charged at DMA reply waits, at RMA round waits,
   /// and at interpreter retry backoffs.  dmaStall + rmaStall + retryStall
   /// == waitStall up to fault-injected sync delays (also counted there).
-  double dmaStallSeconds = 0.0;
-  double rmaStallSeconds = 0.0;
-  double retryStallSeconds = 0.0;
+  SimTime dmaStallTicks = 0;
+  SimTime rmaStallTicks = 0;
+  SimTime retryStallTicks = 0;
   /// Time spent at mesh barriers: waiting for the slowest CPE plus the
-  /// barrier cost itself.  Not part of waitStallSeconds (the overlap/stall
+  /// barrier cost itself.  Not part of waitStallTicks (the overlap/stall
   /// gauges predate it); PerfReport attributes it as the sync bucket.
-  double syncStallSeconds = 0.0;
+  SimTime syncStallTicks = 0;
   /// Fault-injection sites that fired on this CPE (zero without a plan).
   std::int64_t faultsInjected = 0;
   /// DMA operations the interpreter re-issued after a transient failure.
   std::int64_t dmaRetries = 0;
 
-  void add(const CpeCounters& other) {
-    dmaMessages += other.dmaMessages;
-    dmaBytes += other.dmaBytes;
-    rmaBroadcastsSent += other.rmaBroadcastsSent;
-    rmaBytesSent += other.rmaBytesSent;
-    syncs += other.syncs;
-    microKernelCalls += other.microKernelCalls;
-    flops += other.flops;
-    computeSeconds += other.computeSeconds;
-    dmaBusySeconds += other.dmaBusySeconds;
-    rmaBusySeconds += other.rmaBusySeconds;
-    waitStallSeconds += other.waitStallSeconds;
-    dmaStallSeconds += other.dmaStallSeconds;
-    rmaStallSeconds += other.rmaStallSeconds;
-    retryStallSeconds += other.retryStallSeconds;
-    syncStallSeconds += other.syncStallSeconds;
-    faultsInjected += other.faultsInjected;
-    dmaRetries += other.dmaRetries;
+  /// this += times · delta, field by field; ClockRangeError past int64.
+  void addScaled(const CpeCounters& delta, std::int64_t times) {
+    for (const auto field : kFields)
+      this->*field = addTicks(this->*field, mulTicks(times, delta.*field));
   }
+  void add(const CpeCounters& other) { addScaled(other, 1); }
+
+  /// Field-wise this − base (the counters one steady-state period adds).
+  [[nodiscard]] CpeCounters minus(const CpeCounters& base) const {
+    CpeCounters delta;
+    for (const auto field : kFields) delta.*field = this->*field - base.*field;
+    return delta;
+  }
+
+  friend bool operator==(const CpeCounters&, const CpeCounters&) = default;
+
+ private:
+  static constexpr std::int64_t CpeCounters::*kFields[] = {
+      &CpeCounters::dmaMessages,       &CpeCounters::dmaBytes,
+      &CpeCounters::rmaBroadcastsSent, &CpeCounters::rmaBytesSent,
+      &CpeCounters::syncs,             &CpeCounters::microKernelCalls,
+      &CpeCounters::flops,             &CpeCounters::computeTicks,
+      &CpeCounters::dmaBusyTicks,      &CpeCounters::rmaBusyTicks,
+      &CpeCounters::waitStallTicks,    &CpeCounters::dmaStallTicks,
+      &CpeCounters::rmaStallTicks,     &CpeCounters::retryStallTicks,
+      &CpeCounters::syncStallTicks,    &CpeCounters::faultsInjected,
+      &CpeCounters::dmaRetries,
+  };
+};
+
+/// The timing state a steady-state jump compares and advances.  `relative`
+/// holds every clock the future depends on, relative to `clock` and
+/// clipped at 0 (a completion already in the past acts like one exactly
+/// now, since clocks only move forward), plus the reply slots'
+/// has-message flags.  Two back-edges with equal `relative` start
+/// iterations that evolve identically, shifted in time.
+struct TimingSnapshot {
+  SimTime clock = 0;
+  CpeCounters counters;
+  std::vector<SimTime> relative;
+};
+
+/// One steady-state jump: `periods` repetitions of a period of
+/// `periodIterations` loop iterations, each adding `periodTicks` to every
+/// clock and `periodCounters` to the counters.  `loopVar`, `depth` (loop
+/// nesting, 0 outermost) and the rest feed the report and the trace.
+struct SteadyStateJump {
+  const std::string* loopVar = nullptr;
+  int depth = 0;
+  int periodIterations = 1;
+  std::int64_t periods = 0;
+  SimTime periodTicks = 0;
+  CpeCounters periodCounters;
+};
+
+/// The estimator's steady-state interface (CpeServices::steadyState).
+/// The estimator's clocks use only `+ constant` and `max`, so one loop
+/// iteration is a max-plus map, and such a map commutes with a time shift:
+/// an iteration that starts from the same relative state repeats exactly,
+/// shifted.  The plan executor detects the repeat (snapshot) and skips the
+/// remaining identical periods (jump).
+class SteadyState {
+ public:
+  virtual void snapshot(TimingSnapshot& out) const = 0;
+  /// Add periods · periodTicks to every clock and periods · periodCounters
+  /// to the counters; ClockRangeError when that leaves int64.
+  virtual void jump(const SteadyStateJump& jump) = 0;
+
+ protected:
+  ~SteadyState() = default;
 };
 
 class CpeServices {
@@ -163,7 +222,7 @@ class CpeServices {
 
   /// Account `flops` of compute at the given rate class (advances clock;
   /// the functional runtime performs the math separately via spmPtr data).
-  virtual void computeTime(double flops, ComputeRate rate) = 0;
+  virtual void computeTime(std::int64_t flops, ComputeRate rate) = 0;
 
   /// Variant-aware micro-kernel accounting: same counters as
   /// computeTime(flops, kAsmKernel), but the rate reflects the generated
@@ -171,7 +230,7 @@ class CpeServices {
   /// base default ignores the variant so test doubles keep working; the
   /// mesh and estimator override it.  At the default (4, 8) block every
   /// implementation must charge exactly the kAsmKernel rate.
-  virtual void computeTimeMicro(double flops, int mr, int nr) {
+  virtual void computeTimeMicro(std::int64_t flops, int mr, int nr) {
     (void)mr;
     (void)nr;
     computeTime(flops, ComputeRate::kAsmKernel);
@@ -182,7 +241,7 @@ class CpeServices {
   [[nodiscard]] virtual double* spmPtr(std::int64_t offsetBytes) = 0;
 
   /// Advance this CPE's clock without doing work — retry backoff.
-  virtual void stallFor(double seconds) { (void)seconds; }
+  virtual void stallFor(SimTime ticks) { (void)ticks; }
 
   /// Count one interpreter-level DMA retry against this CPE.
   virtual void noteDmaRetry() {}
@@ -195,8 +254,14 @@ class CpeServices {
     return true;
   }
 
-  [[nodiscard]] virtual double clockSeconds() const = 0;
+  [[nodiscard]] virtual SimTime clock() const = 0;
   [[nodiscard]] virtual const CpeCounters& counters() const = 0;
+
+  /// The steady-state interface of a timing-only runtime whose iterations
+  /// may be fast-forwarded; nullptr (the default) steps every op.  The
+  /// mesh returns nullptr, so functional and fault-injected runs never
+  /// jump.
+  [[nodiscard]] virtual SteadyState* steadyState() { return nullptr; }
 
   /// Intern a reply-slot name into this runtime's dense id space.  Plan
   /// executors bind names once per run and then issue integer-keyed

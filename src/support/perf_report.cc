@@ -247,6 +247,17 @@ std::string PerfReport::toJson() const {
   field("micro_kernel_calls", jsonNumber(microKernelCalls));
   field("faults_injected", jsonNumber(faultsInjected));
   field("dma_retries", jsonNumber(dmaRetries), false, /*last=*/true);
+  out += "},";
+  out += "\"steady_state\":{";
+  field("jumps", jsonNumber(steadyState.jumps));
+  field("iterations_jumped", jsonNumber(steadyState.iterationsJumped));
+  field("covered_pct", jsonNumber(steadyState.coveredPct));
+  field("loop", steadyState.loop, /*quoted=*/true);
+  field("period_iterations",
+        jsonNumber(static_cast<std::int64_t>(steadyState.periodIterations)));
+  field("period_seconds", jsonNumber(steadyState.periodSeconds));
+  field("period_exposed_dma_pct",
+        jsonNumber(steadyState.periodExposedDmaPct), false, /*last=*/true);
   out += "}}";
   return out;
 }
@@ -311,6 +322,24 @@ std::string PerfReport::toText() const {
   out += line;
   std::snprintf(line, sizeof(line), "top bottleneck: %s — %s\n",
                 bottleneck.name.c_str(), bottleneck.evidence.c_str());
+  out += line;
+  if (steadyState.jumps == 0) {
+    out += "steady state: no fast-forward (every op stepped)\n";
+    return out;
+  }
+  std::snprintf(line, sizeof(line),
+                "steady state: %lld jumps over %lld loop iterations, "
+                "%.3f%% of simulated time\n",
+                static_cast<long long>(steadyState.jumps),
+                static_cast<long long>(steadyState.iterationsJumped),
+                steadyState.coveredPct);
+  out += line;
+  std::snprintf(line, sizeof(line),
+                "  innermost jumped loop '%s': period %d iteration(s), "
+                "%.3f us, exposed DMA %.1f%%\n",
+                steadyState.loop.c_str(), steadyState.periodIterations,
+                steadyState.periodSeconds * 1e6,
+                steadyState.periodExposedDmaPct);
   out += line;
   return out;
 }

@@ -14,6 +14,8 @@
 //     verdict — compute-bound, dma-bound, or latency-bound (the steady
 //     ceilings do not explain the time; per-message startup and sync do).
 //   * The top bottleneck by bucket share, named with counter evidence.
+//   * The estimator's steady state: how much of the simulated time exact
+//     fast-forward jumps covered, and the innermost jumped loop's period.
 //
 // The schema is versioned and stable: kPerfReportSchemaVersion only moves
 // when a field changes meaning, so bench/baselines/BENCH_trajectory.json
@@ -126,6 +128,21 @@ struct PerfReport {
     std::string name;      // "compute", "exposed-dma", ...
     std::string evidence;  // counter-backed one-liner
   } bottleneck;
+
+  /// Steady-state fast-forward of an estimate (all zero when every op was
+  /// stepped, as on the mesh): the jumps, the loop iterations they skipped
+  /// and the share of simulated wall time they covered; then the innermost
+  /// jumped loop, its period in iterations and simulated seconds, and the
+  /// share of that period exposed waiting on DMA.
+  struct SteadyState {
+    std::int64_t jumps = 0;
+    std::int64_t iterationsJumped = 0;
+    double coveredPct = 0.0;
+    std::string loop;
+    int periodIterations = 0;
+    double periodSeconds = 0.0;
+    double periodExposedDmaPct = 0.0;
+  } steadyState;
 
   // Counter evidence carried verbatim for downstream tooling.
   std::int64_t dmaMessages = 0;

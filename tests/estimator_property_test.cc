@@ -191,20 +191,21 @@ TEST(EstimatorProperty, PipeliningShrinksExposedStall) {
       estimateGemm(compiler.compile(hide), compiler.arch(), problem);
   auto slow =
       estimateGemm(compiler.compile(noHide), compiler.arch(), problem);
-  EXPECT_LT(fast.counters.waitStallSeconds,
-            0.5 * slow.counters.waitStallSeconds);
+  EXPECT_LT(fast.counters.waitStallTicks,
+            0.5 * static_cast<double>(slow.counters.waitStallTicks));
   for (const auto& outcome : {fast, slow}) {
-    EXPECT_LE(outcome.counters.waitStallSeconds, outcome.seconds);
-    EXPECT_LE(outcome.counters.computeSeconds, outcome.seconds);
+    EXPECT_LE(outcome.counters.waitStallTicks, outcome.time);
+    EXPECT_LE(outcome.counters.computeTicks, outcome.time);
     // Compute + stall can never exceed the clock they both advance.
-    EXPECT_LE(outcome.counters.computeSeconds +
-                  outcome.counters.waitStallSeconds,
-              outcome.seconds * 1.0001);
+    EXPECT_LE(static_cast<double>(outcome.counters.computeTicks +
+                                  outcome.counters.waitStallTicks),
+              static_cast<double>(outcome.time) * 1.0001);
   }
   // DMA engine busy time is identical (same traffic), only its overlap
   // with compute changes.
-  EXPECT_NEAR(fast.counters.dmaBusySeconds, slow.counters.dmaBusySeconds,
-              0.01 * slow.counters.dmaBusySeconds);
+  EXPECT_NEAR(static_cast<double>(fast.counters.dmaBusyTicks),
+              static_cast<double>(slow.counters.dmaBusyTicks),
+              0.01 * static_cast<double>(slow.counters.dmaBusyTicks));
 }
 
 TEST(EstimatorProperty, DmaVolumeMatchesAnalyticalFormula) {

@@ -40,10 +40,10 @@ TEST(MetricsRegistry, SetAddGetSnapshotClear) {
 
 TEST(DeriveRunMetrics, FormulasOnKnownCounters) {
   sunway::CpeCounters totals;
-  totals.computeSeconds = 4.0;
-  totals.dmaBusySeconds = 2.0;
-  totals.rmaBusySeconds = 1.0;
-  totals.waitStallSeconds = 0.5;
+  totals.computeTicks = sunway::ticksFromSeconds(4.0);
+  totals.dmaBusyTicks = sunway::ticksFromSeconds(2.0);
+  totals.rmaBusyTicks = sunway::ticksFromSeconds(1.0);
+  totals.waitStallTicks = sunway::ticksFromSeconds(0.5);
 
   codegen::KernelProgram program;
   program.buffers = {codegen::SpmBufferDecl{"C", 64, 64, 1, 0},
@@ -51,7 +51,8 @@ TEST(DeriveRunMetrics, FormulasOnKnownCounters) {
   codegen::planSpmLayout(program, 256 * 1024);
 
   const metrics::DerivedRunMetrics m = rt::deriveRunMetrics(
-      totals, /*wallSeconds=*/5.0, /*cpeCount=*/1, program, 256 * 1024);
+      totals, /*wall=*/sunway::ticksFromSeconds(5.0), /*cpeCount=*/1, program,
+      256 * 1024);
   // busy = 3, hidden = 3 - 0.5 = 2.5.
   EXPECT_NEAR(m.overlapPct, 100.0 * 2.5 / 3.0, 1e-9);
   EXPECT_NEAR(m.stallPct, 100.0 * 0.5 / 4.5, 1e-9);
@@ -69,12 +70,12 @@ TEST(DeriveRunMetrics, FormulasOnKnownCounters) {
 
 TEST(DeriveRunMetrics, StallHeavyScheduleHasLowOverlap) {
   sunway::CpeCounters totals;
-  totals.computeSeconds = 1.0;
-  totals.dmaBusySeconds = 2.0;
-  totals.waitStallSeconds = 2.0;  // every DMA second exposed
+  totals.computeTicks = sunway::ticksFromSeconds(1.0);
+  totals.dmaBusyTicks = sunway::ticksFromSeconds(2.0);
+  totals.waitStallTicks = sunway::ticksFromSeconds(2.0);  // all DMA exposed
   codegen::KernelProgram program;
-  const metrics::DerivedRunMetrics m =
-      rt::deriveRunMetrics(totals, 3.0, 1, program, 256 * 1024);
+  const metrics::DerivedRunMetrics m = rt::deriveRunMetrics(
+      totals, sunway::ticksFromSeconds(3.0), 1, program, 256 * 1024);
   EXPECT_NEAR(m.overlapPct, 0.0, 1e-9);
   EXPECT_GE(m.stallPct, 50.0);
 }
@@ -176,25 +177,22 @@ TEST(PerCpeCounters, FunctionalMeshRunInvariants) {
     // Active time cannot exceed the mesh wall clock: the CPE's logical
     // clock only ever advances, and the wall clock is the slowest clock
     // plus spawn overhead.
-    EXPECT_LE(cpe.computeSeconds + cpe.waitStallSeconds,
-              result.seconds + 1e-12);
-    EXPECT_GE(cpe.computeSeconds, 0.0);
-    EXPECT_GE(cpe.waitStallSeconds, 0.0);
+    EXPECT_LE(cpe.computeTicks + cpe.waitStallTicks, result.time);
+    EXPECT_GE(cpe.computeTicks, 0);
+    EXPECT_GE(cpe.waitStallTicks, 0);
     resummed.add(cpe);
   }
-  EXPECT_NEAR(resummed.computeSeconds, result.totals.computeSeconds, 1e-12);
-  EXPECT_NEAR(resummed.waitStallSeconds, result.totals.waitStallSeconds,
-              1e-12);
-  EXPECT_EQ(resummed.dmaMessages, result.totals.dmaMessages);
-  // The exposed-stall split attributes every wait second to a cause
+  // Integer ticks: the per-CPE counters re-sum to the totals exactly.
+  EXPECT_EQ(resummed, result.totals);
+  // The exposed-stall split attributes every wait tick to a cause
   // (fault-free run: no sync delays leak into the wait total).
-  EXPECT_NEAR(result.totals.dmaStallSeconds + result.totals.rmaStallSeconds +
-                  result.totals.retryStallSeconds,
-              result.totals.waitStallSeconds, 1e-9);
-  EXPECT_GE(result.totals.syncStallSeconds, 0.0);
+  EXPECT_EQ(result.totals.dmaStallTicks + result.totals.rmaStallTicks +
+                result.totals.retryStallTicks,
+            result.totals.waitStallTicks);
+  EXPECT_GE(result.totals.syncStallTicks, 0);
 
   const metrics::DerivedRunMetrics m =
-      rt::deriveRunMetrics(result.totals, result.seconds, arch.meshSize(),
+      rt::deriveRunMetrics(result.totals, result.time, arch.meshSize(),
                            kernel.program, arch.spmBytes);
   EXPECT_GE(m.overlapPct, 0.0);
   EXPECT_LE(m.overlapPct, 100.0);

@@ -1,10 +1,11 @@
 // The lowered execution plan (runtime/plan.h) must be observationally
 // identical to the tree-walking reference interpreter: bit-identical C,
-// identical counters, and identical simulated seconds, across shapes,
+// identical counters, and identical simulated ticks, across shapes,
 // option sets, and fault-injected runs.  These tests run every case
 // through both engines via runGemmFunctional and compare exhaustively.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
 #include <random>
 #include <vector>
@@ -35,10 +36,10 @@ void expectCountersEqual(const sunway::CpeCounters& plan,
   EXPECT_EQ(plan.syncs, tree.syncs);
   EXPECT_EQ(plan.microKernelCalls, tree.microKernelCalls);
   EXPECT_EQ(plan.flops, tree.flops);
-  EXPECT_EQ(plan.computeSeconds, tree.computeSeconds);
-  EXPECT_EQ(plan.dmaBusySeconds, tree.dmaBusySeconds);
-  EXPECT_EQ(plan.rmaBusySeconds, tree.rmaBusySeconds);
-  EXPECT_EQ(plan.waitStallSeconds, tree.waitStallSeconds);
+  EXPECT_EQ(plan.computeTicks, tree.computeTicks);
+  EXPECT_EQ(plan.dmaBusyTicks, tree.dmaBusyTicks);
+  EXPECT_EQ(plan.rmaBusyTicks, tree.rmaBusyTicks);
+  EXPECT_EQ(plan.waitStallTicks, tree.waitStallTicks);
   EXPECT_EQ(plan.faultsInjected, tree.faultsInjected);
   EXPECT_EQ(plan.dmaRetries, tree.dmaRetries);
 }
@@ -110,7 +111,7 @@ TEST_P(PlanEquivalence, MatchesTreeWalkBitExactly) {
             0)
       << "max |diff| = "
       << kernel::maxAbsDiff(cPlan.data(), cTree.data(), countC);
-  EXPECT_EQ(planOutcome.seconds, treeOutcome.seconds);
+  EXPECT_EQ(planOutcome.time, treeOutcome.time);
   expectCountersEqual(planOutcome.counters, treeOutcome.counters);
   EXPECT_EQ(planOutcome.hostCopyBytes, treeOutcome.hostCopyBytes);
 }
@@ -161,14 +162,23 @@ TEST(PlanEquivalence, EstimatorTimingMatchesTreeWalk) {
   SwGemmCompiler compiler;
   CompiledKernel kernel = compiler.compile(CodegenOptions{});
   ASSERT_NE(kernel.plan, nullptr);
-  auto params = rt::bindParams(kernel.program, 512, 512, 512);
-  const double flops = rt::gemmFlops(512, 512, 512);
-  rt::RunOutcome plan = rt::estimateTiming(compiler.arch(), kernel.program,
-                                           params, flops, kernel.plan.get());
-  rt::RunOutcome tree =
-      rt::estimateTiming(compiler.arch(), kernel.program, params, flops);
-  EXPECT_EQ(plan.seconds, tree.seconds);
-  expectCountersEqual(plan.counters, tree.counters);
+  // 512^3 steps every op; at 2048x1536x4096 the plan engine fast-forwards
+  // (the tree-walk never does) and must still match to the tick.
+  for (const auto& [m, n, k] :
+       {std::array<std::int64_t, 3>{512, 512, 512}, {2048, 1536, 4096}}) {
+    auto params = rt::bindParams(kernel.program, m, n, k);
+    const double flops = rt::gemmFlops(m, n, k);
+    rt::RunOutcome plan = rt::estimateTiming(
+        compiler.arch(), kernel.program, params, flops, kernel.plan.get());
+    rt::RunOutcome tree =
+        rt::estimateTiming(compiler.arch(), kernel.program, params, flops);
+    EXPECT_EQ(plan.time, tree.time);
+    expectCountersEqual(plan.counters, tree.counters);
+    EXPECT_EQ(tree.report.steadyState.jumps, 0);
+    if (k == 4096) {
+      EXPECT_GT(plan.report.steadyState.jumps, 0);
+    }
+  }
 }
 
 TEST(PlanEquivalence, LoweringIsDeterministic) {

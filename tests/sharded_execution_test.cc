@@ -246,18 +246,9 @@ TEST(ShardedExecution, FaultedGroupDegradesWithoutCorruption) {
   EXPECT_TRUE(bitIdentical(result.single, result.sharded));
 }
 
-/// Bitwise equality of every counter field: all of them are 8 bytes wide,
-/// so the struct has no padding and memcmp compares doubles by their bits.
-bool sameCounters(const sunway::CpeCounters& x,
-                  const sunway::CpeCounters& y) {
-  static_assert(sizeof(sunway::CpeCounters) == 17 * 8,
-                "a new counter field must keep the struct padding-free");
-  return std::memcmp(&x, &y, sizeof x) == 0;
-}
-
 TEST(ShardedExecution, TotalsRepeatBitwiseAcrossIdenticalRuns) {
   // Six groups finish in whatever order the host schedules them; the
-  // floating-point totals must not depend on it.
+  // totals must not depend on it.
   SwGemmCompiler compiler;
   CodegenOptions options;
   options.edgeTiles = true;
@@ -276,7 +267,7 @@ TEST(ShardedExecution, TotalsRepeatBitwiseAcrossIdenticalRuns) {
   };
   const ShardedOutcome first = run(nullptr);
   const ShardedOutcome second = run(nullptr);
-  EXPECT_TRUE(sameCounters(first.counters, second.counters));
+  EXPECT_TRUE(first.counters == second.counters);
   EXPECT_EQ(first.seconds, second.seconds);
 
   // Group 2 deadlocks on its first shard and re-runs it fault-free.
@@ -292,7 +283,7 @@ TEST(ShardedExecution, TotalsRepeatBitwiseAcrossIdenticalRuns) {
     EXPECT_EQ(third.failures[i].group, fourth.failures[i].group);
     EXPECT_EQ(third.failures[i].shard, fourth.failures[i].shard);
   }
-  EXPECT_TRUE(sameCounters(third.counters, fourth.counters));
+  EXPECT_TRUE(third.counters == fourth.counters);
   EXPECT_EQ(third.seconds, fourth.seconds);
 }
 

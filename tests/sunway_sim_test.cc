@@ -38,7 +38,7 @@ TEST(ArchConfig, DerivedQuantities) {
   EXPECT_NEAR(config.dmaShareBytesPerSec(),
               config.ddrBandwidthBytesPerSec / 64, 1.0);
   // DMA time is affine in size.
-  EXPECT_GT(config.dmaSeconds(32768, 64), config.dmaSeconds(16384, 32));
+  EXPECT_GT(config.dmaTime(32768, 64), config.dmaTime(16384, 32));
 }
 
 TEST(Mesh, BarrierEqualisesClocks) {
@@ -46,13 +46,13 @@ TEST(Mesh, BarrierEqualisesClocks) {
   MeshSimulator mesh(config, /*functional=*/false);
   MeshRunResult result = mesh.run([&](CpeServices& cpe) {
     // Give each CPE a different amount of work, then synchronise.
-    cpe.computeTime(1.0e6 * (cpe.rid() * 8 + cpe.cid() + 1),
+    cpe.computeTime(1'000'000 * (cpe.rid() * 8 + cpe.cid() + 1),
                     ComputeRate::kElementwise);
     cpe.sync();
   });
   // After the barrier every clock equals the max + sync cost.
-  const double expectedMin = result.perCpeSeconds[0];
-  for (double t : result.perCpeSeconds) EXPECT_DOUBLE_EQ(t, expectedMin);
+  const SimTime expectedMin = result.perCpeTime[0];
+  for (const SimTime t : result.perCpeTime) EXPECT_EQ(t, expectedMin);
 }
 
 TEST(Mesh, DmaMovesStridedTile) {
@@ -215,9 +215,9 @@ TEST(Estimator, DmaEngineSerialisesMessages) {
   cpe.dmaIssue(a);
   cpe.dmaIssue(b);
   cpe.waitSlot("a", false, true);
-  const double afterA = cpe.clockSeconds();
+  const double afterA = toSeconds(cpe.clock());
   cpe.waitSlot("b", false, true);
-  const double afterB = cpe.clockSeconds();
+  const double afterB = toSeconds(cpe.clock());
   // B starts only when A's transfer finishes on the engine.
   EXPECT_GT(afterB, afterA + 16384 / config.dmaShareBytesPerSec() * 0.9);
 }
@@ -225,12 +225,12 @@ TEST(Estimator, DmaEngineSerialisesMessages) {
 TEST(Estimator, ComputeRatesOrdering) {
   ArchConfig config;
   SymmetricCpeServices cpe(config);
-  const double flops = 2.0 * 64 * 64 * 32;
+  const std::int64_t flops = 2 * 64 * 64 * 32;
   cpe.computeTime(flops, ComputeRate::kAsmKernel);
-  const double asmTime = cpe.clockSeconds();
+  const SimTime asmTime = cpe.clock();
   SymmetricCpeServices naive(config);
   naive.computeTime(flops, ComputeRate::kNaive);
-  EXPECT_GT(naive.clockSeconds(), 10.0 * asmTime);
+  EXPECT_GT(naive.clock(), 10 * asmTime);
 }
 
 }  // namespace

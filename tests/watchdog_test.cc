@@ -155,8 +155,8 @@ TEST(Deadlock, TenThousandBarriersOnTheCallingThread) {
   });
   EXPECT_EQ(foreignThreads, 0) << "every CPE runs on the calling thread";
   EXPECT_EQ(result.totals.syncs, 64 * kSyncs);
-  for (const double seconds : result.perCpeSeconds)
-    EXPECT_EQ(seconds, result.perCpeSeconds.front());
+  for (const SimTime time : result.perCpeTime)
+    EXPECT_EQ(time, result.perCpeTime.front());
 }
 
 // --- abort paths --------------------------------------------------------
@@ -214,11 +214,11 @@ TEST(Abort, MeshIsReusableAfterAbortedRun) {
   // run() resets the abort/error/barrier state, so the same simulator
   // must complete a healthy run afterwards.
   MeshRunResult result = mesh.run([&](CpeServices& cpe) {
-    cpe.computeTime(1.0e3, ComputeRate::kElementwise);
+    cpe.computeTime(1000, ComputeRate::kElementwise);
     cpe.sync();
   });
   EXPECT_EQ(result.totals.syncs, 64);
-  EXPECT_GT(result.seconds, 0.0);
+  EXPECT_GT(result.time, 0);
 }
 
 TEST(Abort, NestedRunFromInsideACpeIsRefused) {

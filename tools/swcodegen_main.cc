@@ -62,7 +62,9 @@ void usage(std::FILE* out) {
       "  --no-hiding        disable the two-level software pipeline (§6)\n"
       "  --dump-schedule    print the schedule tree after each stage\n"
       "  --estimate M N K [B]\n"
-      "                     report modelled GFLOPS for the given shape\n"
+      "                     report modelled GFLOPS for the given shape;\n"
+      "                     shapes past ~9,223 s of simulated time are\n"
+      "                     rejected\n"
       "  --pad-mode MODE    how arbitrary shapes meet the kernel's tile\n"
       "                     grid: 'edge' compiles edge-tile clamps and runs\n"
       "                     on unpadded arrays, 'padded' keeps the §8.1\n"
@@ -87,8 +89,9 @@ void usage(std::FILE* out) {
       "                     derived run metrics (overlap%%, stall%%, SPM),\n"
       "                     the grouped metrics-registry table and the\n"
       "                     latency-histogram percentiles.  The run metrics\n"
-      "                     are the --run shape's; without --run, a\n"
-      "                     one-mesh-tile side run's\n"
+      "                     are the --run shape's, else the --estimate\n"
+      "                     shape's; with neither, a one-mesh-tile side\n"
+      "                     run's\n"
       "  --report MODE [PATH]\n"
       "                     emit the run's performance report (time\n"
       "                     attribution, roofline position, top\n"
@@ -99,8 +102,9 @@ void usage(std::FILE* out) {
       "  --trace OUT.json   write a Chrome trace-event file (open in\n"
       "                     https://ui.perfetto.dev): compile spans plus\n"
       "                     per-CPE simulated-clock timelines of the --run\n"
-      "                     shape (without --run, of a one-mesh-tile side\n"
-      "                     run)\n"
+      "                     shape, else the --estimate shape's stepped ops\n"
+      "                     and fast-forward spans (with neither, of a\n"
+      "                     one-mesh-tile side run)\n"
       "  --tune M N K [B]   search the schedule space for the shape (two\n"
       "                     stages: estimator ranking, then measured mesh\n"
       "                     validation of the top candidates), print the\n"
@@ -263,11 +267,12 @@ int runShapeSmoke(const sw::core::CompiledKernel& kernel,
   const bool ranEdge = kernel.options.edgeTiles &&
                        padMode != sw::core::PadMode::kPadded;
   std::printf("ran %lldx%lldx%lld batch %lld (%s): %.2f GFLOPS modelled, "
-              "%.3f ms simulated, %.0f uKernel flops, %lld host copy bytes\n",
+              "%.3f ms simulated, %lld uKernel flops, %lld host copy bytes\n",
               static_cast<long long>(m), static_cast<long long>(n),
               static_cast<long long>(k), static_cast<long long>(batch),
               ranEdge ? "edge tiles, unpadded arrays" : "padded arrays",
-              outcome.gflops, outcome.seconds * 1e3, outcome.counters.flops,
+              outcome.gflops, outcome.seconds * 1e3,
+              static_cast<long long>(outcome.counters.flops),
               static_cast<long long>(outcome.hostCopyBytes));
   printHostLine(start, done);
 
@@ -283,9 +288,9 @@ int runShapeSmoke(const sw::core::CompiledKernel& kernel,
   const sw::rt::RunOutcome refOutcome =
       sw::core::runGemmFunctional(kernel, arch, problem, a, b, ref,
                                   refConfig);
-  std::printf("padded reference: %.0f uKernel flops, %lld host copy "
+  std::printf("padded reference: %lld uKernel flops, %lld host copy "
               "bytes\n",
-              refOutcome.counters.flops,
+              static_cast<long long>(refOutcome.counters.flops),
               static_cast<long long>(refOutcome.hostCopyBytes));
   if (std::memcmp(c.data(), ref.data(), c.size() * sizeof(double)) != 0) {
     std::fprintf(stderr, "run: result=MISMATCH — edge-tile run diverged "
@@ -297,9 +302,9 @@ int runShapeSmoke(const sw::core::CompiledKernel& kernel,
 }
 
 /// Smallest shape the kernel accepts unpadded: one mesh tile deep enough
-/// for a full pipeline round-trip.  Without --run, --profile and --trace
-/// use it to light up the 64 per-CPE trace lanes and the mesh-run metrics
-/// without a paper-scale functional run.
+/// for a full pipeline round-trip.  Without --run or --estimate, --profile
+/// and --trace use it to light up the 64 per-CPE trace lanes and the
+/// mesh-run metrics without a paper-scale functional run.
 sw::rt::RunOutcome runFunctionalSmoke(const sw::core::CompiledKernel& kernel,
                                       const sw::sunway::ArchConfig& arch) {
   const sw::core::PaddedShape shape =
@@ -342,6 +347,14 @@ void printRunMetrics(const std::string& title,
   std::printf("%s:\n", title.c_str());
   std::printf("  %-24s %12.3f ms\n", "simulated time", outcome.seconds * 1e3);
   std::printf("  %-24s %12.2f\n", "model GFLOPS", outcome.gflops);
+  const sw::perf::PerfReport::SteadyState& steady =
+      outcome.report.steadyState;
+  if (steady.jumps > 0)
+    std::printf("  %-24s %12.3f %%   (%lld jumps skipped %lld loop "
+                "iterations)\n",
+                "fast-forwarded", steady.coveredPct,
+                static_cast<long long>(steady.jumps),
+                static_cast<long long>(steady.iterationsJumped));
   if (withGauges) {
     const sw::metrics::DerivedRunMetrics& m = outcome.metrics;
     std::printf("  %-24s %12.1f %%   (DMA+RMA busy time hidden "
@@ -1118,12 +1131,12 @@ int main(int argc, char** argv) {
       runRc = runShapeSmoke(kernel, compiler.arch(), runShape, padMode,
                             engine, groups, &runOutcome);
 
-    // --profile and --trace describe the requested run.  Without --run, a
-    // one-mesh-tile side run lights up the 64 per-CPE trace lanes and the
-    // mesh-run metrics instead.
+    // --profile and --trace describe the requested run or estimate.  With
+    // neither, a one-mesh-tile side run lights up the 64 per-CPE trace
+    // lanes and the mesh-run metrics instead.
     sw::rt::RunOutcome smoke;
     const bool wantSmoke = (!tracePath.empty() || profile) && !faultPlan &&
-                           runShape.empty();
+                           runShape.empty() && estimate.empty();
     if (wantSmoke) smoke = runFunctionalSmoke(kernel, compiler.arch());
 
     int chaosRc = 0;
