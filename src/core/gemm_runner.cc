@@ -40,6 +40,15 @@ std::int64_t unpackPadded(std::span<double> dst, const sunway::HostArray& src,
   return batch * rows * rowBytes;
 }
 
+/// The report names the caller's problem; the extents the kernel was bound
+/// at (padded on the §8.1 path) stay in its padded shape.
+void nameProblem(perf::PerfReport& report, const GemmProblem& problem) {
+  report.m = problem.m;
+  report.n = problem.n;
+  report.k = problem.k;
+  report.batch = problem.batch;
+}
+
 PadMode resolvePadMode(const CompiledKernel& kernel,
                        const FunctionalRunConfig& runConfig) {
   PadMode mode = runConfig.padMode;
@@ -160,6 +169,7 @@ rt::RunOutcome runGemmFunctional(const CompiledKernel& kernel,
     hostCopyBytes += unpackPadded(c, mesh.memory().get("C"), problem.batch,
                                   problem.m, problem.n);
   outcome.hostCopyBytes = hostCopyBytes;
+  nameProblem(outcome.report, problem);
   return outcome;
 }
 
@@ -184,10 +194,12 @@ rt::RunOutcome estimateGemm(const CompiledKernel& kernel,
     params = rt::bindParams(kernel.program, padded.m, padded.n, padded.k,
                             problem.batch);
   }
-  return rt::estimateTiming(
+  rt::RunOutcome outcome = rt::estimateTiming(
       arch, kernel.program, params,
       rt::gemmFlops(problem.m, problem.n, problem.k, problem.batch),
       kernel.plan.get());
+  nameProblem(outcome.report, problem);
+  return outcome;
 }
 
 }  // namespace sw::core

@@ -74,6 +74,9 @@ PerfReport buildPerfReport(const RunSample& sample,
   report.n = sample.n;
   report.k = sample.k;
   report.batch = sample.batch;
+  report.paddedM = sample.m;
+  report.paddedN = sample.n;
+  report.paddedK = sample.k;
   report.wallSeconds = sample.wallSeconds;
   report.dmaMessages = sample.dmaMessages;
   report.dmaBytes = sample.dmaBytes;
@@ -212,6 +215,10 @@ std::string PerfReport::toJson() const {
   field("n", jsonNumber(n));
   field("k", jsonNumber(k));
   field("batch", jsonNumber(batch), false, /*last=*/true);
+  out += "},\"padded_shape\":{";
+  field("m", jsonNumber(paddedM));
+  field("n", jsonNumber(paddedN));
+  field("k", jsonNumber(paddedK), false, /*last=*/true);
   out += "},";
   field("wall_seconds", jsonNumber(wallSeconds));
   out += "\"attribution\":{";
@@ -281,6 +288,14 @@ std::string PerfReport::toText() const {
                     static_cast<long long>(m), static_cast<long long>(n),
                     static_cast<long long>(k));
     }
+    out += line;
+  }
+  if (padded()) {
+    std::snprintf(line, sizeof(line),
+                  "  padded to                %lldx%lldx%lld\n",
+                  static_cast<long long>(paddedM),
+                  static_cast<long long>(paddedN),
+                  static_cast<long long>(paddedK));
     out += line;
   }
   std::snprintf(line, sizeof(line), "  simulated time           %12.3f ms\n",

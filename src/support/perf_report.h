@@ -90,6 +90,9 @@ struct PerfReport {
   std::string kernel;
   std::string engine;
   std::int64_t m = 0, n = 0, k = 0, batch = 0;
+  /// The extents the kernel ran at: above m/n/k when the run zero-padded
+  /// the problem up to the kernel's tile grid (§8.1), equal otherwise.
+  std::int64_t paddedM = 0, paddedN = 0, paddedK = 0;
   double wallSeconds = 0.0;
 
   /// Share of aggregate CPE time (wallSeconds × cpeCount) per bucket, in
@@ -153,6 +156,11 @@ struct PerfReport {
   std::int64_t microKernelCalls = 0;
   std::int64_t faultsInjected = 0;
   std::int64_t dmaRetries = 0;
+
+  /// True when the kernel ran at larger extents than the problem's.
+  [[nodiscard]] bool padded() const {
+    return paddedM != m || paddedN != n || paddedK != k;
+  }
 
   /// Single-line-free JSON object (schema_version first); numbers are
   /// always finite, strings escaped.

@@ -1,8 +1,8 @@
 // Tests of the performance-report layer: attribution buckets sum to 100%
 // on real mesh and estimator runs, the roofline verdict flips between
 // DMA-bound (small K) and compute-bound (large K), the JSON rendering is
-// well-formed and schema-stable, and degenerate samples never divide by
-// zero.
+// well-formed and schema-stable, degenerate samples never divide by zero,
+// and the shape is the problem asked for, apart from the padded extents.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -94,6 +94,77 @@ TEST(PerfReport, MeshRunBucketsSumTo100) {
   EXPECT_NEAR(outcome.report.attribution.sum(), 100.0, 0.1);
   EXPECT_GT(outcome.report.attribution.computePct, 0.0);
   EXPECT_GT(outcome.report.wallSeconds, 0.0);
+}
+
+// The report names the problem asked for; the extents the kernel ran at
+// are its padded shape, printed only when they differ.
+TEST(PerfReport, PaddedRunNamesTheRequestedShape) {
+  core::SwGemmCompiler compiler;
+  const core::CompiledKernel kernel = compiler.compile(core::CodegenOptions{});
+  std::vector<double> a(100 * 64, 0.5), b(64 * 100, 0.25), c(100 * 100, 0.0);
+  const rt::RunOutcome outcome = core::runGemmFunctional(
+      kernel, compiler.arch(), core::GemmProblem{100, 100, 64, 1}, a, b, c);
+  const perf::PerfReport& report = outcome.report;
+  EXPECT_EQ(report.m, 100);
+  EXPECT_EQ(report.n, 100);
+  EXPECT_EQ(report.k, 64);
+  EXPECT_EQ(report.batch, 1);
+  EXPECT_EQ(report.paddedM, 512);
+  EXPECT_EQ(report.paddedN, 512);
+  EXPECT_EQ(report.paddedK, 256);
+  EXPECT_TRUE(report.padded());
+  EXPECT_EQ(report.wallSeconds, outcome.seconds);
+  const std::string json = report.toJson();
+  EXPECT_TRUE(testutil::JsonChecker(json).valid()) << json;
+  EXPECT_NE(json.find("\"shape\":{\"m\":100,\"n\":100,\"k\":64,\"batch\":1},"
+                      "\"padded_shape\":{\"m\":512,\"n\":512,\"k\":256}"),
+            std::string::npos)
+      << json;
+  const std::string text = report.toText();
+  EXPECT_NE(text.find("  shape                    100x100x64 batch 1\n"
+                      "  padded to                512x512x256\n"),
+            std::string::npos)
+      << text;
+}
+
+TEST(PerfReport, PaddedEstimateNamesTheRequestedShape) {
+  core::SwGemmCompiler compiler;
+  const core::CompiledKernel kernel = compiler.compile(core::CodegenOptions{});
+  const rt::RunOutcome outcome = core::estimateGemm(
+      kernel, compiler.arch(), core::GemmProblem{1000, 1000, 1000, 1});
+  const std::string json = outcome.report.toJson();
+  EXPECT_NE(json.find("\"shape\":{\"m\":1000,\"n\":1000,\"k\":1000,"
+                      "\"batch\":1},\"padded_shape\":{\"m\":1024,"
+                      "\"n\":1024,\"k\":1024}"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(outcome.report.toText().find("  padded to                "
+                                         "1024x1024x1024\n"),
+            std::string::npos);
+}
+
+TEST(PerfReport, EdgeTileRunIsNotPadded) {
+  core::SwGemmCompiler compiler;
+  core::CodegenOptions options;
+  options.edgeTiles = true;
+  const core::CompiledKernel kernel = compiler.compile(options);
+  std::vector<double> a(100 * 100, 0.5), b(100 * 100, 0.25),
+      c(100 * 100, 0.0);
+  const rt::RunOutcome outcome = core::runGemmFunctional(
+      kernel, compiler.arch(), core::GemmProblem{100, 100, 100, 1}, a, b, c);
+  const perf::PerfReport& report = outcome.report;
+  EXPECT_EQ(report.m, 100);
+  EXPECT_EQ(report.batch, 1);
+  EXPECT_EQ(report.paddedM, 100);
+  EXPECT_EQ(report.paddedK, 100);
+  EXPECT_FALSE(report.padded());
+  EXPECT_NE(report.toJson().find("\"padded_shape\":{\"m\":100,\"n\":100,"
+                                 "\"k\":100}"),
+            std::string::npos);
+  const std::string text = report.toText();
+  EXPECT_NE(text.find("shape                    100x100x100 batch 1"),
+            std::string::npos);
+  EXPECT_EQ(text.find("padded to"), std::string::npos) << text;
 }
 
 TEST(PerfReport, VerdictFlipsWithArithmeticIntensity) {

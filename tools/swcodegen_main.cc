@@ -1,33 +1,40 @@
-// swcodegen — the command-line compiler (§8): reads a naive C GEMM, emits
-// the athread CPE/MPE sources, and optionally dumps schedule trees,
-// estimates performance on the SW26010Pro model, profiles the compile
-// pipeline and run, or records a Perfetto-viewable trace.
+// swcodegen — the command-line compiler (§8).  An invocation runs one of
+// four modes: an INPUT.c compile (emit the athread CPE/MPE sources of a
+// naive C GEMM; optionally dump schedule trees, estimate or run a shape on
+// the SW26010Pro model, or run a chaos smoke), --tune M N K [B] (search a
+// shape's schedule), --warm SHAPES / --serve-batch FILE (compile many
+// option variants concurrently on the kernel service's pool) or --soak N
+// (replay traffic against the admission frontend).
 //
-//   swcodegen input.c [-o PREFIX] [--no-use-asm] [--no-rma] [--no-hiding]
-//             [--dump-schedule] [--estimate M N K [B]]
-//             [--profile] [--trace OUT.json]
-//   swcodegen --warm SHAPES | --serve-batch FILE  [-j N]
-//   swcodegen --tune M N K [B]  [--tuning-dir DIR]
+// Each option is one row of the option table below; parsing, usage errors,
+// mode checks and --help all come from it.  An option outside its mode, or
+// two modes, is a usage error.  Every mode ends in one epilogue that prints
+// --profile, emits --report and writes --trace (or $SWCODEGEN_TRACE).
 //
 // --batch is detected automatically from the input program (a 4-deep nest
 // over 3D arrays), as are the fusion patterns; the explicit flags mirror
 // the paper's tool for the ablation variants.  Compiles are served through
-// the kernel service's in-memory cache; --warm/--serve-batch compile many
-// option variants concurrently on the service's thread pool.  Only tuned
-// schedules persist, in the --tuning-dir database.
+// the kernel service's in-memory cache; only tuned schedules persist, in
+// the --tuning-dir database.
 //
 // Exit codes: 0 on success; 2 for a usage or input error (bad arguments,
 // an unreadable input, a shape the kernel cannot take); 1 for any other
 // failure, including a verification mismatch.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <map>
+#include <optional>
 #include <random>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "core/compiler.h"
@@ -45,113 +52,6 @@
 #include "support/trace.h"
 
 namespace {
-
-void usage(std::FILE* out) {
-  std::fprintf(
-      out,
-      "usage: swcodegen INPUT.c [options]\n"
-      "\n"
-      "Compile a naive C GEMM into SW26010Pro athread sources.\n"
-      "\n"
-      "options:\n"
-      "  -o PREFIX          output file prefix (default: kernel name)\n"
-      "  --no-use-asm       emit the naive loop nest instead of the\n"
-      "                     vendor micro-kernel (Fig.13 '+asm' ablation)\n"
-      "  --no-rma           re-fetch tiles with DMA instead of RMA\n"
-      "                     broadcasts; implicitly disables latency hiding\n"
-      "  --no-hiding        disable the two-level software pipeline (§6)\n"
-      "  --dump-schedule    print the schedule tree after each stage\n"
-      "  --estimate M N K [B]\n"
-      "                     report modelled GFLOPS for the given shape;\n"
-      "                     shapes past ~9,223 s of simulated time are\n"
-      "                     rejected\n"
-      "  --pad-mode MODE    how arbitrary shapes meet the kernel's tile\n"
-      "                     grid: 'edge' compiles edge-tile clamps and runs\n"
-      "                     on unpadded arrays, 'padded' keeps the §8.1\n"
-      "                     zero-padding convention, 'auto' (default)\n"
-      "                     follows the kernel\n"
-      "  --run M N K [B]    compile-and-run the shape functionally on the\n"
-      "                     mesh simulator with random data; with edge\n"
-      "                     tiles the result is verified bit-for-bit\n"
-      "                     against the padded reference run\n"
-      "  --engine ENGINE    execution engine for --run: 'plan' (default)\n"
-      "                     interprets the lowered plan, 'tree' walks the\n"
-      "                     schedule tree; both give bit-identical results\n"
-      "                     and simulated times\n"
-      "  --groups N         shard --run/--estimate across N concurrent core\n"
-      "                     groups (1..6; default 1).  --run verifies the\n"
-      "                     sharded result bit-for-bit against the\n"
-      "                     single-group reference; --estimate applies the\n"
-      "                     shared-DDR contention derate and NoC hand-off\n"
-      "                     costs; --tune widens the search space with\n"
-      "                     N-group candidates\n"
-      "  --profile          print a per-stage compile breakdown, the\n"
-      "                     derived run metrics (overlap%%, stall%%, SPM),\n"
-      "                     the grouped metrics-registry table and the\n"
-      "                     latency-histogram percentiles.  The run metrics\n"
-      "                     are the --run shape's, else the --estimate\n"
-      "                     shape's; with neither, a one-mesh-tile side\n"
-      "                     run's\n"
-      "  --report MODE [PATH]\n"
-      "                     emit the run's performance report (time\n"
-      "                     attribution, roofline position, top\n"
-      "                     bottleneck).  MODE is text or json; PATH (must\n"
-      "                     not end in .c) selects a file, default stdout.\n"
-      "                     Uses the --run outcome when present, else the\n"
-      "                     --estimate shape, else a 1024^3 estimate\n"
-      "  --trace OUT.json   write a Chrome trace-event file (open in\n"
-      "                     https://ui.perfetto.dev): compile spans plus\n"
-      "                     per-CPE simulated-clock timelines of the --run\n"
-      "                     shape, else the --estimate shape's stepped ops\n"
-      "                     and fast-forward spans (with neither, of a\n"
-      "                     one-mesh-tile side run)\n"
-      "  --tune M N K [B]   search the schedule space for the shape (two\n"
-      "                     stages: estimator ranking, then measured mesh\n"
-      "                     validation of the top candidates), print the\n"
-      "                     winner and write its athread sources; no\n"
-      "                     INPUT.c needed, B > 1 tunes the batched\n"
-      "                     kernel.  Repeat invocations are served from\n"
-      "                     the tuning database without re-searching\n"
-      "  --tuning-dir DIR   persistent tuning database for --tune; without\n"
-      "                     it nothing persists\n"
-      "  --inject SPEC      run a chaos smoke: functional mesh run under a\n"
-      "                     deterministic fault plan with retry and\n"
-      "                     graceful degradation.  SPEC is ';'-separated\n"
-      "                     faults kind[:cpe=N|*][:occ=N][:count=N|forever]\n"
-      "                     [:seconds=X][:rate=P][:seed=N], kind one of\n"
-      "                     dma-drop dma-corrupt dma-delay rma-drop\n"
-      "                     rma-delay stall\n"
-      "  --warm SHAPES      pre-compile a comma-separated list of tile\n"
-      "                     shapes (e.g. 64x64x32,32x32x32) on the worker\n"
-      "                     pool, then exit (no INPUT.c needed)\n"
-      "  --serve-batch FILE compile every request in a manifest (one per\n"
-      "                     line: tile=MxNxK strip=S batch no-asm no-rma\n"
-      "                     no-hiding fuse=relu|quantize transA transB)\n"
-      "                     concurrently and report per-request latency;\n"
-      "                     malformed lines fail individually with their\n"
-      "                     line number, the rest of the batch still runs\n"
-      "  --soak N           replay N synthetic requests against the\n"
-      "                     admission frontend (Zipfian kernel popularity,\n"
-      "                     rotating tenants, bounded priority queue,\n"
-      "                     deadlines, per-tenant quotas); --inject runs as\n"
-      "                     chaos against periodically verified mesh runs,\n"
-      "                     --report json [PATH] emits the soak report\n"
-      "                     JSON, --profile appends the admission gauges;\n"
-      "                     no INPUT.c needed.  Exits nonzero on any\n"
-      "                     wrong-answer completion\n"
-      "  --soak-quota RATE  per-tenant token-bucket quota for --soak\n"
-      "                     (RATE tokens/s refill, burst = RATE); offered\n"
-      "                     load above the rate is shed with a typed\n"
-      "                     quota error\n"
-      "  -j, --jobs N       worker threads for --warm/--serve-batch\n"
-      "                     (default: hardware concurrency)\n"
-      "  -h, --help         show this help and exit\n"
-      "\n"
-      "environment:\n"
-      "  SWCODEGEN_LOG         debug|info|warn — structured log threshold\n"
-      "  SWCODEGEN_TRACE       path — enable tracing and write there on exit\n"
-      "  SWCODEGEN_TUNING_DIR  default for --tuning-dir\n");
-}
 
 std::string readFile(const std::string& path) {
   std::ifstream in(path);
@@ -184,11 +84,38 @@ void printHostLine(std::chrono::steady_clock::time_point start,
               sw::kernel::hostMicroKernelIsa());
 }
 
-/// "MxNxK batch B" of a --run/--estimate shape.
+sw::core::GemmProblem problemOf(const std::vector<long>& shape) {
+  return {shape[0], shape[1], shape[2], shape.size() == 4 ? shape[3] : 1};
+}
+
+/// "MxNxK batch B" of a --run/--estimate/--tune shape.
 std::string shapeText(const std::vector<long>& shape) {
   return std::to_string(shape[0]) + "x" + std::to_string(shape[1]) + "x" +
          std::to_string(shape[2]) + " batch " +
-         std::to_string(shape.size() == 4 ? shape[3] : 1);
+         std::to_string(problemOf(shape).batch);
+}
+
+/// A sharded run or estimate as the outcome --profile and --report read.
+sw::rt::RunOutcome asRunOutcome(const sw::core::ShardedOutcome& sharded,
+                                const char* engine) {
+  sw::rt::RunOutcome outcome;
+  outcome.seconds = sharded.seconds;
+  outcome.gflops = sharded.gflops;
+  outcome.engine = engine;
+  outcome.counters = sharded.counters;
+  outcome.report = sharded.report;
+  outcome.hostCopyBytes = sharded.hostCopyBytes;
+  return outcome;
+}
+
+/// Writes the athread sources under `prefix` (default: the kernel's name).
+void writeSources(const sw::core::CompiledKernel& kernel,
+                  const std::string& prefix, const std::string& note) {
+  const std::string base = prefix.empty() ? kernel.program.name : prefix;
+  writeFile(base + "_cpe.c", kernel.cpeSource);
+  writeFile(base + "_mpe.c", kernel.mpeSource);
+  std::printf("wrote %s_cpe.c and %s_mpe.c (kernel '%s'%s)\n", base.c_str(),
+              base.c_str(), kernel.program.name.c_str(), note.c_str());
 }
 
 /// --run: functional mesh run of an arbitrary shape with random data.
@@ -197,24 +124,15 @@ std::string shapeText(const std::vector<long>& shape) {
 /// `result=` verdict; returns nonzero only on a mismatch.
 int runShapeSmoke(const sw::core::CompiledKernel& kernel,
                   const sw::sunway::ArchConfig& arch,
-                  const std::vector<long>& shape,
-                  sw::core::PadMode padMode,
-                  sw::rt::ExecEngine engine, long groups,
-                  sw::rt::RunOutcome* outcomeOut) {
-  const std::int64_t m = shape[0], n = shape[1], k = shape[2];
-  const std::int64_t batch = shape.size() == 4 ? shape[3] : 1;
-  const bool tA = kernel.options.transposeA;
-  const bool tB = kernel.options.transposeB;
-  std::vector<double> a =
-      randomMatrix(batch * (tA ? k * m : m * k), 11);
-  std::vector<double> b =
-      randomMatrix(batch * (tB ? n * k : k * n), 12);
+                  const sw::core::GemmProblem& problem,
+                  const sw::core::FunctionalRunConfig& runConfig, long groups,
+                  sw::rt::RunOutcome& outcome) {
+  const std::int64_t m = problem.m, n = problem.n, k = problem.k,
+                     batch = problem.batch;
+  // Transposed operands hold the same element count as plain ones.
+  const std::vector<double> a = randomMatrix(batch * m * k, 11);
+  const std::vector<double> b = randomMatrix(batch * k * n, 12);
   const std::vector<double> c0 = randomMatrix(batch * m * n, 13);
-  sw::core::GemmProblem problem{m, n, k, batch};
-
-  sw::core::FunctionalRunConfig runConfig;
-  runConfig.padMode = padMode;
-  runConfig.engine = engine;
 
   if (groups > 1) {
     // Multi-group mode: single-group reference first, then the sharded
@@ -227,7 +145,7 @@ int runShapeSmoke(const sw::core::CompiledKernel& kernel,
     sharded.run = runConfig;
     std::vector<double> c = c0;
     const auto start = std::chrono::steady_clock::now();
-    const sw::core::ShardedOutcome outcome = sw::core::runShardedFunctional(
+    const sw::core::ShardedOutcome shard = sw::core::runShardedFunctional(
         kernel, arch, sharded, problem, a, b, c);
     const auto done = std::chrono::steady_clock::now();
     std::printf("ran %lldx%lldx%lld batch %lld on %d core groups "
@@ -235,23 +153,16 @@ int runShapeSmoke(const sw::core::CompiledKernel& kernel,
                 "%.3f ms simulated, DDR derate %.2f\n",
                 static_cast<long long>(m), static_cast<long long>(n),
                 static_cast<long long>(k), static_cast<long long>(batch),
-                outcome.groupsUsed, outcome.rowBlocks, outcome.colBlocks,
-                static_cast<long long>(outcome.kChunks), outcome.gflops,
-                outcome.seconds * 1e3, outcome.contentionDerate);
+                shard.groupsUsed, shard.rowBlocks, shard.colBlocks,
+                static_cast<long long>(shard.kChunks), shard.gflops,
+                shard.seconds * 1e3, shard.contentionDerate);
     printHostLine(start, done);
-    if (outcomeOut != nullptr) {
-      outcomeOut->seconds = outcome.seconds;
-      outcomeOut->gflops = outcome.gflops;
-      outcomeOut->engine = "sharded-mesh";
-      outcomeOut->counters = outcome.counters;
-      outcomeOut->report = outcome.report;
-      outcomeOut->hostCopyBytes = outcome.hostCopyBytes;
-    }
+    outcome = asRunOutcome(shard, "sharded-mesh");
     if (std::memcmp(c.data(), ref.data(), c.size() * sizeof(double)) != 0) {
       std::fprintf(stderr,
                    "run: result=MISMATCH — %d-group sharded run diverged "
                    "from the single-group reference\n",
-                   outcome.groupsUsed);
+                   shard.groupsUsed);
       return 1;
     }
     std::printf("run: result=bit-correct vs single-group reference\n");
@@ -260,12 +171,11 @@ int runShapeSmoke(const sw::core::CompiledKernel& kernel,
 
   std::vector<double> c = c0;
   const auto start = std::chrono::steady_clock::now();
-  const sw::rt::RunOutcome outcome =
+  outcome =
       sw::core::runGemmFunctional(kernel, arch, problem, a, b, c, runConfig);
   const auto done = std::chrono::steady_clock::now();
-  if (outcomeOut != nullptr) *outcomeOut = outcome;
   const bool ranEdge = kernel.options.edgeTiles &&
-                       padMode != sw::core::PadMode::kPadded;
+                       runConfig.padMode != sw::core::PadMode::kPadded;
   std::printf("ran %lldx%lldx%lld batch %lld (%s): %.2f GFLOPS modelled, "
               "%.3f ms simulated, %lld uKernel flops, %lld host copy bytes\n",
               static_cast<long long>(m), static_cast<long long>(n),
@@ -302,21 +212,22 @@ int runShapeSmoke(const sw::core::CompiledKernel& kernel,
 }
 
 /// Smallest shape the kernel accepts unpadded: one mesh tile deep enough
-/// for a full pipeline round-trip.  Without --run or --estimate, --profile
-/// and --trace use it to light up the 64 per-CPE trace lanes and the
-/// mesh-run metrics without a paper-scale functional run.
-sw::rt::RunOutcome runFunctionalSmoke(const sw::core::CompiledKernel& kernel,
-                                      const sw::sunway::ArchConfig& arch) {
+/// for a full pipeline round-trip, with seeded operands.  The --profile
+/// and --trace side run and the --inject chaos smoke run it.
+struct SmokeRun {
+  sw::core::GemmProblem problem;
+  std::vector<double> a, b, c;
+};
+
+SmokeRun smokeRun(const sw::core::CompiledKernel& kernel,
+                  const sw::sunway::ArchConfig& arch) {
   const sw::core::PaddedShape shape =
       sw::core::padShape(1, 1, 1, kernel.options, arch);
   const std::int64_t batch = kernel.options.batched ? 2 : 1;
   const std::int64_t m = shape.m, n = shape.n,
                      k = 2 * shape.k;  // two outer-k iterations
-  std::vector<double> a = randomMatrix(batch * m * k, 1);
-  std::vector<double> b = randomMatrix(batch * k * n, 2);
-  std::vector<double> c = randomMatrix(batch * m * n, 3);
-  sw::core::GemmProblem problem{m, n, k, batch};
-  return sw::core::runGemmFunctional(kernel, arch, problem, a, b, c);
+  return {{m, n, k, batch}, randomMatrix(batch * m * k, 1),
+          randomMatrix(batch * k * n, 2), randomMatrix(batch * m * n, 3)};
 }
 
 void printStageBreakdown() {
@@ -397,25 +308,19 @@ int runChaosSmoke(sw::service::KernelService& service,
                   const sw::core::CompiledKernel& kernel,
                   const sw::sunway::ArchConfig& arch,
                   std::shared_ptr<const sw::sunway::FaultPlan> plan) {
-  const sw::core::PaddedShape shape =
-      sw::core::padShape(1, 1, 1, kernel.options, arch);
-  const std::int64_t batch = kernel.options.batched ? 2 : 1;
-  const std::int64_t m = shape.m, n = shape.n, k = 2 * shape.k;
-  const std::vector<double> a = randomMatrix(batch * m * k, 1);
-  const std::vector<double> b = randomMatrix(batch * k * n, 2);
-  const std::vector<double> c0 = randomMatrix(batch * m * n, 3);
-  const sw::core::GemmProblem problem{m, n, k, batch};
-
+  const SmokeRun smoke = smokeRun(kernel, arch);
   std::printf("fault injection: %s\n", plan->describe().c_str());
 
-  std::vector<double> baseline = c0;
-  sw::core::runGemmFunctional(kernel, arch, problem, a, b, baseline);
+  std::vector<double> baseline = smoke.c;
+  sw::core::runGemmFunctional(kernel, arch, smoke.problem, smoke.a, smoke.b,
+                              baseline);
 
-  std::vector<double> faulted = c0;
+  std::vector<double> faulted = smoke.c;
   sw::core::FunctionalRunConfig runConfig;
   runConfig.faultPlan = std::move(plan);
   const sw::service::KernelService::ResilientRunResult result =
-      service.runResilient(kernel.options, problem, a, b, faulted, runConfig);
+      service.runResilient(kernel.options, smoke.problem, smoke.a, smoke.b,
+                           faulted, runConfig);
 
   for (const sw::service::KernelService::DegradeStep& step :
        result.degradations)
@@ -455,79 +360,9 @@ int runChaosSmoke(sw::service::KernelService& service,
   return 0;
 }
 
-/// --soak: replay synthetic traffic against the admission frontend and
-/// print the soak report (text always; JSON with --report json).  The
-/// --inject plan, when present, runs as chaos against periodically
-/// verified functional mesh runs.  Returns nonzero only when a verified
-/// run produced a wrong answer — shedding under overload is the expected
-/// behaviour, not a failure.
-int runSoakMode(sw::service::KernelService& service, long requests,
-                double quotaRate,
-                std::shared_ptr<const sw::sunway::FaultPlan> plan,
-                long jobs, bool profile,
-                const std::string& reportMode,
-                const std::string& reportPath) {
-  sw::service::SoakConfig config;
-  config.requests = requests;
-  config.clientThreads = 4;
-  config.clientWindow = 64;
-  config.deadlineSeconds = 0.25;
-  if (plan != nullptr) {
-    config.chaosPlan = std::move(plan);
-    config.verifyEvery = 500;
-  }
-  config.admission.maxQueueDepth = 128;
-  config.admission.workers = jobs > 0 ? static_cast<int>(jobs) : 4;
-  if (quotaRate > 0.0)
-    for (const std::string& tenant : config.tenants)
-      config.admission.tenantQuotas[tenant] =
-          sw::service::TenantQuota{quotaRate, quotaRate};
-
-  std::printf("soaking the admission frontend: %ld requests, %d workers, "
-              "queue depth %lld, deadline %.0f ms%s%s\n",
-              requests, config.admission.workers,
-              static_cast<long long>(config.admission.maxQueueDepth),
-              config.deadlineSeconds * 1e3,
-              quotaRate > 0.0 ? ", per-tenant quota" : "",
-              config.chaosPlan != nullptr ? ", chaos active" : "");
-  const sw::service::SoakReport report = sw::service::runSoak(service, config);
-  std::printf("%s", report.toText().c_str());
-
-  if (reportMode == "json") {
-    if (reportPath.empty()) {
-      std::printf("%s", report.toJson().c_str());
-    } else {
-      writeFile(reportPath, report.toJson());
-      std::printf("wrote json soak report to %s\n", reportPath.c_str());
-    }
-  }
-  if (profile) {
-    std::printf("\nmetrics registry:\n%s",
-                sw::metrics::formatMetricsTable(
-                    sw::metrics::MetricsRegistry::global().snapshot())
-                    .c_str());
-    const std::map<std::string, sw::metrics::Histogram> histograms =
-        sw::metrics::HistogramRegistry::global().snapshot();
-    if (!histograms.empty())
-      std::printf("\nlatency histograms:\n%s",
-                  sw::metrics::formatHistogramTable(histograms, "ms").c_str());
-    std::printf("\n");
-  }
-  if (report.wrongAnswers > 0) {
-    std::fprintf(stderr,
-                 "soak: result=WRONG-ANSWERS — %lld verified completions "
-                 "diverged from their fault-free baseline\n",
-                 static_cast<long long>(report.wrongAnswers));
-    return 1;
-  }
-  std::printf("soak: result=ok shed=%lld wrong=0\n",
-              static_cast<long long>(report.shed.total()));
-  return 0;
-}
-
 /// Strict positive-integer parse for CLI arguments; returns false on any
 /// non-numeric, overflowing or non-positive value.
-bool parsePositiveLong(const char* text, long* out) {
+bool parsePositive(const char* text, long* out) {
   if (text == nullptr || *text == '\0') return false;
   errno = 0;
   char* end = nullptr;
@@ -537,29 +372,433 @@ bool parsePositiveLong(const char* text, long* out) {
   return true;
 }
 
-/// Non-negative double parse for --soak-quota.
-bool parseNonNegativeDouble(const char* text, double* out) {
+/// Strict positive-number parse for --soak-quota.
+bool parsePositive(const char* text, double* out) {
   if (text == nullptr || *text == '\0') return false;
   char* end = nullptr;
   const double v = std::strtod(text, &end);
-  if (*end != '\0' || v < 0.0) return false;
+  if (*end != '\0' || !(v > 0.0)) return false;
   *out = v;
   return true;
+}
+
+/// The parsed command line: one field per option of the table below.
+struct Cli {
+  struct Report {
+    std::string mode;  // "", "text" or "json"
+    std::string path;  // empty = stdout
+  };
+  std::string input, outputPrefix, tracePath, tuningDir, injectSpec,
+      warmShapes, manifestPath, padMode = "auto", engine = "plan";
+  Report report;
+  std::vector<long> estimate, run, tune;
+  long groups = 1, soakRequests = 0, jobs = 0;
+  double soakQuota = 0.0;  // 0 = effectively unlimited tenant quotas
+  bool noUseAsm = false, noRma = false, noHiding = false,
+       dumpSchedule = false, profile = false, help = false;
+};
+
+/// Mode bits; kSelects marks an option that selects its mode.
+enum : unsigned { kCompile = 1, kTune = 2, kBatch = 4, kSoak = 8,
+                  kEveryMode = kCompile | kTune | kBatch | kSoak,
+                  kSelects = 16 };
+
+/// Where an option's value lands; the member's type picks how it parses.
+using Field = std::variant<bool Cli::*, std::string Cli::*, long Cli::*,
+                           double Cli::*, std::vector<long> Cli::*,
+                           Cli::Report Cli::*>;
+
+/// One row of the option table.
+struct OptionSpec {
+  const char* name;
+  const char* arg;    // placeholder shown by --help; nullptr for a switch
+  Field field;
+  const char* wants;  // the usage error's "NAME requires <wants>"
+  unsigned modes;     // the modes that use the value, plus kSelects
+  const char* help;
+  std::vector<std::string> choices = {};  // all a choice may take
+  const char* alias = nullptr;            // a second spelling
+};
+
+const OptionSpec kOptions[] = {
+    {"-o", "PREFIX", &Cli::outputPrefix, "an output prefix",
+     kCompile | kTune, "output file prefix (default: kernel name)"},
+    {"--no-use-asm", nullptr, &Cli::noUseAsm, nullptr, kCompile | kTune,
+     "emit the naive loop nest instead of the vendor micro-kernel (Fig.13 "
+     "'+asm' ablation)"},
+    {"--no-rma", nullptr, &Cli::noRma, nullptr, kCompile | kTune,
+     "re-fetch tiles with DMA instead of RMA broadcasts; implicitly "
+     "disables latency hiding"},
+    {"--no-hiding", nullptr, &Cli::noHiding, nullptr, kCompile | kTune,
+     "disable the two-level software pipeline (§6)"},
+    {"--dump-schedule", nullptr, &Cli::dumpSchedule, nullptr, kCompile,
+     "print the schedule tree after each stage"},
+    {"--estimate", "M N K [B]", &Cli::estimate, "positive integers M N K [B]",
+     kCompile, "report modelled GFLOPS for the given shape; shapes past "
+     "~9,223 s of simulated time are rejected"},
+    {"--pad-mode", "MODE", &Cli::padMode, "auto, padded or edge",
+     kCompile | kTune, "how arbitrary shapes meet the kernel's tile grid: "
+     "'edge' compiles edge-tile clamps and runs on unpadded arrays, "
+     "'padded' keeps the §8.1 zero-padding convention, 'auto' (default) "
+     "follows the kernel", {"auto", "padded", "edge"}},
+    {"--run", "M N K [B]", &Cli::run, "positive integers M N K [B]",
+     kCompile, "compile-and-run the shape functionally on the mesh "
+     "simulator with random data; with edge tiles the result is verified "
+     "bit-for-bit against the padded reference run"},
+    {"--engine", "ENGINE", &Cli::engine, "tree or plan", kCompile,
+     "execution engine for --run: 'plan' (default) interprets the lowered "
+     "plan, 'tree' walks the schedule tree; both give bit-identical "
+     "results and simulated times", {"tree", "plan"}},
+    {"--groups", "N", &Cli::groups, "a positive core-group count",
+     kCompile | kTune, "shard --run/--estimate across N concurrent core "
+     "groups (1..6; default 1): --run is verified bit-for-bit against one "
+     "group, --estimate applies the shared-DDR contention derate and NoC "
+     "hand-off costs, --tune adds N-group candidates"},
+    {"--profile", nullptr, &Cli::profile, nullptr, kEveryMode,
+     "print the per-stage compile breakdown, the metrics registry and the "
+     "latency histograms; an INPUT.c compile adds the run metrics (overlap%, "
+     "stall%, SPM) of --run, else --estimate, else a one-mesh-tile run"},
+    {"--report", "MODE [PATH]", &Cli::report, "text or json",
+     kCompile | kSoak, "emit the performance report (time attribution, "
+     "roofline, top bottleneck) of --run, else --estimate, else a 1024^3 "
+     "estimate; under --soak, the soak report.  PATH (not ending in .c) "
+     "selects a file, default stdout", {"text", "json"}},
+    {"--trace", "OUT.json", &Cli::tracePath, "an output path", kEveryMode,
+     "write a Chrome trace-event file (open in https://ui.perfetto.dev): "
+     "compile spans plus, for INPUT.c, per-CPE simulated-clock lanes of "
+     "--run, else --estimate's stepped ops and fast-forward spans, else a "
+     "one-mesh-tile run's lanes"},
+    {"--tune", "M N K [B]", &Cli::tune, "positive integers M N K [B]",
+     kTune | kSelects, "search the shape's schedule space (estimator "
+     "ranking, then mesh validation of the top candidates), print the "
+     "winner and write its sources; B > 1 tunes the batched kernel, and a "
+     "repeat is served from the tuning database"},
+    {"--tuning-dir", "DIR", &Cli::tuningDir, "a directory path", kTune,
+     "persistent tuning database for --tune; without it nothing persists"},
+    {"--inject", "SPEC", &Cli::injectSpec,
+     "a fault spec (e.g. dma-drop:cpe=0:occ=1)", kCompile | kSoak,
+     "run a functional mesh smoke under a deterministic fault plan with "
+     "retry and graceful degradation (under --soak, chaos against verified "
+     "runs); SPEC is ';'-separated kind[:cpe=N|*][:occ=N][:count=N|forever] "
+     "[:seconds=X][:rate=P][:seed=N], kind one of dma-drop dma-corrupt "
+     "dma-delay rma-drop rma-delay stall"},
+    {"--warm", "SHAPES", &Cli::warmShapes,
+     "a comma-separated list of tile shapes (e.g. 64x64x32,32x32x32)",
+     kBatch | kSelects, "pre-compile a comma-separated list of tile shapes "
+     "(e.g. 64x64x32,32x32x32) on the worker pool"},
+    {"--serve-batch", "FILE", &Cli::manifestPath, "a manifest file",
+     kBatch | kSelects, "compile every request in a manifest (one per line: "
+     "tile=MxNxK strip=S batch no-asm no-rma no-hiding fuse=relu|quantize "
+     "transA transB) concurrently; a malformed line fails alone, with its "
+     "line number"},
+    {"--soak", "N", &Cli::soakRequests, "a positive request count",
+     kSoak | kSelects, "replay N synthetic requests against the admission "
+     "frontend (Zipfian kernel popularity, rotating tenants, bounded "
+     "priority queue, deadlines, per-tenant quotas).  Exits nonzero on any "
+     "wrong-answer completion"},
+    {"--soak-quota", "RATE", &Cli::soakQuota,
+     "a positive tokens-per-second rate", kSoak, "per-tenant token-bucket "
+     "quota for --soak (RATE tokens/s refill, burst = RATE); offered load "
+     "above the rate is shed with a typed quota error"},
+    {"-j", "N", &Cli::jobs, "a positive thread count", kBatch | kSoak,
+     "worker threads for --warm/--serve-batch (default: hardware "
+     "concurrency) and admission workers for --soak (default 4)", {},
+     "--jobs"},
+    {"-h", nullptr, &Cli::help, nullptr, kEveryMode,
+     "show this help and exit", {}, "--help"},
+};
+
+/// A usage error: one `swcodegen:` line on stderr, exit 2.
+struct UsageError {
+  std::string message;
+};
+
+template <class... F>
+struct Overloaded : F... {
+  using F::operator()...;
+};
+
+/// "INPUT.c compile, --warm/--serve-batch": `modes` named by selector.
+std::string modeNames(unsigned modes) {
+  std::string out;
+  for (unsigned mode = kCompile; mode <= kSoak; mode <<= 1) {
+    if ((modes & mode) == 0) continue;
+    std::string name = mode == kCompile ? "INPUT.c compile" : "";
+    for (const OptionSpec& spec : kOptions)
+      if ((spec.modes & kSelects) != 0 && (spec.modes & mode) != 0)
+        name += (name.empty() ? "" : "/") + std::string(spec.name);
+    out += (out.empty() ? "" : ", ") + name;
+  }
+  return out;
+}
+
+/// Parses argv into `cli` and returns its one mode (0 if none), checking
+/// every value and option against the table; stops at -h.
+unsigned parseCommandLine(int argc, char** argv, Cli& cli) {
+  std::vector<std::pair<const OptionSpec*, std::string>> given;
+  unsigned mode = 0;
+  std::string selectedBy;
+  const auto select = [&](unsigned wanted, const std::string& by) {
+    if (mode != 0 && mode != wanted)
+      throw UsageError{by + " selects the " + modeNames(wanted) +
+                       " mode, but " + selectedBy + " selected the " +
+                       modeNames(mode) + " mode; give one per invocation"};
+    mode = wanted;
+    selectedBy = by;
+  };
+  for (int i = 1; i < argc && !cli.help; ++i) {
+    const std::string arg = argv[i];
+    if (!arg.empty() && arg[0] != '-') {
+      if (!cli.input.empty())
+        throw UsageError{"unexpected extra argument '" + arg +
+                         "' (input is already '" + cli.input +
+                         "'; try 'swcodegen --help')"};
+      cli.input = arg;
+      select(kCompile, "'" + arg + "'");
+      continue;
+    }
+    const OptionSpec* spec = nullptr;
+    for (const OptionSpec& o : kOptions)
+      if (arg == o.name || (o.alias != nullptr && arg == o.alias)) spec = &o;
+    if (spec == nullptr)
+      throw UsageError{"unknown option '" + arg +
+                       "' (try 'swcodegen --help')"};
+    const auto needs = [&] { return arg + " requires " + spec->wants; };
+    const auto bad = [&](const std::string& value) {
+      return UsageError{needs() + ", got '" + value + "'"};
+    };
+    const auto value = [&] {
+      if (i + 1 >= argc) throw UsageError{needs()};
+      const std::string v = argv[++i];
+      if (!spec->choices.empty() &&
+          std::find(spec->choices.begin(), spec->choices.end(), v) ==
+              spec->choices.end())
+        throw UsageError{"unknown " + arg + " '" + v + "' (want " +
+                         spec->wants + ")"};
+      return v;
+    };
+    const Overloaded parseValue{
+        [&](bool Cli::*f) { cli.*f = true; },
+        [&](std::string Cli::*f) { cli.*f = value(); },
+        [&](auto Cli::*f) {  // a positive count or rate
+          if (!parsePositive(value().c_str(), &(cli.*f))) throw bad(argv[i]);
+        },
+        [&](std::vector<long> Cli::*f) {
+          // M N K, then B if the next token is a positive integer.
+          (cli.*f).clear();
+          for (long v = 0; (cli.*f).size() < 4 && i + 1 < argc &&
+                           parsePositive(argv[i + 1], &v);
+               ++i)
+            (cli.*f).push_back(v);
+          if ((cli.*f).size() < 3)
+            throw i + 1 < argc ? bad(argv[i + 1]) : UsageError{needs()};
+        },
+        [&](Cli::Report Cli::*f) {
+          (cli.*f).mode = value();
+          // An optional output path follows; the INPUT.c positional may sit
+          // there too, so a token ending in .c is left for it.
+          if (i + 1 < argc && argv[i + 1][0] != '-' &&
+              !std::string_view(argv[i + 1]).ends_with(".c"))
+            (cli.*f).path = argv[++i];
+        },
+    };
+    std::visit(parseValue, spec->field);
+    given.emplace_back(spec, arg);
+    if ((spec->modes & kSelects) != 0) select(spec->modes & kEveryMode, arg);
+  }
+  if (mode != 0 && !cli.help)
+    for (const auto& [spec, as] : given)
+      if ((spec->modes & mode) == 0)
+        throw UsageError{as + " does not apply to the " + modeNames(mode) +
+                         " mode, only to " + modeNames(spec->modes)};
+  return mode;
+}
+
+/// --help from the option table: mode synopses, then each option.
+void printHelp(std::FILE* out) {
+  std::string text;
+  for (unsigned mode = kCompile; mode <= kSoak; mode <<= 1) {
+    std::string synopsis = mode == kCompile ? " INPUT.c" : "";
+    for (const OptionSpec& spec : kOptions)
+      if ((spec.modes & kSelects) != 0 && (spec.modes & mode) != 0)
+        synopsis += (synopsis.empty() ? " " : " | ") +
+                    (spec.name + (" " + std::string(spec.arg)));
+    text += (text.empty() ? "usage: swcodegen" : "       swcodegen") +
+            synopsis + " [options]\n";
+  }
+  text += "\nCompile a naive C GEMM into SW26010Pro athread sources, tune a "
+          "shape's\nschedule, warm the kernel cache or soak the admission "
+          "frontend.  An\noption outside its mode is a usage error.\n"
+          "\noptions:\n";
+  for (const OptionSpec& spec : kOptions) {
+    std::string line = std::string("  ") + spec.name +
+                       (spec.alias ? std::string(", ") + spec.alias : "") +
+                       (spec.arg ? std::string(" ") + spec.arg : "");
+    // Help runs from column 21 to 79; a long head gets a line of its own.
+    if (line.size() > 20) text += std::exchange(line, "") + "\n";
+    line.resize(20, ' ');
+    std::istringstream words(spec.help);
+    for (std::string word; words >> word; line += " " + word)
+      if (line.size() + 1 + word.size() > 79)
+        text += std::exchange(line, std::string(20, ' ')) + "\n";
+    text += line + "\n" + std::string(21, ' ') + "applies to: " +
+            ((spec.modes & kEveryMode) == kEveryMode ? "every mode"
+                                                     : modeNames(spec.modes)) +
+            "\n";
+  }
+  text +=
+      "\nenvironment:\n"
+      "  SWCODEGEN_LOG         debug|info|warn — structured log threshold\n"
+      "  SWCODEGEN_TRACE       path — enable tracing and write there on exit\n"
+      "  SWCODEGEN_TUNING_DIR  default for --tuning-dir\n";
+  std::fputs(text.c_str(), out);
+}
+
+/// The compile options the schedule flags ask for.
+sw::core::CodegenOptions codegenOptions(const Cli& cli) {
+  sw::core::CodegenOptions options;
+  options.useAsm = !cli.noUseAsm;
+  if (cli.noRma) options.useRma = false;
+  if (cli.noRma || cli.noHiding) options.hideLatency = false;
+  if (cli.padMode != "auto") options.edgeTiles = cli.padMode == "edge";
+  // --tune has no INPUT.c to detect a batched GEMM from: a batch count
+  // above 1 asks for the batched kernel.
+  if (cli.tune.size() == 4 && cli.tune[3] > 1) options.batched = true;
+  return options;
+}
+
+/// What a mode leaves for the epilogue: its exit code, the run blocks
+/// --profile prints, and the renderer of its --report body.
+struct ModeOutcome {
+  int rc = 0;
+  struct Run {
+    std::string title;
+    sw::rt::RunOutcome outcome;
+    bool withGauges;
+  };
+  std::vector<Run> runs;
+  std::function<std::string(bool json)> report;
+};
+
+/// INPUT.c compile: compile through the kernel service (so its histogram
+/// and gauges cover the CLI too), write the sources, then estimate, run
+/// and inject as asked.
+ModeOutcome runCompileMode(
+    sw::service::KernelService& service, const Cli& cli,
+    const std::string& source,
+    std::shared_ptr<const sw::sunway::FaultPlan> faultPlan) {
+  const sw::sunway::ArchConfig& arch = service.arch();
+  const sw::core::CompiledKernel kernel =
+      service.compileSource(source, codegenOptions(cli));
+  if (cli.dumpSchedule)
+    std::printf("--- initial schedule tree ---\n%s\n"
+                "--- after compute decomposition ---\n%s\n"
+                "--- final schedule tree ---\n%s\n",
+                kernel.initialTreeDump.c_str(), kernel.tiledTreeDump.c_str(),
+                kernel.finalTreeDump.c_str());
+  const bool fused = kernel.options.fusion != sw::core::FusionKind::kNone;
+  writeSources(kernel, cli.outputPrefix,
+               std::string(kernel.options.batched ? ", batched" : "") +
+                   (fused ? ", fused" : ""));
+
+  ModeOutcome result;
+  const bool sharded = cli.groups > 1;
+  std::optional<sw::perf::PerfReport> reported;
+  if (!cli.estimate.empty()) {
+    const sw::core::GemmProblem problem = problemOf(cli.estimate);
+    sw::core::ShardedOutcome shard;
+    sw::rt::RunOutcome estimated;
+    if (sharded) {
+      sw::core::ShardedConfig config;
+      config.groups = static_cast<int>(cli.groups);
+      shard = sw::core::estimateSharded(kernel, arch, config, problem);
+      estimated = asRunOutcome(shard, "sharded-estimator");
+    } else {
+      estimated = sw::core::estimateGemm(kernel, arch, problem);
+    }
+    std::printf("estimated %ldx%ldx%ld%s", cli.estimate[0], cli.estimate[1],
+                cli.estimate[2],
+                cli.estimate.size() == 4
+                    ? (" batch " + std::to_string(problem.batch)).c_str()
+                    : "");
+    if (sharded)
+      std::printf(" on %d core groups: %.2f GFLOPS (%.1f%% of the %d-group "
+                  "peak, DDR derate %.2f), %.3f ms\n",
+                  shard.concurrentGroups, shard.gflops,
+                  100.0 * shard.gflops /
+                      (shard.concurrentGroups * arch.peakFlops() / 1e9),
+                  shard.concurrentGroups, shard.contentionDerate,
+                  shard.seconds * 1e3);
+    else
+      std::printf(": %.2f GFLOPS (%.1f%% of model peak), %.3f ms\n",
+                  estimated.gflops,
+                  100.0 * estimated.gflops / (arch.peakFlops() / 1e9),
+                  estimated.seconds * 1e3);
+    reported = estimated.report;
+    result.runs.push_back(
+        {"estimated run metrics (symmetric model)", estimated, !sharded});
+  }
+
+  if (!cli.run.empty()) {
+    sw::core::FunctionalRunConfig runConfig;
+    runConfig.padMode = cli.padMode == "edge"     ? sw::core::PadMode::kEdge
+                        : cli.padMode == "padded" ? sw::core::PadMode::kPadded
+                                                  : sw::core::PadMode::kAuto;
+    if (cli.engine == "tree") runConfig.engine = sw::rt::ExecEngine::kTreeWalk;
+    sw::rt::RunOutcome ran;
+    result.rc = runShapeSmoke(kernel, arch, problemOf(cli.run), runConfig,
+                              cli.groups, ran);
+    reported = ran.report;
+    const std::string where =
+        sharded ? std::to_string(cli.groups) + " core groups, sharded"
+                : "one core group, 64 CPEs";
+    result.runs.push_back({"functional mesh run " + shapeText(cli.run) +
+                               " (" + where + ")",
+                           ran, !sharded});
+  }
+
+  // --profile and --trace describe the requested run or estimate.  With
+  // neither, a one-mesh-tile side run lights up the 64 per-CPE trace
+  // lanes and the mesh-run metrics instead.
+  if ((!cli.tracePath.empty() || cli.profile) && !faultPlan &&
+      cli.run.empty() && cli.estimate.empty()) {
+    SmokeRun smoke = smokeRun(kernel, arch);
+    result.runs.push_back(
+        {"functional mesh smoke run (one mesh tile, 64 CPEs)",
+         sw::core::runGemmFunctional(kernel, arch, smoke.problem, smoke.a,
+                                     smoke.b, smoke.c),
+         true});
+  }
+
+  if (faultPlan) {
+    const int chaosRc = runChaosSmoke(service, kernel, arch, faultPlan);
+    if (chaosRc != 0) result.rc = chaosRc;
+  }
+
+  // --report describes the most faithful run available: a functional mesh
+  // run beats an estimate beats a default-shape estimate, made on demand.
+  if (!cli.report.mode.empty())
+    result.report = [reported, kernel, &service](bool json) {
+      const sw::perf::PerfReport report =
+          reported ? *reported
+                   : sw::core::estimateGemm(
+                         kernel, service.arch(),
+                         {1024, 1024, 1024, kernel.options.batched ? 2 : 1})
+                         .report;
+      return json ? report.toJson() + "\n" : report.toText();
+    };
+  return result;
 }
 
 /// --tune: resolve the best schedule for a problem shape through the
 /// service's tuner (tuning-DB consult, two-stage search on a miss), print
 /// the decision with a machine-greppable `schedule source:` line, and
 /// write the winner's athread sources.
-int runTuneMode(sw::service::KernelService& service,
-                const sw::core::CodegenOptions& base,
-                const std::vector<long>& shape,
-                const std::string& outputPrefix) {
-  const sw::core::GemmProblem problem{shape[0], shape[1], shape[2],
-                                      shape.size() == 4 ? shape[3] : 1};
-  std::printf("tuning %ldx%ldx%ld batch %lld over the schedule space\n",
-              shape[0], shape[1], shape[2],
-              static_cast<long long>(problem.batch));
+ModeOutcome runTuneMode(sw::service::KernelService& service, const Cli& cli) {
+  const sw::core::CodegenOptions base = codegenOptions(cli);
+  const sw::core::GemmProblem problem = problemOf(cli.tune);
+  std::printf("tuning %s over the schedule space\n",
+              shapeText(cli.tune).c_str());
 
   // Enumeration summary (analytic, no pipeline runs): what the search
   // considers and why the §3.2 / SPM constraints shrink it.
@@ -626,64 +865,68 @@ int runTuneMode(sw::service::KernelService& service,
 
   const std::string dbPath = service.tuningDbPath(
       sw::tuning::canonicalTuneKey(base, service.arch(), problem));
-  switch (resolved.source) {
-    case sw::service::KernelService::ResolvedSchedule::Source::kSearch:
-      std::printf("schedule source: search%s%s\n",
-                  dbPath.empty() ? " (no tuning dir, decision not persisted)"
-                                 : ", stored in ",
-                  dbPath.c_str());
-      break;
-    case sw::service::KernelService::ResolvedSchedule::Source::kDiskHit:
-      std::printf("schedule source: tuning-db (disk hit, search not "
-                  "re-run: %s)\n",
-                  dbPath.c_str());
-      break;
-    case sw::service::KernelService::ResolvedSchedule::Source::kShared:
-      std::printf("schedule source: shared in-flight search\n");
-      break;
-  }
+  using Source = sw::service::KernelService::ResolvedSchedule::Source;
+  if (resolved.source == Source::kSearch)
+    std::printf("schedule source: search%s%s\n",
+                dbPath.empty() ? " (no tuning dir, decision not persisted)"
+                               : ", stored in ",
+                dbPath.c_str());
+  else if (resolved.source == Source::kDiskHit)
+    std::printf("schedule source: tuning-db (disk hit, search not re-run: "
+                "%s)\n", dbPath.c_str());
+  else
+    std::printf("schedule source: shared in-flight search\n");
 
   sw::service::ServeOutcome outcome = sw::service::ServeOutcome::kCompiled;
   const sw::service::KernelService::KernelPtr kernel =
       service.compile(resolved.options, &outcome);
-  const std::string prefix =
-      outputPrefix.empty() ? kernel->program.name : outputPrefix;
-  writeFile(prefix + "_cpe.c", kernel->cpeSource);
-  writeFile(prefix + "_mpe.c", kernel->mpeSource);
-  std::printf("wrote %s_cpe.c and %s_mpe.c (kernel '%s', served via %s)\n",
-              prefix.c_str(), prefix.c_str(), kernel->program.name.c_str(),
-              sw::service::toString(outcome));
-  return 0;
+  writeSources(*kernel, cli.outputPrefix,
+               std::string(", served via ") + sw::service::toString(outcome));
+  return {};
 }
 
-/// --warm / --serve-batch: print the per-request serving report of a
-/// completed batch.  Failed requests (including manifest lines that did
-/// not parse — their error carries the 1-based line number) are listed
-/// individually; the exit code is nonzero when any request failed.
-int reportBatch(sw::service::KernelService& service,
-                const std::vector<sw::service::KernelService::BatchResult>&
-                    results,
-                double wallMs) {
+/// --warm / --serve-batch: compile every request on the service's pool and
+/// print the per-request serving report; failed requests are listed
+/// individually and make the exit code nonzero.
+ModeOutcome runBatchMode(sw::service::KernelService& service,
+                         const Cli& cli) {
+  const double start = sw::trace::Tracer::global().nowMicros();
+  std::vector<sw::service::KernelService::BatchResult> results;
+  if (!cli.warmShapes.empty())
+    results =
+        service.compileBatch(sw::service::parseWarmShapes(cli.warmShapes));
+  if (!cli.manifestPath.empty()) {
+    // compileManifest keeps malformed lines in the batch as per-line
+    // failures (error = "manifest line <N>: ...") instead of aborting
+    // the valid requests around them.
+    std::vector<sw::service::KernelService::BatchResult> manifest =
+        service.compileManifest(readFile(cli.manifestPath));
+    if (manifest.empty())
+      throw sw::InputError("batch manifest '" + cli.manifestPath +
+                           "' contains no requests");
+    for (auto& r : manifest) results.push_back(std::move(r));
+  }
+  const double wallMs =
+      (sw::trace::Tracer::global().nowMicros() - start) / 1e3;
+
   std::printf("%-4s %-16s %-12s %10s  %s\n", "#", "tile", "outcome",
               "ms", "key");
   int failures = 0;
   for (std::size_t i = 0; i < results.size(); ++i) {
     const sw::service::KernelService::BatchResult& r = results[i];
-    char tile[48];
-    std::snprintf(tile, sizeof(tile), "%ldx%ldx%ld",
-                  static_cast<long>(r.options.tileM),
-                  static_cast<long>(r.options.tileN),
-                  static_cast<long>(r.options.tileK));
+    const std::string tile = std::to_string(r.options.tileM) + "x" +
+                             std::to_string(r.options.tileN) + "x" +
+                             std::to_string(r.options.tileK);
     const std::string key = sw::core::canonicalRequestKey(
         r.options, service.arch());
     if (r.error.empty()) {
-      std::printf("%-4zu %-16s %-12s %10.3f  %s\n", i, tile,
+      std::printf("%-4zu %-16s %-12s %10.3f  %s\n", i, tile.c_str(),
                   sw::service::toString(r.outcome), r.latencySeconds * 1e3,
                   sw::digestHex(sw::fnv1a64(key)).c_str());
     } else {
       ++failures;
-      std::printf("%-4zu %-16s %-12s %10s  error: %s\n", i, tile, "failed",
-                  "-", r.error.c_str());
+      std::printf("%-4zu %-16s %-12s %10s  error: %s\n", i, tile.c_str(),
+                  "failed", "-", r.error.c_str());
     }
   }
   const sw::service::KernelServiceStats stats = service.stats();
@@ -694,525 +937,158 @@ int reportBatch(sw::service::KernelService& service,
               static_cast<long long>(stats.memoryHits),
               static_cast<long long>(stats.shared),
               100.0 * stats.hitRate());
-  return failures == 0 ? 0 : 1;
+  return {failures == 0 ? 0 : 1, {}, nullptr};
+}
+
+/// --soak: replay synthetic traffic against the admission frontend and
+/// print the soak report, with --inject as chaos against periodically
+/// verified mesh runs.  Exits nonzero only when a verified run produced a
+/// wrong answer — shedding under overload is the expected behaviour.
+ModeOutcome runSoakMode(sw::service::KernelService& service, const Cli& cli,
+                        std::shared_ptr<const sw::sunway::FaultPlan> plan) {
+  sw::service::SoakConfig config;
+  config.requests = cli.soakRequests;
+  config.clientThreads = 4;
+  config.clientWindow = 64;
+  config.deadlineSeconds = 0.25;
+  if (plan != nullptr) {
+    config.chaosPlan = std::move(plan);
+    config.verifyEvery = 500;
+  }
+  config.admission.maxQueueDepth = 128;
+  config.admission.workers = cli.jobs > 0 ? static_cast<int>(cli.jobs) : 4;
+  if (cli.soakQuota > 0.0)
+    for (const std::string& tenant : config.tenants)
+      config.admission.tenantQuotas[tenant] =
+          sw::service::TenantQuota{cli.soakQuota, cli.soakQuota};
+
+  std::printf("soaking the admission frontend: %ld requests, %d workers, "
+              "queue depth %lld, deadline %.0f ms%s%s\n",
+              cli.soakRequests, config.admission.workers,
+              static_cast<long long>(config.admission.maxQueueDepth),
+              config.deadlineSeconds * 1e3,
+              cli.soakQuota > 0.0 ? ", per-tenant quota" : "",
+              config.chaosPlan != nullptr ? ", chaos active" : "");
+  const sw::service::SoakReport report = sw::service::runSoak(service, config);
+  // --report text to stdout prints this same text in the epilogue.
+  if (cli.report.mode != "text" || !cli.report.path.empty())
+    std::printf("%s", report.toText().c_str());
+
+  ModeOutcome result;
+  result.report = [report](bool json) {
+    return json ? report.toJson() : report.toText();
+  };
+  if (report.wrongAnswers > 0) {
+    std::fprintf(stderr,
+                 "soak: result=WRONG-ANSWERS — %lld verified completions "
+                 "diverged from their fault-free baseline\n",
+                 static_cast<long long>(report.wrongAnswers));
+    result.rc = 1;
+    return result;
+  }
+  std::printf("soak: result=ok shed=%lld wrong=0\n",
+              static_cast<long long>(report.shed.total()));
+  return result;
+}
+
+/// The epilogue of every mode: --profile, then --report, then the trace.
+/// Returns the mode's exit code.
+int finish(const Cli& cli, const ModeOutcome& outcome) {
+  if (cli.profile) {
+    std::printf("\n");
+    printStageBreakdown();
+    for (const ModeOutcome::Run& run : outcome.runs)
+      printRunMetrics(run.title, run.outcome, run.withGauges);
+    std::printf("metrics registry:\n%s",
+                sw::metrics::formatMetricsTable(
+                    sw::metrics::MetricsRegistry::global().snapshot())
+                    .c_str());
+    const std::map<std::string, sw::metrics::Histogram> histograms =
+        sw::metrics::HistogramRegistry::global().snapshot();
+    if (!histograms.empty())
+      std::printf("\nlatency histograms:\n%s",
+                  sw::metrics::formatHistogramTable(histograms, "ms").c_str());
+    std::printf("\n");
+  }
+
+  if (!cli.report.mode.empty()) {
+    const std::string body = outcome.report(cli.report.mode == "json");
+    if (cli.report.path.empty()) {
+      std::printf("%s", body.c_str());
+    } else {
+      writeFile(cli.report.path, body);
+      std::printf("wrote %s report to %s\n", cli.report.mode.c_str(),
+                  cli.report.path.c_str());
+    }
+  }
+
+  // SWCODEGEN_TRACE=path enables collection library-wide; honour it as the
+  // output location when --trace was not given.
+  std::string tracePath = cli.tracePath;
+  const char* env = std::getenv("SWCODEGEN_TRACE");
+  if (tracePath.empty() && env != nullptr) tracePath = env;
+  if (!tracePath.empty()) {
+    sw::trace::Tracer::global().writeFile(tracePath);
+    std::printf("wrote trace to %s (%zu events; open in "
+                "https://ui.perfetto.dev)\n",
+                tracePath.c_str(), sw::trace::Tracer::global().eventCount());
+  }
+  return outcome.rc;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string inputPath;
-  std::string outputPrefix;
-  std::string tracePath;
-  std::string tuningDir;
-  std::string warmShapes;
-  std::string batchManifestPath;
-  std::string injectSpec;
-  std::string reportMode;  // "", "text" or "json"
-  std::string reportPath;  // empty = stdout
-  long jobs = 0;
-  long groups = 1;
-  long soakRequests = 0;
-  double soakQuota = 0.0;  // 0 = effectively unlimited tenant quotas
-  bool dumpSchedule = false;
-  bool profile = false;
-  bool noRma = false;
-  bool noHiding = false;
-  std::vector<long> estimate;
-  std::vector<long> runShape;
-  std::vector<long> tuneShape;
-  sw::core::PadMode padMode = sw::core::PadMode::kAuto;
-  sw::rt::ExecEngine engine = sw::rt::ExecEngine::kPlan;
-  sw::core::CodegenOptions options;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "-h" || arg == "--help") {
-      usage(stdout);
-      return 0;
-    } else if (arg == "-o") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "swcodegen: -o requires an output prefix\n");
-        return 2;
-      }
-      outputPrefix = argv[++i];
-    } else if (arg == "--no-use-asm") {
-      options.useAsm = false;
-    } else if (arg == "--no-rma") {
-      noRma = true;
-      options.useRma = false;
-      options.hideLatency = false;
-    } else if (arg == "--no-hiding") {
-      noHiding = true;
-      options.hideLatency = false;
-    } else if (arg == "--dump-schedule") {
-      dumpSchedule = true;
-    } else if (arg == "--profile") {
-      profile = true;
-    } else if (arg == "--report") {
-      if (i + 1 >= argc || (std::string(argv[i + 1]) != "text" &&
-                            std::string(argv[i + 1]) != "json")) {
-        std::fprintf(stderr,
-                     "swcodegen: --report requires a mode, text or json\n");
-        return 2;
-      }
-      reportMode = argv[++i];
-      // An optional output path follows; the INPUT.c positional may sit
-      // there too, so a token ending in .c is left for the input parser.
-      if (i + 1 < argc && argv[i + 1][0] != '-') {
-        const std::string candidate = argv[i + 1];
-        const bool looksLikeInput =
-            candidate.size() >= 2 &&
-            candidate.compare(candidate.size() - 2, 2, ".c") == 0;
-        if (!looksLikeInput) reportPath = argv[++i];
-      }
-    } else if (arg == "--trace") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "swcodegen: --trace requires an output path\n");
-        return 2;
-      }
-      tracePath = argv[++i];
-    } else if (arg == "--tuning-dir") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr,
-                     "swcodegen: --tuning-dir requires a directory path\n");
-        return 2;
-      }
-      tuningDir = argv[++i];
-    } else if (arg == "--inject") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr,
-                     "swcodegen: --inject requires a fault spec (e.g. "
-                     "dma-drop:cpe=0:occ=1)\n");
-        return 2;
-      }
-      injectSpec = argv[++i];
-    } else if (arg == "--warm") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr,
-                     "swcodegen: --warm requires a comma-separated list of "
-                     "tile shapes (e.g. 64x64x32,32x32x32)\n");
-        return 2;
-      }
-      warmShapes = argv[++i];
-    } else if (arg == "--serve-batch") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr,
-                     "swcodegen: --serve-batch requires a manifest file\n");
-        return 2;
-      }
-      batchManifestPath = argv[++i];
-    } else if (arg == "--soak") {
-      if (i + 1 >= argc || !parsePositiveLong(argv[i + 1], &soakRequests)) {
-        std::fprintf(stderr,
-                     "swcodegen: --soak requires a positive request count\n");
-        return 2;
-      }
-      ++i;
-    } else if (arg == "--soak-quota") {
-      if (i + 1 >= argc ||
-          !parseNonNegativeDouble(argv[i + 1], &soakQuota) ||
-          soakQuota <= 0.0) {
-        std::fprintf(stderr,
-                     "swcodegen: --soak-quota requires a positive "
-                     "tokens-per-second rate\n");
-        return 2;
-      }
-      ++i;
-    } else if (arg == "--groups") {
-      if (i + 1 >= argc || !parsePositiveLong(argv[i + 1], &groups)) {
-        std::fprintf(stderr,
-                     "swcodegen: --groups requires a positive core-group "
-                     "count\n");
-        return 2;
-      }
-      ++i;
-    } else if (arg == "-j" || arg == "--jobs") {
-      if (i + 1 >= argc || !parsePositiveLong(argv[i + 1], &jobs)) {
-        std::fprintf(stderr,
-                     "swcodegen: %s requires a positive thread count\n",
-                     arg.c_str());
-        return 2;
-      }
-      ++i;
-    } else if (arg == "--estimate" || arg == "--run" || arg == "--tune") {
-      // Exactly M N K plus an optional batch count; every value must be a
-      // positive integer (silently misparsed shapes used to slip through
-      // strtol here).
-      std::vector<long>& shape = arg == "--run"
-                                     ? runShape
-                                     : (arg == "--tune" ? tuneShape
-                                                        : estimate);
-      for (int want = 0; want < 4; ++want) {
-        if (i + 1 >= argc) break;
-        if (want == 3 && argv[i + 1][0] == '-') break;  // B is optional
-        long value = 0;
-        if (!parsePositiveLong(argv[i + 1], &value)) {
-          if (want >= 3) break;  // next token is another option
-          std::fprintf(stderr,
-                       "swcodegen: %s requires positive integers "
-                       "M N K [B], got '%s'\n",
-                       arg.c_str(), argv[i + 1]);
-          return 2;
-        }
-        shape.push_back(value);
-        ++i;
-      }
-      if (shape.size() < 3) {
-        std::fprintf(stderr,
-                     "swcodegen: %s requires positive integers M N K [B]\n",
-                     arg.c_str());
-        return 2;
-      }
-    } else if (arg == "--engine") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "swcodegen: --engine requires tree or plan\n");
-        return 2;
-      }
-      const std::string name = argv[++i];
-      if (name == "plan") {
-        engine = sw::rt::ExecEngine::kPlan;
-      } else if (name == "tree") {
-        engine = sw::rt::ExecEngine::kTreeWalk;
-      } else {
-        std::fprintf(stderr,
-                     "swcodegen: unknown --engine '%s' (want tree or plan)\n",
-                     name.c_str());
-        return 2;
-      }
-    } else if (arg == "--pad-mode") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr,
-                     "swcodegen: --pad-mode requires auto, padded or edge\n");
-        return 2;
-      }
-      const std::string mode = argv[++i];
-      if (mode == "auto") {
-        padMode = sw::core::PadMode::kAuto;
-      } else if (mode == "padded") {
-        padMode = sw::core::PadMode::kPadded;
-        options.edgeTiles = false;
-      } else if (mode == "edge") {
-        padMode = sw::core::PadMode::kEdge;
-        options.edgeTiles = true;
-      } else {
-        std::fprintf(stderr,
-                     "swcodegen: unknown --pad-mode '%s' (want auto, "
-                     "padded or edge)\n",
-                     mode.c_str());
-        return 2;
-      }
-    } else if (!arg.empty() && arg[0] != '-' && inputPath.empty()) {
-      inputPath = arg;
-    } else if (!arg.empty() && arg[0] != '-') {
-      std::fprintf(stderr,
-                   "swcodegen: unexpected extra argument '%s' (input is "
-                   "already '%s'; try 'swcodegen --help')\n",
-                   arg.c_str(), inputPath.c_str());
-      return 2;
-    } else {
-      std::fprintf(stderr,
-                   "swcodegen: unknown option '%s' (try 'swcodegen "
-                   "--help')\n",
-                   arg.c_str());
-      return 2;
-    }
-  }
-  if (tuningDir.empty()) {
-    const char* env = std::getenv("SWCODEGEN_TUNING_DIR");
-    if (env != nullptr && env[0] != '\0') tuningDir = env;
-  }
-  const bool batchMode = !warmShapes.empty() || !batchManifestPath.empty();
-  const bool tuneMode = !tuneShape.empty();
-  const bool soakMode = soakRequests > 0;
-  // --tune has no INPUT.c to detect a batched GEMM from: a batch count
-  // above 1 asks for the batched kernel.
-  if (tuneMode && tuneShape.size() == 4 && tuneShape[3] > 1)
-    options.batched = true;
-  if (inputPath.empty() && !batchMode && !tuneMode && !soakMode) {
-    usage(stderr);
-    return 2;
-  }
-  if (soakMode && (batchMode || tuneMode || !inputPath.empty())) {
-    std::fprintf(stderr,
-                 "swcodegen: --soak is a standalone mode; drop the INPUT.c "
-                 "/ --warm / --serve-batch / --tune arguments\n");
-    return 2;
-  }
-  if (soakQuota > 0.0 && !soakMode) {
-    std::fprintf(stderr, "swcodegen: --soak-quota requires --soak\n");
-    return 2;
-  }
-  if (tuneMode && (batchMode || !inputPath.empty() || !injectSpec.empty() ||
-                   !reportMode.empty())) {
-    std::fprintf(stderr,
-                 "swcodegen: --tune is a standalone mode (its base options "
-                 "come from the schedule flags); drop the INPUT.c / "
-                 "--warm / --serve-batch / --inject / --report arguments\n");
-    return 2;
-  }
-  if (!reportMode.empty() && batchMode) {
-    std::fprintf(stderr,
-                 "swcodegen: --report describes a single kernel's run and "
-                 "needs an INPUT.c compile, not --warm/--serve-batch\n");
-    return 2;
-  }
-
-  // Bad invocations exit 2 before any compilation work: an unparsable fault
-  // plan, --inject without a compile, or an unreadable input file.
-  std::shared_ptr<const sw::sunway::FaultPlan> faultPlan;
-  if (!injectSpec.empty()) {
-    if (batchMode) {
-      std::fprintf(stderr,
-                   "swcodegen: --inject runs a functional chaos smoke and "
-                   "needs an INPUT.c compile, not --warm/--serve-batch\n");
-      return 2;
-    }
-    try {
-      faultPlan = std::make_shared<const sw::sunway::FaultPlan>(
-          sw::sunway::FaultPlan::parse(injectSpec));
-    } catch (const sw::InputError& e) {
-      std::fprintf(stderr, "swcodegen: error: %s\n", e.what());
-      return 2;
-    }
-  }
-  if (!inputPath.empty()) {
-    std::ifstream probe(inputPath);
-    if (!probe) {
-      std::fprintf(stderr, "swcodegen: error: cannot open input file '%s'\n",
-                   inputPath.c_str());
-      return 2;
-    }
-  }
-
-  // The CLI surfaces warnings by default; an explicit $SWCODEGEN_LOG still
-  // selects the threshold (including a quieter one).
-  if (!sw::logLevelFromEnv()) sw::setLogLevel(sw::LogLevel::kWarn);
-  if (noRma && !noHiding)
-    SW_WARN("cli",
-            "event=implicit_option msg=\"--no-rma implicitly disables "
-            "memory latency hiding: the two-level pipeline of §6 requires "
-            "the RMA decomposition (pass --no-hiding to silence this)\"");
-
-  if (!tracePath.empty() || profile) sw::trace::Tracer::global().enable();
-
   try {
+    Cli cli;
+    const unsigned mode = parseCommandLine(argc, argv, cli);
+    if (cli.help || mode == 0) {
+      printHelp(cli.help ? stdout : stderr);
+      return cli.help ? 0 : 2;
+    }
+    const char* envDir = std::getenv("SWCODEGEN_TUNING_DIR");
+    if (cli.tuningDir.empty() && envDir != nullptr) cli.tuningDir = envDir;
+
+    // Bad invocations exit 2 before any compilation work: an unparsable
+    // fault plan or an unreadable input file.
+    std::shared_ptr<const sw::sunway::FaultPlan> faultPlan;
+    if (!cli.injectSpec.empty())
+      faultPlan = std::make_shared<const sw::sunway::FaultPlan>(
+          sw::sunway::FaultPlan::parse(cli.injectSpec));
+    const std::string source = mode == kCompile ? readFile(cli.input) : "";
+
+    // The CLI surfaces warnings by default; an explicit $SWCODEGEN_LOG
+    // still selects the threshold (including a quieter one).
+    if (!sw::logLevelFromEnv()) sw::setLogLevel(sw::LogLevel::kWarn);
+    if (cli.noRma && !cli.noHiding)
+      SW_WARN("cli",
+              "event=implicit_option msg=\"--no-rma implicitly disables "
+              "memory latency hiding: the two-level pipeline of §6 "
+              "requires the RMA decomposition (pass --no-hiding to "
+              "silence this)\"");
+    if (!cli.tracePath.empty() || cli.profile)
+      sw::trace::Tracer::global().enable();
+
     sw::service::KernelServiceConfig serviceConfig;
-    serviceConfig.tuningDir = tuningDir;
-    serviceConfig.threads = static_cast<int>(jobs);
-    if (groups > 1)
+    serviceConfig.tuningDir = cli.tuningDir;
+    serviceConfig.threads = static_cast<int>(cli.jobs);
+    if (cli.groups > 1)
       // Widen the schedule search with N-group sharded candidates (scored
       // through the contention-derated estimator); {1} stays in so the
       // single-group default can still win.
-      serviceConfig.tuner.space.shardedGroups = {1, static_cast<int>(groups)};
+      serviceConfig.tuner.space.shardedGroups = {1,
+                                                 static_cast<int>(cli.groups)};
     sw::service::KernelService service(sw::sunway::ArchConfig{},
                                        serviceConfig);
-
-    if (tuneMode) {
-      const int rc = runTuneMode(service, options, tuneShape, outputPrefix);
-      if (!tracePath.empty()) {
-        sw::trace::Tracer::global().writeFile(tracePath);
-        std::printf("wrote trace to %s (%zu events)\n", tracePath.c_str(),
-                    sw::trace::Tracer::global().eventCount());
-      }
-      return rc;
-    }
-
-    if (soakMode) {
-      const int rc =
-          runSoakMode(service, soakRequests, soakQuota, faultPlan, jobs,
-                      profile, reportMode, reportPath);
-      if (!tracePath.empty()) {
-        sw::trace::Tracer::global().writeFile(tracePath);
-        std::printf("wrote trace to %s (%zu events)\n", tracePath.c_str(),
-                    sw::trace::Tracer::global().eventCount());
-      }
-      return rc;
-    }
-
-    if (batchMode) {
-      const double start = sw::trace::Tracer::global().nowMicros();
-      std::vector<sw::service::KernelService::BatchResult> results;
-      if (!warmShapes.empty())
-        results = service.compileBatch(sw::service::parseWarmShapes(warmShapes));
-      if (!batchManifestPath.empty()) {
-        // compileManifest keeps malformed lines in the batch as per-line
-        // failures (error = "manifest line <N>: ...") instead of aborting
-        // the valid requests around them.
-        std::vector<sw::service::KernelService::BatchResult> manifest =
-            service.compileManifest(readFile(batchManifestPath));
-        if (manifest.empty())
-          throw sw::InputError("batch manifest '" + batchManifestPath +
-                               "' contains no requests");
-        for (auto& r : manifest) results.push_back(std::move(r));
-      }
-      const double wallMs =
-          (sw::trace::Tracer::global().nowMicros() - start) / 1e3;
-      const int rc = reportBatch(service, results, wallMs);
-      if (!tracePath.empty()) {
-        sw::trace::Tracer::global().writeFile(tracePath);
-        std::printf("wrote trace to %s (%zu events)\n", tracePath.c_str(),
-                    sw::trace::Tracer::global().eventCount());
-      }
-      return rc;
-    }
-
-    const sw::core::SwGemmCompiler compiler;  // estimate/smoke share arch
-    // Every single-kernel compile is served through the kernel service so
-    // the request latency histogram and the service gauges cover the CLI
-    // path too.
-    sw::core::CompiledKernel kernel =
-        service.compileSource(readFile(inputPath), options);
-
-    if (dumpSchedule) {
-      std::printf("--- initial schedule tree ---\n%s\n",
-                  kernel.initialTreeDump.c_str());
-      std::printf("--- after compute decomposition ---\n%s\n",
-                  kernel.tiledTreeDump.c_str());
-      std::printf("--- final schedule tree ---\n%s\n",
-                  kernel.finalTreeDump.c_str());
-    }
-
-    const std::string prefix =
-        outputPrefix.empty() ? kernel.program.name : outputPrefix;
-    writeFile(prefix + "_cpe.c", kernel.cpeSource);
-    writeFile(prefix + "_mpe.c", kernel.mpeSource);
-    std::printf("wrote %s_cpe.c and %s_mpe.c (kernel '%s'%s%s)\n",
-                prefix.c_str(), prefix.c_str(), kernel.program.name.c_str(),
-                kernel.options.batched ? ", batched" : "",
-                kernel.options.fusion != sw::core::FusionKind::kNone
-                    ? ", fused"
-                    : "");
-
-    sw::rt::RunOutcome estimated;
-    if (!estimate.empty()) {
-      sw::core::GemmProblem problem{estimate[0], estimate[1], estimate[2],
-                                    estimate.size() == 4 ? estimate[3] : 1};
-      if (groups > 1) {
-        sw::core::ShardedConfig sharded;
-        sharded.groups = static_cast<int>(groups);
-        const sw::core::ShardedOutcome outcome = sw::core::estimateSharded(
-            kernel, compiler.arch(), sharded, problem);
-        estimated.seconds = outcome.seconds;
-        estimated.gflops = outcome.gflops;
-        estimated.engine = "sharded-estimator";
-        estimated.counters = outcome.counters;
-        estimated.report = outcome.report;
-        std::printf("estimated %ldx%ldx%ld%s on %d core groups: %.2f "
-                    "GFLOPS (%.1f%% of the %d-group peak, DDR derate "
-                    "%.2f), %.3f ms\n",
-                    estimate[0], estimate[1], estimate[2],
-                    estimate.size() == 4
-                        ? (" batch " + std::to_string(estimate[3])).c_str()
-                        : "",
-                    outcome.concurrentGroups, outcome.gflops,
-                    100.0 * outcome.gflops /
-                        (static_cast<double>(outcome.concurrentGroups) *
-                         compiler.arch().peakFlops() / 1e9),
-                    outcome.concurrentGroups, outcome.contentionDerate,
-                    outcome.seconds * 1e3);
-      } else {
-        estimated = sw::core::estimateGemm(kernel, compiler.arch(), problem);
-        std::printf("estimated %ldx%ldx%ld%s: %.2f GFLOPS (%.1f%% of model "
-                    "peak), %.3f ms\n",
-                    estimate[0], estimate[1], estimate[2],
-                    estimate.size() == 4
-                        ? (" batch " + std::to_string(estimate[3])).c_str()
-                        : "",
-                    estimated.gflops,
-                    100.0 * estimated.gflops /
-                        (compiler.arch().peakFlops() / 1e9),
-                    estimated.seconds * 1e3);
-      }
-    }
-
-    int runRc = 0;
-    sw::rt::RunOutcome runOutcome;
-    if (!runShape.empty())
-      runRc = runShapeSmoke(kernel, compiler.arch(), runShape, padMode,
-                            engine, groups, &runOutcome);
-
-    // --profile and --trace describe the requested run or estimate.  With
-    // neither, a one-mesh-tile side run lights up the 64 per-CPE trace
-    // lanes and the mesh-run metrics instead.
-    sw::rt::RunOutcome smoke;
-    const bool wantSmoke = (!tracePath.empty() || profile) && !faultPlan &&
-                           runShape.empty() && estimate.empty();
-    if (wantSmoke) smoke = runFunctionalSmoke(kernel, compiler.arch());
-
-    int chaosRc = 0;
-    if (faultPlan)
-      chaosRc = runChaosSmoke(service, kernel, compiler.arch(), faultPlan);
-
-    if (profile) {
-      std::printf("\n");
-      printStageBreakdown();
-      if (!estimate.empty())
-        printRunMetrics("estimated run metrics (symmetric model)", estimated,
-                        /*withGauges=*/groups <= 1);
-      if (!runShape.empty()) {
-        const std::string where =
-            groups > 1 ? std::to_string(groups) + " core groups, sharded"
-                       : "one core group, 64 CPEs";
-        printRunMetrics("functional mesh run " + shapeText(runShape) + " (" +
-                            where + ")",
-                        runOutcome, /*withGauges=*/groups <= 1);
-      }
-      if (wantSmoke)
-        printRunMetrics("functional mesh smoke run (one mesh tile, 64 CPEs)",
-                        smoke, /*withGauges=*/true);
-      std::printf("metrics registry:\n%s",
-                  sw::metrics::formatMetricsTable(
-                      sw::metrics::MetricsRegistry::global().snapshot())
-                      .c_str());
-      const std::map<std::string, sw::metrics::Histogram> histograms =
-          sw::metrics::HistogramRegistry::global().snapshot();
-      if (!histograms.empty()) {
-        std::printf("\nlatency histograms:\n%s",
-                    sw::metrics::formatHistogramTable(histograms, "ms")
-                        .c_str());
-      }
-      std::printf("\n");
-    }
-
-    if (!reportMode.empty()) {
-      // Report the most faithful run available: a functional mesh run
-      // beats an estimate beats the default-shape estimate.
-      sw::rt::RunOutcome reported;
-      if (!runShape.empty()) {
-        reported = runOutcome;
-      } else if (!estimate.empty()) {
-        reported = estimated;
-      } else {
-        const std::int64_t batch = kernel.options.batched ? 2 : 1;
-        reported = sw::core::estimateGemm(kernel, compiler.arch(),
-                                          {1024, 1024, 1024, batch});
-      }
-      const std::string body = reportMode == "json"
-                                   ? reported.report.toJson() + "\n"
-                                   : reported.report.toText();
-      if (reportPath.empty()) {
-        std::printf("%s", body.c_str());
-      } else {
-        writeFile(reportPath, body);
-        std::printf("wrote %s report to %s\n", reportMode.c_str(),
-                    reportPath.c_str());
-      }
-    }
-
-    if (tracePath.empty()) {
-      // SWCODEGEN_TRACE=path enables collection library-wide; honour it as
-      // the output location when --trace was not given.
-      const char* env = std::getenv("SWCODEGEN_TRACE");
-      if (env != nullptr && env[0] != '\0') tracePath = env;
-    }
-    if (!tracePath.empty()) {
-      sw::trace::Tracer::global().writeFile(tracePath);
-      std::printf("wrote trace to %s (%zu events; open in "
-                  "https://ui.perfetto.dev)\n",
-                  tracePath.c_str(),
-                  sw::trace::Tracer::global().eventCount());
-    }
-    return chaosRc != 0 ? chaosRc : runRc;
+    const ModeOutcome outcome =
+        mode == kCompile ? runCompileMode(service, cli, source, faultPlan)
+        : mode == kTune  ? runTuneMode(service, cli)
+        : mode == kBatch ? runBatchMode(service, cli)
+                         : runSoakMode(service, cli, faultPlan);
+    return finish(cli, outcome);
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "swcodegen: %s\n", e.message.c_str());
+    return 2;
   } catch (const sw::InputError& e) {
     std::fprintf(stderr, "swcodegen: error: %s\n", e.what());
     return 2;
