@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "kernel/microkernel.h"
+#include "sunway/cpe_timing.h"
 #include "support/error.h"
 #include "support/format.h"
 
@@ -133,7 +134,7 @@ class Interpreter {
     if (request.batchIndex < 0)
       bad(strCat("negative batch index ", request.batchIndex));
     if (request.slot.empty()) bad("empty reply slot");
-    if (!services_.knowsArray(request.array))
+    if (request.arrayId < 0)
       bad("unknown array (not registered in host memory)");
   }
 
@@ -173,6 +174,8 @@ class Interpreter {
     }
     request.spmOffsetBytes = resolveBuffer(stmt.buffer);
     request.slot = stmt.replySlot;
+    request.slotId = services_.internSlot(request.slot);
+    request.arrayId = services_.internArray(request.array);
     validateDma(request, stmt);
     pendingDma_[request.slot] = request;
     services_.dmaIssue(request);
@@ -210,12 +213,14 @@ class Interpreter {
       bad(strCat("negative SPM offset (src ", request.srcSpmOffsetBytes,
                  ", dst ", request.dstSpmOffsetBytes, ")"));
     if (request.slot.empty()) bad("empty reply slot");
+    request.slotId = services_.internSlot(request.slot);
     services_.rmaIssue(request);
   }
 
   void exec(const WaitOp& op) {
+    const int slotId = services_.internSlot(op.slot);
     if (op.isRma) {
-      services_.waitSlot(op.slot, /*isRma=*/true, op.isRowBroadcast);
+      services_.waitSlot(slotId, /*isRma=*/true, op.isRowBroadcast);
       return;
     }
     // DMA replies can fail transiently under fault injection (dropped or
@@ -224,7 +229,7 @@ class Interpreter {
     // ProtocolError so the service layer can degrade.
     for (int attempt = 0;; ++attempt) {
       try {
-        services_.waitSlot(op.slot, /*isRma=*/false, op.isRowBroadcast);
+        services_.waitSlot(slotId, /*isRma=*/false, op.isRowBroadcast);
         return;
       } catch (const TransientError& error) {
         auto pending = pendingDma_.find(op.slot);
@@ -233,8 +238,8 @@ class Interpreter {
           throw ProtocolError(strCat("DMA on slot '", op.slot,
                                      "' still failing after ", attempt,
                                      " retries: ", error.what()));
-        services_.noteDmaRetry();
-        services_.stallFor(kRetryBackoffTicks << attempt);
+        services_.timing().noteRetry();
+        services_.timing().stall(kRetryBackoffTicks << attempt);
         services_.dmaIssue(pending->second);
       }
     }
@@ -259,9 +264,9 @@ class Interpreter {
     if (m <= 0 || n <= 0 || k <= 0) return;
     const std::int64_t flops = 2 * m * n * k;
     if (info.kind == ComputeMarkInfo::Kind::kAsm)
-      services_.computeTimeMicro(flops, info.mr, info.nr);
+      services_.timing().computeMicro(flops, info.mr, info.nr);
     else
-      services_.computeTime(flops, sunway::ComputeRate::kNaive);
+      services_.timing().compute(flops, sunway::ComputeRate::kNaive);
     if (!services_.functional()) return;
     double* c = services_.spmPtr(resolveBuffer(info.c));
     double* a = services_.spmPtr(resolveBuffer(info.a));
@@ -282,7 +287,7 @@ class Interpreter {
   void exec(const ElementwiseOp& op) {
     const ElementwiseMarkInfo& info = op.info;
     const std::int64_t count = info.rows * info.cols;
-    services_.computeTime(count, sunway::ComputeRate::kElementwise);
+    services_.timing().compute(count, sunway::ComputeRate::kElementwise);
     if (!services_.functional()) return;
     double* tile = services_.spmPtr(resolveBuffer(info.target));
     switch (info.op) {

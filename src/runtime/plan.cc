@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "kernel/microkernel.h"
+#include "sunway/cpe_timing.h"
 #include "support/error.h"
 #include "support/format.h"
 #include "support/math_util.h"
@@ -497,8 +498,8 @@ class PlanExecutor {
           break;
         case PlanOpcode::kWaitRma: {
           const PlanWait& w = plan_.waits[static_cast<std::size_t>(in.a)];
-          services_.waitSlotId(slotIds_[static_cast<std::size_t>(w.slot)],
-                               /*isRma=*/true, w.isRowBroadcast);
+          services_.waitSlot(slotIds_[static_cast<std::size_t>(w.slot)],
+                             /*isRma=*/true, w.isRowBroadcast);
           ++pc;
           break;
         }
@@ -686,7 +687,7 @@ class PlanExecutor {
     // tree-walking interpreter.
     for (int attempt = 0;; ++attempt) {
       try {
-        services_.waitSlotId(runtimeSlot, /*isRma=*/false, w.isRowBroadcast);
+        services_.waitSlot(runtimeSlot, /*isRma=*/false, w.isRowBroadcast);
         return;
       } catch (const TransientError& error) {
         const int last = lastDmaBySlot_[static_cast<std::size_t>(w.slot)];
@@ -697,8 +698,8 @@ class PlanExecutor {
                      plan_.slotNames[static_cast<std::size_t>(w.slot)],
                      "' still failing after ", attempt,
                      " retries: ", error.what()));
-        services_.noteDmaRetry();
-        services_.stallFor(kRetryBackoffTicks << attempt);
+        services_.timing().noteRetry();
+        services_.timing().stall(kRetryBackoffTicks << attempt);
         services_.dmaIssue(dmaRequests_[static_cast<std::size_t>(last)]);
       }
     }
@@ -725,9 +726,9 @@ class PlanExecutor {
       flops = 2 * m * n * k;
     }
     if (c.isAsm)
-      services_.computeTimeMicro(flops, c.mr, c.nr);
+      services_.timing().computeMicro(flops, c.mr, c.nr);
     else
-      services_.computeTime(flops, sunway::ComputeRate::kNaive);
+      services_.timing().compute(flops, sunway::ComputeRate::kNaive);
     if (!functional_) return;
     double* cp = services_.spmPtr(resolveBuffer(c.c));
     double* ap = services_.spmPtr(resolveBuffer(c.a));
@@ -749,7 +750,7 @@ class PlanExecutor {
     const PlanElementwise& e =
         plan_.elementwises[static_cast<std::size_t>(index)];
     const std::int64_t count = e.rows * e.cols;
-    services_.computeTime(count, sunway::ComputeRate::kElementwise);
+    services_.timing().compute(count, sunway::ComputeRate::kElementwise);
     if (!functional_) return;
     double* tile = services_.spmPtr(resolveBuffer(e.target));
     switch (e.op) {

@@ -47,7 +47,10 @@ class Extent {
   [[nodiscard]] std::int64_t evaluate(
       const std::map<std::string, std::int64_t>& params) const;
 
-  [[nodiscard]] std::string toString() const;
+  /// C text of the extent: `M/512`, exact at the padded shapes the paper
+  /// prints, or with `ceiling` the `(M + 511)/512` that evaluate() takes,
+  /// which edge-tile kernels need on any shape.
+  [[nodiscard]] std::string toString(bool ceiling = false) const;
 
   bool operator==(const Extent&) const = default;
 

@@ -20,10 +20,12 @@ std::int64_t Extent::evaluate(
   return constant_ + (it->second + divisor_ - 1) / divisor_;
 }
 
-std::string Extent::toString() const {
+std::string Extent::toString(bool ceiling) const {
   if (!param_) return strCat(constant_);
   std::string base =
-      divisor_ == 1 ? *param_ : strCat(*param_, "/", divisor_);
+      divisor_ == 1 ? *param_
+      : ceiling     ? strCat("(", *param_, " + ", divisor_ - 1, ")/", divisor_)
+                    : strCat(*param_, "/", divisor_);
   if (constant_ == 0) return base;
   if (constant_ > 0) return strCat(base, " + ", constant_);
   return strCat(base, " - ", -constant_);

@@ -12,7 +12,6 @@
 #include <exception>
 #include <sstream>
 #include <system_error>
-#include <unordered_map>
 
 #if defined(__SANITIZE_ADDRESS__)
 #include <sanitizer/asan_interface.h>
@@ -21,6 +20,7 @@
 #include <sanitizer/tsan_interface.h>
 #endif
 
+#include "sunway/cpe_timing.h"
 #include "support/error.h"
 #include "support/format.h"
 #include "support/logging.h"
@@ -33,8 +33,7 @@ namespace {
 
 /// One in-flight or completed broadcast round on a mesh line.
 struct RmaRound {
-  SimTime sendTime = 0;
-  SimTime transfer = 0;
+  SimTime completion = 0;
   /// Injected transient loss: the round exists (so ordinal matching on the
   /// slot stays aligned) but carries no data; receivers fail cleanly.
   bool dropped = false;
@@ -62,22 +61,6 @@ struct PendingDmaInfo {
 enum class CpeState { kRunnable, kBarrier, kRmaWait, kDmaHang, kDone };
 constexpr const char* kStateNames[] = {"running", "barrier", "rma-wait",
                                        "dma-hang", "done"};
-
-/// Dense ids for names, shared by every CPE of a mesh.
-struct Interner {
-  std::unordered_map<std::string, int> ids;
-  std::vector<std::string> names;
-
-  int intern(const std::string& name) {
-    auto [it, inserted] = ids.emplace(name, static_cast<int>(names.size()));
-    if (inserted) names.push_back(name);
-    return it->second;
-  }
-  [[nodiscard]] std::string name(int id) const {
-    if (id < 0 || static_cast<std::size_t>(id) >= names.size()) return "?";
-    return names[static_cast<std::size_t>(id)];
-  }
-};
 
 /// Stacks for the CPE fibers of every mesh one host thread runs: a single
 /// mmap'd region outside the malloc heap, each stack above a PROT_NONE
@@ -214,8 +197,8 @@ class MeshSimulator::Impl {
   // every CPE, so RMA channel lines and lowered-plan bindings agree across
   // the mesh regardless of per-CPE interning order.  Ids are stable across
   // runs; per-run state (channels, rounds) is reset separately. ---
-  Interner slotNames_;
-  Interner arrayNames_;
+  NameTable slotNames_;
+  NameTable arrayNames_;
 
   // --- RMA channels, indexed by interned slot id then mesh line.  Each
   // line vector is sized once, so a parked receiver's channel pointer
@@ -242,9 +225,9 @@ class MeshSimulator::Impl {
 
   /// Rendezvous channel of a broadcast: one per slot and mesh line.
   RmaChannel& lineChannel(int slotId, bool isRow, int line) {
-    if (channels_.size() <= static_cast<std::size_t>(slotId))
-      channels_.resize(static_cast<std::size_t>(slotId) + 1);
-    auto& entry = channels_[static_cast<std::size_t>(slotId)];
+    const std::size_t index = CpeTiming::slotIndex(slotId);
+    if (channels_.size() <= index) channels_.resize(index + 1);
+    auto& entry = channels_[index];
     if (!entry) entry = std::make_unique<SlotChannels>();
     auto& lines = isRow ? entry->row : entry->col;
     if (lines.empty())
@@ -277,10 +260,11 @@ class CpeFiber final : public CpeServices {
         cpeId_(cpeId),
         rid_(cpeId / mesh.config_.meshCols),
         cid_(cpeId % mesh.config_.meshCols),
-        tracing_(trace::enabled()),
-        syncTicks_(mesh.config_.syncTime()),
+        timing_(mesh.config_, mesh.slotNames_, trace::kMeshPid, cpeId),
         body_(body),
-        stack_(stack) {}
+        stack_(stack) {
+    if (trace::enabled()) timing_.nameLanes(strCat("CPE ", rid_, ",", cid_));
+  }
   ~CpeFiber() override {
     if (tsanFiber_ != nullptr) tsanDestroyFiber(tsanFiber_);
   }
@@ -343,12 +327,13 @@ class CpeFiber final : public CpeServices {
     if (state_ == CpeState::kDmaHang)
       os << " blocked_on=\"dma_wait_value slot='" << waitSlot
          << "' (reply permanently dropped)\"";
-    os << " clock=" << toSeconds(clock_)
-       << "s dma_msgs=" << counters_.dmaMessages
-       << " rma_sent=" << counters_.rmaBroadcastsSent
-       << " syncs=" << counters_.syncs
-       << " faults=" << counters_.faultsInjected
-       << " retries=" << counters_.dmaRetries;
+    const CpeCounters& counters = timing_.counters();
+    os << " clock=" << toSeconds(timing_.clock())
+       << "s dma_msgs=" << counters.dmaMessages
+       << " rma_sent=" << counters.rmaBroadcastsSent
+       << " syncs=" << counters.syncs
+       << " faults=" << counters.faultsInjected
+       << " retries=" << counters.dmaRetries;
     bool any = false;
     for (const SlotState& slot : slots_) {
       if (!slot.pendingValid) continue;
@@ -377,47 +362,25 @@ class CpeFiber final : public CpeServices {
   [[nodiscard]] int cid() const override { return cid_; }
   [[nodiscard]] bool functional() const override { return mesh_.functional_; }
 
-  [[nodiscard]] bool knowsArray(const std::string& array) const override {
-    return !mesh_.functional_ || mesh_.owner_.memory().has(array);
-  }
-
   /// Mesh-wide interning, so all CPEs agree on ids.
   [[nodiscard]] int internSlot(const std::string& name) override {
     return mesh_.slotNames_.intern(name);
   }
 
   [[nodiscard]] int internArray(const std::string& name) override {
-    if (!knowsArray(name)) return -1;
+    if (mesh_.functional_ && !mesh_.owner_.memory().has(name)) return -1;
     return mesh_.arrayNames_.intern(name);
   }
 
-  void stallFor(SimTime ticks) override {
-    if (ticks <= 0) return;
-    counters_.waitStallTicks = addTicks(counters_.waitStallTicks, ticks);
-    counters_.retryStallTicks = addTicks(counters_.retryStallTicks, ticks);
-    clock_ = addTicks(clock_, ticks);
-  }
-
-  void noteDmaRetry() override { ++counters_.dmaRetries; }
-
   void sync() override {
-    ++counters_.syncs;
+    SimTime late = 0;
     if (plan_ != nullptr) {
       const FaultDecision fault =
           plan_->decide(FaultOpClass::kSync, cpeId_, syncOccurrence_++);
-      counters_.faultsInjected += fault.injected;
-      if (fault.stallTicks > 0) {
-        // The stalled CPE reaches the barrier late; everyone inherits the
-        // delay through the barrier's clock max.
-        counters_.waitStallTicks =
-            addTicks(counters_.waitStallTicks, fault.stallTicks);
-        counters_.syncStallTicks =
-            addTicks(counters_.syncStallTicks, fault.stallTicks);
-        clock_ = addTicks(clock_, fault.stallTicks);
-      }
+      timing_.noteFaults(fault.injected);
+      late = fault.stallTicks;
     }
-    const SimTime entryClock = clock_;
-    mesh_.clocks_[static_cast<std::size_t>(cpeId_)] = clock_;
+    mesh_.clocks_[static_cast<std::size_t>(cpeId_)] = timing_.arrive(late);
     if (++mesh_.barrierArrived_ == mesh_.meshSize_) {
       mesh_.barrierMaxClock_ =
           *std::max_element(mesh_.clocks_.begin(), mesh_.clocks_.end());
@@ -429,30 +392,18 @@ class CpeFiber final : public CpeServices {
       if (mesh_.aborted_)
         throw ProtocolError("mesh aborted while waiting at a barrier");
     }
-    clock_ = addTicks(mesh_.barrierMaxClock_, syncTicks_);
-    counters_.syncStallTicks =
-        addTicks(counters_.syncStallTicks, clock_ - entryClock);
-    if (tracing_)
-      trace::Tracer::global().simSpan(trace::kMeshPid, cpeId_, "sync", "sync",
-                                      toSeconds(entryClock),
-                                      toSeconds(clock_));
+    timing_.leave(mesh_.barrierMaxClock_);
   }
 
   void dmaIssue(const DmaRequest& request) override {
-    const int slotId =
-        request.slotId >= 0 ? request.slotId : internSlot(request.slot);
-    const std::int64_t bytes = request.tileRows * request.tileCols *
-                               static_cast<std::int64_t>(sizeof(double));
-    ++counters_.dmaMessages;
-    counters_.dmaBytes += bytes;
-
     FaultDecision fault;
     std::int64_t occurrence = 0;
     if (plan_ != nullptr) {
       occurrence = dmaOccurrence_++;
       fault = plan_->decide(FaultOpClass::kDma, cpeId_, occurrence);
-      counters_.faultsInjected += fault.injected;
+      timing_.noteFaults(fault.injected);
     }
+    timing_.issueDma(request, fault.delayTicks);
 
     const bool dropped = fault.dropTransient || fault.dropPermanent;
     // A detected corruption on a put must not land in host memory — the
@@ -468,7 +419,7 @@ class CpeFiber final : public CpeServices {
                                cpeId_, occurrence);
       }
     }
-    SlotState& slot = slotState(slotId);
+    SlotState& slot = slotState(request.slotId);
     if (fault.dropPermanent) {
       slot.hang = true;
     } else if (fault.dropTransient) {
@@ -480,179 +431,67 @@ class CpeFiber final : public CpeServices {
               : "arrived corrupted (injected fault)";
     }
     slot.pendingValid = true;
-    slot.pending.slotId = slotId;
-    slot.pending.arrayId = request.arrayId >= 0
-                               ? request.arrayId
-                               : mesh_.arrayNames_.intern(request.array);
-    slot.pending.isPut = request.isPut;
-    slot.pending.rows = request.tileRows;
-    slot.pending.cols = request.tileCols;
-    slot.pending.spmOffsetBytes = request.spmOffsetBytes;
-
-    // Non-blocking, but messages from this CPE serialise on its DMA engine;
-    // the reply slot was reset by the issue itself (reply = 0; dma_iget(...)
-    // pattern of §4).
-    const SimTime start = std::max(clock_, dmaEngineBusyUntil_);
-    const SimTime transfer = addTicks(
-        mesh_.config_.dmaTime(bytes, request.tileRows), fault.delayTicks);
-    const SimTime done = addTicks(start, transfer);
-    counters_.dmaBusyTicks = addTicks(counters_.dmaBusyTicks, transfer);
-    dmaEngineBusyUntil_ = done;
-    slot.completion = done;
-    slot.hasMessage = true;
-    clock_ = addTicks(clock_, kIssueOverheadTicks);
-    if (tracing_)
-      trace::Tracer::global().simSpan(
-          trace::kMeshPid, trace::kDmaLaneOffset + cpeId_,
-          strCat("dma:", request.isPut ? "put:" : "get:", request.array),
-          "dma", toSeconds(start), toSeconds(done),
-          {trace::arg("bytes", bytes), trace::arg("slot", request.slot)});
+    slot.pending = PendingDmaInfo{request.slotId,   request.arrayId,
+                                  request.isPut,    request.tileRows,
+                                  request.tileCols, request.spmOffsetBytes};
   }
 
   void rmaIssue(const RmaRequest& request) override {
     SW_CHECK(request.isSender, "rmaIssue called on a non-sender CPE");
-    ++counters_.rmaBroadcastsSent;
-    counters_.rmaBytesSent += request.bytes;
-
     FaultDecision fault;
     if (plan_ != nullptr) {
       fault = plan_->decide(FaultOpClass::kRma, cpeId_, rmaOccurrence_++);
-      counters_.faultsInjected += fault.injected;
+      timing_.noteFaults(fault.injected);
     }
-
-    const int slotId =
-        request.slotId >= 0 ? request.slotId : internSlot(request.slot);
     const bool isRow = request.isRowBroadcast();
     RmaChannel& channel =
-        mesh_.lineChannel(slotId, isRow, isRow ? rid_ : cid_);
+        mesh_.lineChannel(request.slotId, isRow, isRow ? rid_ : cid_);
     const bool dropped = fault.dropTransient || fault.dropPermanent;
     if (mesh_.functional_ && !dropped) moveRmaData(request);
-    const SimTime transfer =
-        addTicks(mesh_.config_.rmaTime(request.bytes), fault.delayTicks);
-    const SimTime done = addTicks(clock_, transfer);
-    counters_.rmaBusyTicks = addTicks(counters_.rmaBusyTicks, transfer);
+    const SimTime completion = timing_.issueRma(request, fault.delayTicks);
     // A permanently lost message appends no round, so every receiver of
     // this line parks on the slot's next ordinal until the scheduler finds
     // the mesh deadlocked.  A transient drop must instead push a failed
     // round, or receivers would silently consume the *next* round's data
     // under this ordinal and produce wrong results.
     if (!fault.dropPermanent)
-      channel.push_back(
-          RmaRound{clock_, transfer, /*dropped=*/fault.dropTransient});
-    if (tracing_)
-      trace::Tracer::global().simSpan(
-          trace::kMeshPid, trace::kRmaLaneOffset + cpeId_,
-          isRow ? "rma:rowbcast" : "rma:colbcast", "rma", toSeconds(clock_),
-          toSeconds(done),
-          {trace::arg("bytes", request.bytes),
-           trace::arg("slot", request.slot)});
-    clock_ = addTicks(clock_, kIssueOverheadTicks);
+      channel.push_back(RmaRound{completion, /*dropped=*/fault.dropTransient});
   }
 
-  void waitSlot(const std::string& slot, bool isRma,
-                bool isRowBroadcast) override {
-    waitSlotId(internSlot(slot), isRma, isRowBroadcast);
-  }
-
-  void waitSlotId(int slotId, bool isRma, bool isRowBroadcast) override {
-    if (!isRma) {
-      SlotState& slot = slotState(slotId);
-      if (!slot.hasMessage)
-        throw ProtocolError(strCat("dma_wait_value on slot '",
-                                   mesh_.slotNames_.name(slotId),
-                                   "' with no message"));
-      if (slot.completion > clock_) {
-        counters_.waitStallTicks += slot.completion - clock_;
-        counters_.dmaStallTicks += slot.completion - clock_;
-        if (tracing_)
-          trace::Tracer::global().simSpan(
-              trace::kMeshPid, cpeId_,
-              strCat("wait:", mesh_.slotNames_.name(slotId)), "stall",
-              toSeconds(clock_), toSeconds(slot.completion));
-        clock_ = slot.completion;
-      }
-      if (slot.hang) {
-        // The reply will never arrive: park until the run aborts.
-        waitSlotId_ = slotId;
-        park(CpeState::kDmaHang);
-        throw ProtocolError(
-            strCat("mesh aborted while waiting for a lost DMA reply on slot '",
-                   mesh_.slotNames_.name(slotId), "'"));
-      }
-      if (slot.failedReason != nullptr) {
-        const char* reason = slot.failedReason;
-        slot.failedReason = nullptr;
-        throw TransientError(strCat("DMA reply on slot '",
-                                    mesh_.slotNames_.name(slotId), "' ",
-                                    reason));
-      }
-      slot.pendingValid = false;
+  void waitSlot(int slotId, bool isRma, bool isRowBroadcast) override {
+    if (isRma) {
+      const int line = isRowBroadcast ? rid_ : cid_;
+      consumeRound(mesh_.lineChannel(slotId, isRowBroadcast, line), slotId);
       return;
     }
-    const int line = isRowBroadcast ? rid_ : cid_;
-    consumeRound(mesh_.lineChannel(slotId, isRowBroadcast, line), slotId);
-  }
-
-  void computeTime(std::int64_t flops, ComputeRate rate) override {
-    const ArchConfig& config = mesh_.config_;
-    SimTime ticks = 0;
-    const char* name = "compute";
-    switch (rate) {
-      case ComputeRate::kAsmKernel:
-        ticks = config.cpeComputeTime(flops, config.cpeFlopsPerCycle,
-                                      config.asmKernelEfficiency);
-        ++counters_.microKernelCalls;
-        counters_.flops += flops;
-        name = "microkernel";
-        break;
-      case ComputeRate::kNaive:
-        ticks = config.cpeComputeTime(flops, config.naiveFlopsPerCycle);
-        counters_.flops += flops;
-        name = "naive_compute";
-        break;
-      case ComputeRate::kElementwise:
-        ticks = config.cpeComputeTime(flops, config.elementwiseFlopsPerCycle);
-        name = "elementwise";
-        break;
+    timing_.wait(slotId, /*isRma=*/false);
+    SlotState& slot = slotState(slotId);
+    if (slot.hang) {
+      // The reply will never arrive: park until the run aborts.
+      waitSlotId_ = slotId;
+      park(CpeState::kDmaHang);
+      throw ProtocolError(
+          strCat("mesh aborted while waiting for a lost DMA reply on slot '",
+                 mesh_.slotNames_.name(slotId), "'"));
     }
-    charge(name, flops, ticks);
+    if (slot.failedReason != nullptr) {
+      const char* reason = slot.failedReason;
+      slot.failedReason = nullptr;
+      throw TransientError(strCat("DMA reply on slot '",
+                                  mesh_.slotNames_.name(slotId), "' ",
+                                  reason));
+    }
+    slot.pendingValid = false;
   }
 
-  void computeTimeMicro(std::int64_t flops, int mr, int nr) override {
-    const ArchConfig& config = mesh_.config_;
-    const SimTime ticks =
-        config.cpeComputeTime(flops, config.cpeFlopsPerCycle,
-                              config.microKernelEfficiency(mr, nr));
-    ++counters_.microKernelCalls;
-    counters_.flops += flops;
-    charge("microkernel", flops, ticks);
-  }
+  [[nodiscard]] CpeTiming& timing() override { return timing_; }
 
   [[nodiscard]] double* spmPtr(std::int64_t offsetBytes) override {
     if (!mesh_.functional_) return nullptr;
     return spmPtrOf(cpeId_, offsetBytes);
   }
 
-  [[nodiscard]] SimTime clock() const override { return clock_; }
-  [[nodiscard]] const CpeCounters& counters() const override {
-    return counters_;
-  }
-
  private:
-  static constexpr SimTime kIssueOverheadTicks = 50'000'000;  // 0.05 µs
-
-  /// Compute of `ticks` on the CPE clock.
-  void charge(const char* name, std::int64_t flops, SimTime ticks) {
-    const SimTime start = clock_;
-    clock_ = addTicks(clock_, ticks);
-    counters_.computeTicks = addTicks(counters_.computeTicks, ticks);
-    if (tracing_)
-      trace::Tracer::global().simSpan(trace::kMeshPid, cpeId_, name,
-                                      "compute", toSeconds(start),
-                                      toSeconds(clock_),
-                                      {trace::arg("flops", flops)});
-  }
-
   /// makecontext passes int arguments only, so `this` arrives split.
   static void entry(unsigned high, unsigned low) {
     reinterpret_cast<CpeFiber*>((std::uintptr_t{high} << 32) | low)->main();
@@ -698,19 +537,14 @@ class CpeFiber final : public CpeServices {
     return spm.data() + offsetBytes / static_cast<std::int64_t>(sizeof(double));
   }
 
-  /// Resolve the host array, through the interned-id cache when the request
-  /// carries one (HostMemory is node-based, so cached pointers are stable).
+  /// Resolve the host array through the interned-id cache (HostMemory is
+  /// node-based, so cached pointers are stable).
   HostArray& hostArray(const DmaRequest& request) {
-    if (request.arrayId >= 0) {
-      const auto id = static_cast<std::size_t>(request.arrayId);
-      if (id < arrayCache_.size() && arrayCache_[id] != nullptr)
-        return *arrayCache_[id];
-      HostArray& array = mesh_.owner_.memory().get(request.array);
-      if (id >= arrayCache_.size()) arrayCache_.resize(id + 1, nullptr);
-      arrayCache_[id] = &array;
-      return array;
-    }
-    return mesh_.owner_.memory().get(request.array);
+    const auto id = static_cast<std::size_t>(request.arrayId);
+    if (id >= arrayCache_.size()) arrayCache_.resize(id + 1, nullptr);
+    if (arrayCache_[id] == nullptr)
+      arrayCache_[id] = &mesh_.owner_.memory().get(request.array);
+    return *arrayCache_[id];
   }
 
   void moveDmaData(const DmaRequest& request) {
@@ -782,26 +616,14 @@ class CpeFiber final : public CpeServices {
       throw ProtocolError(strCat("RMA round ", round, " on slot '",
                                  mesh_.slotNames_.name(slotId),
                                  "' was dropped in transit (injected fault)"));
-    const SimTime completion = addTicks(r.sendTime, r.transfer);
-    if (completion > clock_) {
-      counters_.waitStallTicks += completion - clock_;
-      counters_.rmaStallTicks += completion - clock_;
-      if (tracing_)
-        trace::Tracer::global().simSpan(
-            trace::kMeshPid, cpeId_,
-            strCat("wait:", mesh_.slotNames_.name(slotId)), "stall",
-            toSeconds(clock_), toSeconds(completion));
-      clock_ = completion;
-    }
+    timing_.stallUntil(r.completion, /*isRma=*/true, slotId);
   }
 
-  /// Per-slot state indexed by the mesh-wide interned slot id: DMA
-  /// completion clock, injected-failure flags, RMA round ordinal and the
-  /// in-flight descriptor for the deadlock dump.  Vector-indexed so the
-  /// interned hot path is one load, no hashing.
+  /// Per-slot state indexed by the mesh-wide interned slot id (the reply
+  /// completions live in the timing core): injected-failure flags, RMA
+  /// round ordinal and the in-flight descriptor for the deadlock dump.
+  /// Vector-indexed so the hot path is one load, no hashing.
   struct SlotState {
-    SimTime completion = 0;
-    bool hasMessage = false;
     bool hang = false;                   // reply permanently dropped
     const char* failedReason = nullptr;  // transient failure, cleared by wait
     std::size_t rmaConsumed = 0;
@@ -810,9 +632,9 @@ class CpeFiber final : public CpeServices {
   };
 
   SlotState& slotState(int slotId) {
-    if (slots_.size() <= static_cast<std::size_t>(slotId))
-      slots_.resize(static_cast<std::size_t>(slotId) + 1);
-    return slots_[static_cast<std::size_t>(slotId)];
+    const std::size_t index = CpeTiming::slotIndex(slotId);
+    if (slots_.size() <= index) slots_.resize(index + 1);
+    return slots_[index];
   }
 
   MeshSimulator::Impl& mesh_;
@@ -820,11 +642,7 @@ class CpeFiber final : public CpeServices {
   int cpeId_;
   int rid_;
   int cid_;
-  bool tracing_;
-  SimTime syncTicks_;
-  SimTime clock_ = 0;
-  SimTime dmaEngineBusyUntil_ = 0;
-  CpeCounters counters_;
+  CpeTiming timing_;
   std::vector<SlotState> slots_;
   // Fault bookkeeping: per-op-class ordinals (the plan's occurrence key).
   std::int64_t dmaOccurrence_ = 0;
@@ -893,22 +711,9 @@ MeshRunResult MeshSimulator::run(
   std::fill(mesh.clocks_.begin(), mesh.clocks_.end(), 0);
   mesh.hostTsanFiber_ = tsanCurrentFiber();
 
-  if (trace::enabled()) {
-    // Name the 64 CPE lanes (plus the DMA/RMA engine side lanes) so the
-    // per-CPE timelines group legibly in Perfetto.
-    trace::Tracer& tracer = trace::Tracer::global();
-    tracer.setProcessName(trace::kMeshPid, "mesh simulator (simulated clock)");
-    for (int id = 0; id < mesh.meshSize_; ++id) {
-      const int rid = id / config_.meshCols;
-      const int cid = id % config_.meshCols;
-      tracer.setThreadName(trace::kMeshPid, id,
-                           strCat("CPE ", rid, ",", cid));
-      tracer.setThreadName(trace::kMeshPid, trace::kDmaLaneOffset + id,
-                           strCat("CPE ", rid, ",", cid, " dma"));
-      tracer.setThreadName(trace::kMeshPid, trace::kRmaLaneOffset + id,
-                           strCat("CPE ", rid, ",", cid, " rma"));
-    }
-  }
+  if (trace::enabled())
+    trace::Tracer::global().setProcessName(trace::kMeshPid,
+                                           "mesh simulator (simulated clock)");
 
   const FiberStacks::Lease stacks(mesh.meshSize_);
   std::vector<std::unique_ptr<CpeFiber>> cpes;
@@ -950,9 +755,10 @@ MeshRunResult MeshSimulator::run(
   result.perCpeTime.reserve(cpes.size());
   result.perCpeCounters.reserve(cpes.size());
   for (const auto& cpe : cpes) {
-    result.perCpeTime.push_back(cpe->clock());
-    result.perCpeCounters.push_back(cpe->counters());
-    result.totals.add(cpe->counters());
+    const CpeTiming& timing = cpe->timing();
+    result.perCpeTime.push_back(timing.clock());
+    result.perCpeCounters.push_back(timing.counters());
+    result.totals.add(timing.counters());
   }
   result.time = addTicks(
       *std::max_element(result.perCpeTime.begin(), result.perCpeTime.end()),

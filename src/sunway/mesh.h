@@ -4,14 +4,15 @@
 // one stackful fiber per CPE, and the calling host thread steps them in
 // CPE-id order.  synch() is a mesh-wide barrier; DMA reply counters and RMA
 // replys/replyr rounds park a CPE until the message it waits for exists.  A
-// generated program that breaks the reply-wait discipline deadlocks here:
-// a pass in which no CPE can run raises a ProtocolError with a per-CPE
-// state dump, at once and without any wall-clock deadline.
+// generated program that breaks the reply-wait discipline fails here: a
+// DMA issued onto a slot whose reply was never waited for, or a wait with
+// no message in flight, raises a ProtocolError naming the slot, and a pass
+// in which no CPE can run raises one with a per-CPE state dump, at once and
+// without any wall-clock deadline.
 //
 // Timing: every CPE advances a logical clock in SimTime ticks (integer
-// femtoseconds) — compute adds time at the configured rate, non-blocking
-// DMA/RMA record completion times from the ArchConfig cost model, waits
-// advance the clock to the completion time, and barriers take the maximum
+// femtoseconds) through its own CpeTiming (sunway/cpe_timing.h), whose
+// rules the symmetric estimator charges too; barriers take the maximum
 // across the mesh.  Software-pipelining benefit therefore *emerges* from
 // the generated schedule instead of being asserted by a formula.
 #pragma once
@@ -24,6 +25,7 @@
 #include <vector>
 
 #include "sunway/arch.h"
+#include "sunway/cpe_timing.h"
 #include "sunway/fault.h"
 #include "sunway/host_memory.h"
 #include "sunway/services.h"

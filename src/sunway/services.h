@@ -1,19 +1,24 @@
-// The per-CPE execution interface the kernel-program interpreter drives.
+// The per-CPE execution interface the kernel-program engines drive.
 //
-// Two implementations exist:
+// Two runtimes implement it, and both charge simulated time through one
+// CpeTiming each (sunway/cpe_timing.h), so they share every charge rule:
 //   * CpeFiber (mesh.cc) — one cooperative fiber per CPE, real SPM and
 //     main-memory data, waits that park until their message exists;
 //     functional ground truth plus logical-clock timing.
-//   * SymmetricCpeServices (estimator.h) — sequential single-CPE model
-//     exploiting the mesh symmetry of the generated GEMM code; timing only,
-//     scales to paper-sized shapes.  Validated against the mesh runtime
-//     in tests.  It alone exposes a SteadyState, through which the plan
-//     executor fast-forwards uniform loop iterations.
+//   * SymmetricCpeServices (estimator.h) — one CPE stepped alone, timing
+//     only, with every RMA sender guard taken; scales to paper-sized
+//     shapes.  It alone exposes a SteadyState, through which the plan
+//     executor fast-forwards uniform loop iterations.  On padded shapes it
+//     equals the mesh to the tick; on edge tiles it never reads below the
+//     mesh (estimator.h gives the bound).
 //
-// Every clock and every time counter is SimTime (integer femtoseconds,
-// sunway/sim_time.h).
+// Requests and waits are keyed by dense ids that the engines intern once
+// through internSlot / internArray; a request that reaches a runtime with
+// a negative id is an internal error.  Every clock and every time counter
+// is SimTime (integer femtoseconds, sunway/sim_time.h).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -22,9 +27,9 @@
 
 namespace sw::sunway {
 
-/// Compute-rate classes the timing model distinguishes.
+/// Compute-rate classes of CpeTiming::compute; micro-kernel calls are
+/// charged by CpeTiming::computeMicro.
 enum class ComputeRate {
-  kAsmKernel,     // vendor micro-kernel (§7.2)
   kNaive,         // --no-use-asm loop nest
   kElementwise,   // SPM tile element-wise ops
 };
@@ -46,10 +51,8 @@ struct DmaRequest {
   /// moves no data but still signals its reply slot.
   std::int64_t spmRowStrideElems = 0;
   std::string slot;
-  /// Dense ids interned via CpeServices::internArray / internSlot.  The
-  /// lowered-plan executor binds these once per run so the hot path never
-  /// hashes the strings above; negative means "not interned" and the
-  /// runtime interns the string fields on the fly (legacy tree-walk path).
+  /// Dense ids from CpeServices::internArray / internSlot, which key the
+  /// runtime's work; the names above only label errors and trace spans.
   int arrayId = -1;
   int slotId = -1;
 };
@@ -69,8 +72,7 @@ struct RmaRequest {
   std::int64_t srcSpmOffsetBytes = 0;  // sender-side staging buffer
   std::int64_t dstSpmOffsetBytes = 0;  // receive buffer
   std::string slot;
-  /// Dense id interned via CpeServices::internSlot; negative means "not
-  /// interned" (the runtime interns `slot` on the fly).
+  /// Dense id from CpeServices::internSlot.
   int slotId = -1;
 
   [[nodiscard]] bool isRowBroadcast() const {
@@ -151,9 +153,9 @@ struct CpeCounters {
 /// The timing state a steady-state jump compares and advances.  `relative`
 /// holds every clock the future depends on, relative to `clock` and
 /// clipped at 0 (a completion already in the past acts like one exactly
-/// now, since clocks only move forward), plus the reply slots'
-/// has-message flags.  Two back-edges with equal `relative` start
-/// iterations that evolve identically, shifted in time.
+/// now, since clocks only move forward), plus the reply slots' in-flight
+/// flags.  Two back-edges with equal `relative` start iterations that
+/// evolve identically, shifted in time.
 struct TimingSnapshot {
   SimTime clock = 0;
   CpeCounters counters;
@@ -190,6 +192,26 @@ class SteadyState {
   ~SteadyState() = default;
 };
 
+class CpeTiming;  // sunway/cpe_timing.h
+
+/// Dense ids for names, numbered in first-interned order.  A kernel has a
+/// handful of reply slots and arrays, so a linear search serves.
+struct NameTable {
+  std::vector<std::string> names;
+
+  int intern(const std::string& name) {
+    const auto it = std::find(names.begin(), names.end(), name);
+    if (it != names.end()) return static_cast<int>(it - names.begin());
+    names.push_back(name);
+    return static_cast<int>(names.size()) - 1;
+  }
+  /// The name behind `id`, or "?" for an id `intern` never returned.
+  [[nodiscard]] std::string name(int id) const {
+    if (id < 0 || static_cast<std::size_t>(id) >= names.size()) return "?";
+    return names[static_cast<std::size_t>(id)];
+  }
+};
+
 class CpeServices {
  public:
   virtual ~CpeServices() = default;
@@ -208,54 +230,27 @@ class CpeServices {
   /// Mesh-wide barrier (athread synch()).
   virtual void sync() = 0;
 
-  /// Issue a non-blocking DMA; resets `slot` and records completion time.
+  /// Issue a non-blocking DMA; resets its reply slot and records the
+  /// completion time.
   virtual void dmaIssue(const DmaRequest& request) = 0;
 
   /// Issue a non-blocking RMA broadcast (only called on the sender).
   virtual void rmaIssue(const RmaRequest& request) = 0;
 
-  /// dma_wait_value / rma_wait_value: block until the message tied to
-  /// `slot` completes; advances the logical clock.  For RMA waits,
-  /// `isRowBroadcast` selects the mesh line whose channel carries the data.
-  virtual void waitSlot(const std::string& slot, bool isRma,
-                        bool isRowBroadcast) = 0;
+  /// dma_wait_value / rma_wait_value: block until the message on reply slot
+  /// `slotId` (from internSlot on this object) completes, and consume it;
+  /// advances the logical clock.  For RMA waits, `isRowBroadcast` selects
+  /// the mesh line whose channel carries the data.
+  virtual void waitSlot(int slotId, bool isRma, bool isRowBroadcast) = 0;
 
-  /// Account `flops` of compute at the given rate class (advances clock;
-  /// the functional runtime performs the math separately via spmPtr data).
-  virtual void computeTime(std::int64_t flops, ComputeRate rate) = 0;
-
-  /// Variant-aware micro-kernel accounting: same counters as
-  /// computeTime(flops, kAsmKernel), but the rate reflects the generated
-  /// (mr, nr) register block (ArchConfig::microKernelEfficiency).  The
-  /// base default ignores the variant so test doubles keep working; the
-  /// mesh and estimator override it.  At the default (4, 8) block every
-  /// implementation must charge exactly the kAsmKernel rate.
-  virtual void computeTimeMicro(std::int64_t flops, int mr, int nr) {
-    (void)mr;
-    (void)nr;
-    computeTime(flops, ComputeRate::kAsmKernel);
-  }
+  /// The timing core that owns this CPE's clock and counters.  Engines
+  /// charge compute, retry backoffs and retries on it directly (the
+  /// functional runtime performs the math separately via spmPtr data).
+  [[nodiscard]] virtual CpeTiming& timing() = 0;
 
   /// Pointer into this CPE's SPM at `offsetBytes` (element-aligned);
   /// nullptr in timing-only mode.
   [[nodiscard]] virtual double* spmPtr(std::int64_t offsetBytes) = 0;
-
-  /// Advance this CPE's clock without doing work — retry backoff.
-  virtual void stallFor(SimTime ticks) { (void)ticks; }
-
-  /// Count one interpreter-level DMA retry against this CPE.
-  virtual void noteDmaRetry() {}
-
-  /// True when `array` resolves in this runtime.  The functional mesh
-  /// runtime checks host memory; timing-only runtimes accept everything
-  /// (they never dereference).
-  [[nodiscard]] virtual bool knowsArray(const std::string& array) const {
-    (void)array;
-    return true;
-  }
-
-  [[nodiscard]] virtual SimTime clock() const = 0;
-  [[nodiscard]] virtual const CpeCounters& counters() const = 0;
 
   /// The steady-state interface of a timing-only runtime whose iterations
   /// may be fast-forwarded; nullptr (the default) steps every op.  The
@@ -263,41 +258,25 @@ class CpeServices {
   /// jump.
   [[nodiscard]] virtual SteadyState* steadyState() { return nullptr; }
 
-  /// Intern a reply-slot name into this runtime's dense id space.  Plan
-  /// executors bind names once per run and then issue integer-keyed
-  /// requests, so the hot path never hashes strings.  The mesh
-  /// overrides this with a mesh-wide table so RMA channel ids agree across
-  /// all CPEs regardless of per-CPE interning order.
+  /// Intern a reply-slot name into this runtime's dense id space.  Both
+  /// engines bind names through it before they issue or wait, so the
+  /// runtimes key all their work by integer.  The mesh overrides this with
+  /// a mesh-wide table so RMA channel ids agree across all CPEs regardless
+  /// of per-CPE interning order.
   [[nodiscard]] virtual int internSlot(const std::string& name) {
-    for (std::size_t i = 0; i < slotNames_.size(); ++i) {
-      if (slotNames_[i] == name) return static_cast<int>(i);
-    }
-    slotNames_.push_back(name);
-    return static_cast<int>(slotNames_.size()) - 1;
+    return slotNames_.intern(name);
   }
 
   /// Intern a global-array name; negative result means the runtime does not
-  /// know the array (timing-only runtimes know everything and never return
-  /// negative).
+  /// know the array.  The functional mesh checks host memory; timing-only
+  /// runtimes know every array (they never dereference).
   [[nodiscard]] virtual int internArray(const std::string& name) {
-    for (std::size_t i = 0; i < arrayNames_.size(); ++i) {
-      if (arrayNames_[i] == name) return static_cast<int>(i);
-    }
-    arrayNames_.push_back(name);
-    return static_cast<int>(arrayNames_.size()) - 1;
-  }
-
-  /// Integer-keyed variant of waitSlot; `slotId` must come from internSlot
-  /// on the same services object.  The base default shims to the string
-  /// API; fast runtimes override it with a vector-indexed lookup.
-  virtual void waitSlotId(int slotId, bool isRma, bool isRowBroadcast) {
-    waitSlot(slotNames_.at(static_cast<std::size_t>(slotId)), isRma,
-             isRowBroadcast);
+    return arrayNames_.intern(name);
   }
 
  protected:
-  std::vector<std::string> slotNames_;
-  std::vector<std::string> arrayNames_;
+  NameTable slotNames_;
+  NameTable arrayNames_;
 };
 
 }  // namespace sw::sunway

@@ -51,28 +51,15 @@ class SteppedServices final : public sunway::CpeServices {
   void sync() override { inner_.sync(); }
   void dmaIssue(const sunway::DmaRequest& r) override { inner_.dmaIssue(r); }
   void rmaIssue(const sunway::RmaRequest& r) override { inner_.rmaIssue(r); }
-  void waitSlot(const std::string& slot, bool isRma, bool isRow) override {
-    inner_.waitSlot(slot, isRma, isRow);
+  void waitSlot(int slotId, bool isRma, bool isRow) override {
+    inner_.waitSlot(slotId, isRma, isRow);
   }
-  void waitSlotId(int slotId, bool isRma, bool isRow) override {
-    inner_.waitSlotId(slotId, isRma, isRow);
-  }
-  void computeTime(std::int64_t flops, sunway::ComputeRate rate) override {
-    inner_.computeTime(flops, rate);
-  }
-  void computeTimeMicro(std::int64_t flops, int mr, int nr) override {
-    inner_.computeTimeMicro(flops, mr, nr);
-  }
+  sunway::CpeTiming& timing() override { return inner_.timing(); }
   double* spmPtr(std::int64_t offsetBytes) override {
     return inner_.spmPtr(offsetBytes);
   }
-  void stallFor(SimTime ticks) override { inner_.stallFor(ticks); }
-  void noteDmaRetry() override { inner_.noteDmaRetry(); }
-  bool knowsArray(const std::string& array) const override {
-    return inner_.knowsArray(array);
-  }
-  SimTime clock() const override { return inner_.clock(); }
-  const CpeCounters& counters() const override { return inner_.counters(); }
+  SimTime clock() const { return inner_.clock(); }
+  const CpeCounters& counters() const { return inner_.counters(); }
   int internSlot(const std::string& name) override {
     return inner_.internSlot(name);
   }

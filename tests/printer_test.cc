@@ -136,6 +136,24 @@ TEST(Printer, FusionBodies) {
   EXPECT_TRUE(contains(ek.cpeSource, "> 0.0 ?"));
 }
 
+TEST(Printer, EdgeKernelLoopBoundsTakeTheCeiling) {
+  // An edge-tile kernel runs on any shape, so its loops must cover the last
+  // partial mesh tile and K panel, as Extent::evaluate does: `M/512` would
+  // skip M < 512, and `K/256 - 1` would start the K epilogue at ko = -1.
+  SwGemmCompiler compiler;
+  CodegenOptions options;
+  options.edgeTiles = true;
+  CompiledKernel kernel = compiler.compile(options);
+  const std::string& cpe = kernel.cpeSource;
+  EXPECT_TRUE(contains(cpe, "for (long mt = 0; mt < (M + 511)/512; ++mt)"));
+  EXPECT_TRUE(contains(cpe, "for (long nt = 0; nt < (N + 511)/512; ++nt)"));
+  EXPECT_TRUE(
+      contains(cpe, "for (long ko = 0; ko < (K + 255)/256 - 1; ++ko)"));
+  EXPECT_TRUE(contains(cpe, "const long ko = (K + 255)/256 - 1;"));
+  EXPECT_FALSE(contains(cpe, "M/512"));
+  EXPECT_FALSE(contains(cpe, "K/256"));
+}
+
 TEST(Printer, ScheduleDumpsShowPipelineStages) {
   SwGemmCompiler compiler;
   CompiledKernel kernel = compiler.compile(CodegenOptions{});

@@ -1,52 +1,177 @@
 // Timing-model tests: the sequential symmetric estimator must agree with
-// the 64-CPE mesh simulator's logical clocks, and the model must
-// reproduce the qualitative relationships of §6/§8.1 (latency hiding wins,
-// RMA slashes DMA traffic 8x, overlap count grows with K).
+// the 64-CPE mesh simulator's logical clocks — to the tick on padded
+// shapes, within its proven bound on edge tiles (sunway/estimator.h) — and
+// the model must reproduce the qualitative relationships of §6/§8.1
+// (latency hiding wins, RMA slashes DMA traffic 8x, overlap count grows
+// with K).
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "core/compiler.h"
 #include "core/gemm_runner.h"
+#include "core/sharded_gemm.h"
 #include "runtime/executor.h"
+#include "sunway/cpe_timing.h"
 #include "sunway/mesh.h"
+#include "support/format.h"
 
 namespace sw::core {
 namespace {
 
+/// A timing-only mesh run of `kernel` bound to M, N, K and the batch as
+/// given: the padded shape for padded kernels, the true extents for
+/// edge-tile ones, as estimateGemm binds them.
 rt::RunOutcome runThreadedTiming(const CompiledKernel& kernel,
                                  const sunway::ArchConfig& arch,
                                  std::int64_t m, std::int64_t n,
-                                 std::int64_t k) {
+                                 std::int64_t k, std::int64_t batch = 1) {
   sunway::MeshSimulator mesh(arch, /*functional=*/false);
-  auto params = rt::bindParams(kernel.program, m, n, k, 1);
+  auto params = rt::bindParams(kernel.program, m, n, k, batch);
   return rt::runOnMesh(mesh, kernel.program, params, rt::ExecScalars{},
-                       rt::gemmFlops(m, n, k));
+                       rt::gemmFlops(m, n, k, batch), kernel.plan.get());
 }
 
-class TimingAgreement : public ::testing::TestWithParam<std::int64_t> {};
+struct PaddedKernel {
+  std::string label;
+  CodegenOptions options;
+  std::int64_t batch = 1;
+  bool atPaperScale = false;  // also checked at 2048^3
+};
 
-TEST_P(TimingAgreement, EstimatorMatchesThreadedMesh) {
+std::vector<PaddedKernel> paddedKernels() {
+  std::vector<PaddedKernel> kernels;
+  const auto add = [&](const char* label, auto configure,
+                       std::int64_t batch = 1, bool atPaperScale = false) {
+    CodegenOptions options;
+    configure(options);
+    kernels.push_back({label, options, batch, atPaperScale});
+  };
+  add("default", [](CodegenOptions&) {}, 1, true);
+  add("no_hiding", [](CodegenOptions& o) { o.hideLatency = false; }, 1,
+      true);
+  add("no_rma", [](CodegenOptions& o) {
+    o.useRma = false;
+    o.hideLatency = false;
+  });
+  add("naive", [](CodegenOptions& o) { o.useAsm = false; });
+  add("transpose_a", [](CodegenOptions& o) { o.transposeA = true; });
+  add("transpose_b", [](CodegenOptions& o) { o.transposeB = true; });
+  add("relu", [](CodegenOptions& o) { o.fusion = FusionKind::kEpilogueRelu; });
+  add("quantize",
+      [](CodegenOptions& o) { o.fusion = FusionKind::kPrologueQuantize; });
+  add("batched", [](CodegenOptions& o) { o.batched = true; }, 3);
+  add("mk8x8", [](CodegenOptions& o) {
+    o.microMr = 8;
+    o.microNr = 8;
+  });
+  add("edge_on_padded", [](CodegenOptions& o) { o.edgeTiles = true; });
+  return kernels;
+}
+
+class PaddedTiming : public ::testing::TestWithParam<std::int64_t> {};
+
+// On padded shapes every CPE does the same work, so the estimator steps
+// the mesh's critical path exactly.
+TEST_P(PaddedTiming, EstimatorEqualsMeshToTheTick) {
   const std::int64_t s = GetParam();
   SwGemmCompiler compiler;
-  for (bool hide : {false, true}) {
-    CodegenOptions options;
-    options.hideLatency = hide;
-    CompiledKernel kernel = compiler.compile(options);
-    rt::RunOutcome threaded =
-        runThreadedTiming(kernel, compiler.arch(), s, s, s);
-    rt::RunOutcome estimated =
-        estimateGemm(kernel, compiler.arch(), GemmProblem{s, s, s});
-    // The estimator charges RMA issue overhead every round instead of one
-    // round in eight; keep the bound tight but not exact.
-    EXPECT_NEAR(estimated.seconds, threaded.seconds,
-                0.02 * threaded.seconds)
-        << "shape " << s << " hide=" << hide;
+  for (const PaddedKernel& pk : paddedKernels()) {
+    if (s > 1024 && !pk.atPaperScale) continue;
+    const CompiledKernel kernel = compiler.compile(pk.options);
+    const rt::RunOutcome threaded =
+        runThreadedTiming(kernel, compiler.arch(), s, s, s, pk.batch);
+    const rt::RunOutcome estimated = estimateGemm(
+        kernel, compiler.arch(), GemmProblem{s, s, s, pk.batch});
+    EXPECT_EQ(estimated.time, threaded.time) << pk.label << " at " << s;
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Shapes, TimingAgreement,
+INSTANTIATE_TEST_SUITE_P(Shapes, PaddedTiming,
                          ::testing::Values<std::int64_t>(512, 1024, 2048));
+
+// Edge tiles: the estimator runs CPE (0,0), whose tiles clamp least, and
+// sends every broadcast round, so it never reads below the mesh and never
+// above it by more than one issue overhead per broadcast it sends.
+TEST(EdgeTiming, EstimateBoundsTheMeshFromAbove) {
+  struct Tile {
+    std::int64_t m, n, k;
+  };
+  struct Shape {
+    std::int64_t m, n, k;
+  };
+  const Tile tiles[] = {{64, 64, 32}, {16, 16, 16}, {32, 16, 16},
+                        {32, 32, 32}};
+  const Shape shapes[] = {{1, 1, 1},     {13, 7, 5},       {63, 65, 31},
+                          {100, 100, 100}, {257, 63, 65}, {129, 257, 300},
+                          {512, 512, 256}};
+  SwGemmCompiler compiler;
+  for (const Tile& tile : tiles) {
+    for (const bool hide : {true, false}) {
+      CodegenOptions options;
+      options.edgeTiles = true;
+      options.tileM = tile.m;
+      options.tileN = tile.n;
+      options.tileK = tile.k;
+      options.hideLatency = hide;
+      const CompiledKernel kernel = compiler.compile(options);
+      for (const Shape& s : shapes) {
+        const std::string label =
+            strCat("tile ", tile.m, "x", tile.n, "x", tile.k, " hide ",
+                   hide, " at ", s.m, "x", s.n, "x", s.k);
+        const rt::RunOutcome threaded =
+            runThreadedTiming(kernel, compiler.arch(), s.m, s.n, s.k);
+        const rt::RunOutcome estimated = estimateGemm(
+            kernel, compiler.arch(), GemmProblem{s.m, s.n, s.k});
+        const sunway::SimTime gap = estimated.time - threaded.time;
+        EXPECT_GE(gap, 0) << label;
+        EXPECT_LE(gap, sunway::CpeTiming::kIssueOverheadTicks *
+                           estimated.counters.rmaBroadcastsSent)
+            << label;
+      }
+    }
+  }
+}
+
+/// The sharded mesh run and the sharded estimate of `problem` on
+/// `groups` core groups.
+struct ShardedPair {
+  ShardedOutcome run;
+  ShardedOutcome estimate;
+};
+
+ShardedPair runAndEstimateSharded(const CodegenOptions& options, int groups,
+                                  const GemmProblem& problem) {
+  SwGemmCompiler compiler;
+  const CompiledKernel kernel = compiler.compile(options);
+  ShardedConfig config;
+  config.groups = groups;
+  std::vector<double> a(static_cast<std::size_t>(problem.m * problem.k), 1.0);
+  std::vector<double> b(static_cast<std::size_t>(problem.k * problem.n), 1.0);
+  std::vector<double> c(static_cast<std::size_t>(problem.m * problem.n), 0.0);
+  return {runShardedFunctional(kernel, compiler.arch(), config, problem, a, b,
+                               c),
+          estimateSharded(kernel, compiler.arch(), config, problem)};
+}
+
+TEST(ShardedTiming, PaddedShardsEqualTheirEstimate) {
+  for (const int groups : {2, 3, 6}) {
+    const ShardedPair pair = runAndEstimateSharded(
+        CodegenOptions{}, groups, GemmProblem{1024, 1024, 512});
+    EXPECT_EQ(pair.estimate.seconds, pair.run.seconds) << groups;
+  }
+}
+
+TEST(ShardedTiming, EdgeShardsNeverExceedTheirEstimate) {
+  CodegenOptions options;
+  options.edgeTiles = true;
+  for (const int groups : {2, 3, 6}) {
+    const ShardedPair pair =
+        runAndEstimateSharded(options, groups, GemmProblem{700, 300, 200});
+    EXPECT_GE(pair.estimate.seconds, pair.run.seconds) << groups;
+  }
+}
 
 TEST(TimingModel, LatencyHidingAlwaysHelps) {
   SwGemmCompiler compiler;

@@ -1,11 +1,14 @@
 // Unit tests of the SW26010Pro core-group simulator: SPM bounds checking,
 // DMA semantics (strided gather, reply protocol, per-CPE engine
 // serialisation), RMA broadcast delivery, barrier clock-maxing, and
-// protocol-violation detection.
+// protocol-violation detection, reply-slot discipline included, on both
+// the mesh and the symmetric estimator.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
+#include <functional>
+#include <string>
 
 #include "sunway/estimator.h"
 #include "sunway/host_memory.h"
@@ -14,6 +17,24 @@
 
 namespace sw::sunway {
 namespace {
+
+/// `request` with its slot and array interned on `cpe`, as the engines
+/// send it.
+DmaRequest interned(CpeServices& cpe, DmaRequest request) {
+  request.slotId = cpe.internSlot(request.slot);
+  request.arrayId = cpe.internArray(request.array);
+  return request;
+}
+
+RmaRequest interned(CpeServices& cpe, RmaRequest request) {
+  request.slotId = cpe.internSlot(request.slot);
+  return request;
+}
+
+/// Wait on the DMA reply slot named `slot`.
+void waitDma(CpeServices& cpe, const std::string& slot) {
+  cpe.waitSlot(cpe.internSlot(slot), /*isRma=*/false, true);
+}
 
 TEST(HostArray, BoundsChecking) {
   HostArray a = HostArray::allocate("A", 1, 4, 8);
@@ -46,8 +67,8 @@ TEST(Mesh, BarrierEqualisesClocks) {
   MeshSimulator mesh(config, /*functional=*/false);
   MeshRunResult result = mesh.run([&](CpeServices& cpe) {
     // Give each CPE a different amount of work, then synchronise.
-    cpe.computeTime(1'000'000 * (cpe.rid() * 8 + cpe.cid() + 1),
-                    ComputeRate::kElementwise);
+    cpe.timing().compute(1'000'000 * (cpe.rid() * 8 + cpe.cid() + 1),
+                         ComputeRate::kElementwise);
     cpe.sync();
   });
   // After the barrier every clock equals the max + sync cost.
@@ -73,8 +94,8 @@ TEST(Mesh, DmaMovesStridedTile) {
     request.tileCols = 5;
     request.spmOffsetBytes = 0;
     request.slot = "r";
-    cpe.dmaIssue(request);
-    cpe.waitSlot("r", false, true);
+    cpe.dmaIssue(interned(cpe, request));
+    waitDma(cpe, "r");
     const double* spm = cpe.spmPtr(0);
     for (std::int64_t r = 0; r < 4; ++r)
       for (std::int64_t c = 0; c < 5; ++c)
@@ -99,8 +120,8 @@ TEST(Mesh, DmaPutWritesBack) {
     request.tileCols = 2;
     request.spmOffsetBytes = 0;
     request.slot = "w";
-    cpe.dmaIssue(request);
-    cpe.waitSlot("w", false, true);
+    cpe.dmaIssue(interned(cpe, request));
+    waitDma(cpe, "w");
   });
   const HostArray& c = mesh.memory().get("C");
   EXPECT_EQ(c.at(0, 1, 2), 7.0);
@@ -122,7 +143,7 @@ TEST(Mesh, DmaOutOfBoundsThrows) {
     request.tileRows = 4;  // rows 6..9 overflow
     request.tileCols = 8;
     request.slot = "r";
-    cpe.dmaIssue(request);
+    cpe.dmaIssue(interned(cpe, request));
   }),
                ProtocolError);
 }
@@ -130,9 +151,7 @@ TEST(Mesh, DmaOutOfBoundsThrows) {
 TEST(Mesh, WaitWithoutMessageThrows) {
   ArchConfig config;
   MeshSimulator mesh(config, /*functional=*/false);
-  EXPECT_THROW(mesh.run([&](CpeServices& cpe) {
-    cpe.waitSlot("nothing", false, true);
-  }),
+  EXPECT_THROW(mesh.run([&](CpeServices& cpe) { waitDma(cpe, "nothing"); }),
                ProtocolError);
 }
 
@@ -153,9 +172,9 @@ TEST(Mesh, RowBroadcastDeliversToWholeRow) {
       request.srcSpmOffsetBytes = 1024;
       request.dstSpmOffsetBytes = 0;
       request.slot = "bc";
-      cpe.rmaIssue(request);
+      cpe.rmaIssue(interned(cpe, request));
     }
-    cpe.waitSlot("bc", true, true);
+    cpe.waitSlot(cpe.internSlot("bc"), true, true);
     EXPECT_EQ(spm[0], 1000.0 + cpe.rid());
   });
 }
@@ -175,9 +194,9 @@ TEST(Mesh, ColumnBroadcastDeliversToWholeColumn) {
       request.srcSpmOffsetBytes = 2048;
       request.dstSpmOffsetBytes = 0;
       request.slot = "cc";
-      cpe.rmaIssue(request);
+      cpe.rmaIssue(interned(cpe, request));
     }
-    cpe.waitSlot("cc", true, false);
+    cpe.waitSlot(cpe.internSlot("cc"), true, false);
     EXPECT_EQ(cpe.spmPtr(0)[0], 500.0 + cpe.cid());
   });
 }
@@ -212,11 +231,11 @@ TEST(Estimator, DmaEngineSerialisesMessages) {
   a.slot = "a";
   DmaRequest b = a;
   b.slot = "b";
-  cpe.dmaIssue(a);
-  cpe.dmaIssue(b);
-  cpe.waitSlot("a", false, true);
+  cpe.dmaIssue(interned(cpe, a));
+  cpe.dmaIssue(interned(cpe, b));
+  waitDma(cpe, "a");
   const double afterA = toSeconds(cpe.clock());
-  cpe.waitSlot("b", false, true);
+  waitDma(cpe, "b");
   const double afterB = toSeconds(cpe.clock());
   // B starts only when A's transfer finishes on the engine.
   EXPECT_GT(afterB, afterA + 16384 / config.dmaShareBytesPerSec() * 0.9);
@@ -226,11 +245,114 @@ TEST(Estimator, ComputeRatesOrdering) {
   ArchConfig config;
   SymmetricCpeServices cpe(config);
   const std::int64_t flops = 2 * 64 * 64 * 32;
-  cpe.computeTime(flops, ComputeRate::kAsmKernel);
+  cpe.timing().computeMicro(flops, 4, 8);
   const SimTime asmTime = cpe.clock();
   SymmetricCpeServices naive(config);
-  naive.computeTime(flops, ComputeRate::kNaive);
+  naive.timing().compute(flops, ComputeRate::kNaive);
   EXPECT_GT(naive.clock(), 10 * asmTime);
+}
+
+// Reply-slot discipline: a slot holds at most one message, and a wait
+// consumes it.  Both runtimes enforce it in their shared timing core.
+
+DmaRequest smallGet() {
+  DmaRequest request;
+  request.array = "A";
+  request.tileRows = 2;
+  request.tileCols = 2;
+  request.slot = "r";
+  return request;
+}
+
+void issueTwice(CpeServices& cpe) {
+  cpe.dmaIssue(interned(cpe, smallGet()));
+  cpe.dmaIssue(interned(cpe, smallGet()));  // the first was never waited for
+}
+
+void waitTwice(CpeServices& cpe) {
+  cpe.dmaIssue(interned(cpe, smallGet()));
+  waitDma(cpe, "r");
+  waitDma(cpe, "r");  // the first wait consumed the only message
+}
+
+/// The ProtocolError `body` raises on CPE (0,0) of a timing-only mesh.
+std::string meshProtocolError(const std::function<void(CpeServices&)>& body) {
+  ArchConfig config;
+  MeshSimulator mesh(config, /*functional=*/false);
+  try {
+    mesh.run([&](CpeServices& cpe) {
+      if (cpe.rid() == 0 && cpe.cid() == 0) body(cpe);
+    });
+  } catch (const ProtocolError& error) {
+    return error.what();
+  }
+  ADD_FAILURE() << "the mesh run raised no ProtocolError";
+  return {};
+}
+
+/// The ProtocolError `body` raises on the symmetric estimator.
+std::string estimatorProtocolError(
+    const std::function<void(CpeServices&)>& body) {
+  ArchConfig config;
+  SymmetricCpeServices cpe(config);
+  try {
+    body(cpe);
+  } catch (const ProtocolError& error) {
+    return error.what();
+  }
+  ADD_FAILURE() << "the estimator raised no ProtocolError";
+  return {};
+}
+
+constexpr const char* kIssueOntoBusySlot =
+    "issue on slot 'r' before its message was waited for";
+constexpr const char* kWaitWithoutMessage =
+    "wait on slot 'r' with no message in flight";
+
+TEST(ReplySlots, MeshRejectsIssueOntoAnUnwaitedSlot) {
+  EXPECT_EQ(meshProtocolError(issueTwice), kIssueOntoBusySlot);
+}
+
+TEST(ReplySlots, MeshRejectsASecondWaitOnOneIssue) {
+  EXPECT_EQ(meshProtocolError(waitTwice), kWaitWithoutMessage);
+}
+
+TEST(ReplySlots, EstimatorRejectsIssueOntoAnUnwaitedSlot) {
+  EXPECT_EQ(estimatorProtocolError(issueTwice), kIssueOntoBusySlot);
+}
+
+TEST(ReplySlots, EstimatorRejectsASecondWaitOnOneIssue) {
+  EXPECT_EQ(estimatorProtocolError(waitTwice), kWaitWithoutMessage);
+}
+
+TEST(ReplySlots, EstimatorAppliesTheDisciplineToRmaSlots) {
+  RmaRequest round;
+  round.isSender = true;
+  round.bytes = 8;
+  round.slot = "r";
+  const auto waitRound = [](CpeServices& cpe) {
+    cpe.waitSlot(cpe.internSlot("r"), /*isRma=*/true, true);
+  };
+  EXPECT_EQ(estimatorProtocolError([&](CpeServices& cpe) {
+              cpe.rmaIssue(interned(cpe, round));
+              cpe.rmaIssue(interned(cpe, round));
+            }),
+            kIssueOntoBusySlot);
+  EXPECT_EQ(estimatorProtocolError([&](CpeServices& cpe) {
+              cpe.rmaIssue(interned(cpe, round));
+              waitRound(cpe);
+              waitRound(cpe);
+            }),
+            kWaitWithoutMessage);
+}
+
+TEST(ReplySlots, UninternedRequestIsAnInternalError) {
+  ArchConfig config;
+  SymmetricCpeServices estimator(config);
+  EXPECT_THROW(estimator.dmaIssue(smallGet()), InternalError);
+  MeshSimulator mesh(config, /*functional=*/false);
+  EXPECT_THROW(mesh.run([](CpeServices& cpe) { cpe.dmaIssue(smallGet()); }),
+               InternalError);
 }
 
 }  // namespace

@@ -48,8 +48,11 @@ std::string lostDmaReplyDump() {
     request.tileRows = 2;
     request.tileCols = 2;
     request.slot = "lost";
+    request.slotId = cpe.internSlot(request.slot);
+    request.arrayId = cpe.internArray(request.array);
     cpe.dmaIssue(request);
-    cpe.waitSlot("lost", false, true);  // the reply never arrives
+    // The reply never arrives.
+    cpe.waitSlot(request.slotId, /*isRma=*/false, true);
   });
 }
 
@@ -66,9 +69,10 @@ void rowZeroBroadcast(CpeServices& cpe) {
     request.srcSpmOffsetBytes = 1024;
     request.dstSpmOffsetBytes = 0;
     request.slot = "bc";
+    request.slotId = cpe.internSlot(request.slot);
     cpe.rmaIssue(request);
   }
-  cpe.waitSlot("bc", true, true);
+  cpe.waitSlot(cpe.internSlot("bc"), /*isRma=*/true, true);
 }
 
 TEST(Deadlock, PermanentDmaDropRaisesStateDump) {
@@ -214,7 +218,7 @@ TEST(Abort, MeshIsReusableAfterAbortedRun) {
   // run() resets the abort/error/barrier state, so the same simulator
   // must complete a healthy run afterwards.
   MeshRunResult result = mesh.run([&](CpeServices& cpe) {
-    cpe.computeTime(1000, ComputeRate::kElementwise);
+    cpe.timing().compute(1000, ComputeRate::kElementwise);
     cpe.sync();
   });
   EXPECT_EQ(result.totals.syncs, 64);
