@@ -10,6 +10,7 @@
 #include <cstring>
 
 #include "core/compiler.h"
+#include "core/pipeline.h"
 
 int main(int argc, char** argv) {
   using namespace sw::core;
@@ -35,20 +36,21 @@ int main(int argc, char** argv) {
 
   SwGemmCompiler compiler;
   CompiledKernel kernel = compiler.compile(options);
+  const ScheduleTreeDumps trees = dumpScheduleTrees(options, compiler.arch());
 
   std::printf("================================================================\n");
   std::printf("Stage 1 — initial schedule tree (Fig.2b)\n");
   std::printf("================================================================\n%s\n",
-              kernel.initialTreeDump.c_str());
+              trees.initialTree.c_str());
   std::printf("================================================================\n");
   std::printf("Stage 2 — after tiling, mesh binding, strip-mining (Fig.4/6)\n");
   std::printf("================================================================\n%s\n",
-              kernel.tiledTreeDump.c_str());
+              trees.tiledTree.c_str());
   std::printf("================================================================\n");
   std::printf("Stage 3 — final tree: DMA/RMA extensions + latency hiding "
               "(Fig.9/11)\n");
   std::printf("================================================================\n%s\n",
-              kernel.finalTreeDump.c_str());
+              trees.finalTree.c_str());
   std::printf("================================================================\n");
   std::printf("Generated CPE (slave) source\n");
   std::printf("================================================================\n%s\n",

@@ -63,7 +63,24 @@ std::string canonicalRequestKey(const CodegenOptions& options,
   return key;
 }
 
+CompiledKernel SwGemmCompiler::lower(const CodegenOptions& options,
+                                     const PatternAnalysis& pattern) const {
+  CompiledKernel kernel;
+  kernel.options = options;
+  kernel.program = runGemmPipeline(options, arch_, pattern).program;
+  trace::Span lowerSpan("lower.plan");
+  kernel.plan = rt::lowerToPlan(kernel.program);
+  lowerSpan.addArg(trace::arg(
+      "instructions", static_cast<std::int64_t>(kernel.plan->code.size())));
+  return kernel;
+}
+
 CompiledKernel SwGemmCompiler::compile(const CodegenOptions& options) const {
+  return compileAs(options, "");
+}
+
+CompiledKernel SwGemmCompiler::compileAs(const CodegenOptions& options,
+                                         const std::string& name) const {
   trace::Span span("compile",
                    {trace::arg("tileM", options.tileM),
                     trace::arg("tileN", options.tileN),
@@ -72,28 +89,15 @@ CompiledKernel SwGemmCompiler::compile(const CodegenOptions& options) const {
                     trace::arg("useRma", options.useRma ? "true" : "false"),
                     trace::arg("hideLatency",
                                options.hideLatency ? "true" : "false")});
-  PipelineResult pipeline = runGemmPipeline(options, arch_);
-  CompiledKernel kernel;
-  kernel.options = options;
-  kernel.program = std::move(pipeline.program);
-  kernel.initialTreeDump = std::move(pipeline.initialTreeDump);
-  kernel.tiledTreeDump = std::move(pipeline.tiledTreeDump);
-  kernel.finalTreeDump = std::move(pipeline.finalTreeDump);
-  {
-    trace::Span printSpan("codegen.print");
-    codegen::GeneratedSources sources =
-        codegen::printAthreadSources(kernel.program);
-    kernel.cpeSource = std::move(sources.cpe);
-    kernel.mpeSource = std::move(sources.mpe);
-    printSpan.addArg(trace::arg(
-        "cpeBytes", static_cast<std::int64_t>(kernel.cpeSource.size())));
-  }
-  {
-    trace::Span lowerSpan("lower.plan");
-    kernel.plan = rt::lowerToPlan(kernel.program);
-    lowerSpan.addArg(trace::arg(
-        "instructions", static_cast<std::int64_t>(kernel.plan->code.size())));
-  }
+  CompiledKernel kernel = lower(options, analyzeGemmPattern(options));
+  if (!name.empty()) kernel.program.name = name;
+  trace::Span printSpan("codegen.print");
+  codegen::GeneratedSources sources =
+      codegen::printAthreadSources(kernel.program);
+  kernel.cpeSource = std::move(sources.cpe);
+  kernel.mpeSource = std::move(sources.mpe);
+  printSpan.addArg(trace::arg(
+      "cpeBytes", static_cast<std::int64_t>(kernel.cpeSource.size())));
   SW_DEBUG("compiler", "event=compile_done kernel=", kernel.program.name,
            " spm_bytes=", kernel.program.spmBytesUsed());
   return kernel;

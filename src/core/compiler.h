@@ -2,8 +2,11 @@
 //
 // SwGemmCompiler turns the DGEMM pattern (either a canonical spec given by
 // CodegenOptions, or a naive C source accepted by the frontend) into a
-// CompiledKernel: the executable per-CPE program, the generated athread C
-// sources, and the schedule-tree dumps of every pipeline stage.
+// CompiledKernel: the executable per-CPE program, its lowered plan and the
+// generated athread C sources.  lower() builds the program and plan alone,
+// against a pattern analysis the caller proved once (the tuner ranks every
+// candidate schedule this way); compile() is that lowering plus the
+// printer.  Schedule-tree dumps are on request (core::dumpScheduleTrees).
 // canonicalRequestKey names a compile request; the kernel service caches
 // compiled kernels under it and the tuning database embeds it.
 #pragma once
@@ -26,13 +29,10 @@ struct CompiledKernel {
   CodegenOptions options;
   codegen::KernelProgram program;
   /// Generated athread C sources (§7): the CPE (slave) file and the MPE
-  /// (host) file, as the paper's tool emits them.
+  /// (host) file, as the paper's tool emits them.  Empty on a kernel from
+  /// SwGemmCompiler::lower.
   std::string cpeSource;
   std::string mpeSource;
-  /// Schedule trees after each stage, for inspection/golden tests.
-  std::string initialTreeDump;
-  std::string tiledTreeDump;
-  std::string finalTreeDump;
   /// Lowered hot-path execution plan (runtime/plan.h), produced once here
   /// and shared by every run of this kernel.
   std::shared_ptr<const rt::ExecutionPlan> plan;
@@ -67,7 +67,18 @@ class SwGemmCompiler {
   [[nodiscard]] CompiledKernel compileSource(const std::string& source,
                                              CodegenOptions base = {}) const;
 
+  /// The program and plan of `options` for a pattern `pattern` proved
+  /// (pattern.covers(options)), with no sources printed: what a search
+  /// needs of each candidate.  compile() is this plus the printer.
+  [[nodiscard]] CompiledKernel lower(const CodegenOptions& options,
+                                     const PatternAnalysis& pattern) const;
+
  private:
+  /// compile(), naming the program `name` before printing when it is not
+  /// empty.
+  [[nodiscard]] CompiledKernel compileAs(const CodegenOptions& options,
+                                         const std::string& name) const;
+
   sunway::ArchConfig arch_;
 };
 

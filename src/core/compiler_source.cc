@@ -1,4 +1,3 @@
-#include "codegen/athread_printer.h"
 #include "core/compiler.h"
 #include "frontend/pattern.h"
 #include "support/trace.h"
@@ -30,15 +29,8 @@ CompiledKernel SwGemmCompiler::compileSource(const std::string& source,
       base.fusion = FusionKind::kEpilogueRelu;
       break;
   }
-  CompiledKernel kernel = compile(base);
-  // Name the generated kernel after the user's function and re-emit the
-  // sources under that name.
-  kernel.program.name = pattern.functionName;
-  codegen::GeneratedSources sources =
-      codegen::printAthreadSources(kernel.program);
-  kernel.cpeSource = std::move(sources.cpe);
-  kernel.mpeSource = std::move(sources.mpe);
-  return kernel;
+  // The generated kernel is named after the user's function.
+  return compileAs(base, pattern.functionName);
 }
 
 }  // namespace sw::core

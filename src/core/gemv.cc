@@ -45,15 +45,17 @@ AffineExpr cpeRowBase(const sunway::ArchConfig& arch,
 
 CopyStmt getY(const sunway::ArchConfig& arch, const GemvOptions& options,
               bool put) {
+  // The one-letter names move in from std::string temporaries: assigning
+  // the literals trips a spurious -Wrestrict in GCC 12's inlined copy.
   CopyStmt s;
   s.name = put ? "putY" : "getY";
   s.kind = put ? CopyKind::kDmaPut : CopyKind::kDmaGet;
-  s.array = "Y";
+  s.array = std::string("Y");
   s.buffer = SpmBufferRef{"Y", std::nullopt, 0};
   s.rowStart = AffineExpr::constant(0);
   s.colStart = cpeRowBase(arch, options);
   s.rowsParam = "ONE";
-  s.colsParam = "M";
+  s.colsParam = std::string("M");
   s.tileRows = 1;
   s.tileCols = options.rowsPerCpe;
   s.replySlot = put ? "reply_Y_put" : "reply_Y_get";

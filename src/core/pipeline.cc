@@ -272,6 +272,19 @@ NodePtr makeATileMarks(const Ctx& ctx, std::optional<std::string> phaseVar,
 
 NodePtr leaf() { return std::make_unique<sched::LeafNode>(); }
 
+/// The GEMM statement S1's iteration domain over (b,) i, j, k.
+poly::IntegerSet gemmDomain(const CodegenOptions& options) {
+  std::vector<std::string> dims;
+  if (options.batched) dims.push_back("b");
+  dims.insert(dims.end(), {"i", "j", "k"});
+  poly::IntegerSet domain("S1", std::move(dims));
+  if (options.batched) domain.addRange("b", d("BATCH"));
+  domain.addRange("i", d("M"));
+  domain.addRange("j", d("N"));
+  domain.addRange("k", d("K"));
+  return domain;
+}
+
 // ---------------------------------------------------------------------------
 // Structural construction of the memory-optimisation levels (§4–§6)
 // ---------------------------------------------------------------------------
@@ -372,8 +385,63 @@ PaddedShape padShape(std::int64_t m, std::int64_t n, std::int64_t k,
   return padded;
 }
 
-PipelineResult runGemmPipeline(const CodegenOptions& options,
-                               const sunway::ArchConfig& arch) {
+PatternAnalysis analyzeGemmPattern(const CodegenOptions& options) {
+  trace::Span span(
+      "pipeline.dependence",
+      {trace::arg("batched", options.batched ? "true" : "false"),
+       trace::arg("fusion", static_cast<std::int64_t>(options.fusion))});
+
+  // --- Statement domain and accesses (§2.2) -------------------------------
+  poly::StatementInfo stmt{"S1", gemmDomain(options), {}};
+  const std::vector<std::string>& dims = stmt.domain.dims();
+  auto sub = [&](std::initializer_list<AffineExpr> subs, bool write,
+                 const char* array) {
+    std::vector<AffineExpr> outputs;
+    if (options.batched) outputs.push_back(d("b"));
+    outputs.insert(outputs.end(), subs);
+    stmt.accesses.push_back(
+        poly::AccessRelation{array, poly::AffineMap(dims, outputs), write});
+  };
+  sub({d("i"), d("j")}, true, "C");
+  sub({d("i"), d("j")}, false, "C");
+  if (options.transposeA)
+    sub({d("k"), d("i")}, false, "A");
+  else
+    sub({d("i"), d("k")}, false, "A");
+  if (options.transposeB)
+    sub({d("j"), d("k")}, false, "B");
+  else
+    sub({d("k"), d("j")}, false, "B");
+
+  // --- Dependence analysis: each question once ----------------------------
+  const poly::DependenceAnalysis dependences({stmt});
+  PatternAnalysis analysis;
+  analysis.batched = options.batched;
+  analysis.transposeA = options.transposeA;
+  analysis.transposeB = options.transposeB;
+  analysis.fusion = options.fusion;
+  for (std::size_t l = 0; l < dims.size(); ++l)
+    analysis.coincident.push_back(dependences.isLoopParallel("S1", l));
+  analysis.tilable = dependences.isBandPermutable("S1", 0, dims.size());
+  const std::size_t iLevel = options.batched ? 1 : 0;
+  if (!analysis.coincident[iLevel] || !analysis.coincident[iLevel + 1] ||
+      !analysis.tilable)
+    throwInput(
+        "the input loop nest does not expose the 2D parallelism and "
+        "tilability GEMM decomposition requires");
+  return analysis;
+}
+
+namespace {
+
+/// The pipeline body behind runGemmPipeline and dumpScheduleTrees; renders
+/// the stage trees into `dumps` when it is not null.
+PipelineResult lowerSchedule(const CodegenOptions& options,
+                             const sunway::ArchConfig& arch,
+                             const PatternAnalysis& analysis,
+                             ScheduleTreeDumps* dumps) {
+  SW_CHECK(analysis.covers(options),
+           "the pattern analysis was proven for another GEMM pattern");
   if (options.hideLatency && !options.useRma)
     throwInput(
         "memory latency hiding requires the RMA decomposition "
@@ -394,58 +462,14 @@ PipelineResult runGemmPipeline(const CodegenOptions& options,
   // Per-stage trace spans: the optional is emplaced at each stage boundary
   // so the previous span closes exactly where the next begins.
   std::optional<trace::Span> stage;
-  stage.emplace("pipeline.dependence",
+  stage.emplace("pipeline.tile",
                 std::vector<trace::TraceArg>{
-                    trace::arg("batched", options.batched ? "true" : "false"),
-                    trace::arg("fusion",
-                               static_cast<std::int64_t>(options.fusion))});
+                    trace::arg("tileM", options.tileM),
+                    trace::arg("tileN", options.tileN),
+                    trace::arg("tileK", options.tileK),
+                    trace::arg("stripFactor", options.stripFactor)});
 
-  // --- Statement domains and dependence analysis (§2.2) -------------------
-  std::vector<std::string> dims;
-  if (options.batched) dims.push_back("b");
-  dims.insert(dims.end(), {"i", "j", "k"});
-
-  poly::IntegerSet domain("S1", dims);
-  if (options.batched) domain.addRange("b", d("BATCH"));
-  domain.addRange("i", d("M"));
-  domain.addRange("j", d("N"));
-  domain.addRange("k", d("K"));
-
-  poly::StatementInfo stmt{"S1", domain, {}};
-  auto sub = [&](std::initializer_list<AffineExpr> subs, bool write,
-                 const char* array) {
-    std::vector<AffineExpr> outputs;
-    if (options.batched) outputs.push_back(d("b"));
-    outputs.insert(outputs.end(), subs);
-    stmt.accesses.push_back(
-        poly::AccessRelation{array, poly::AffineMap(dims, outputs), write});
-  };
-  sub({d("i"), d("j")}, true, "C");
-  sub({d("i"), d("j")}, false, "C");
-  if (options.transposeA)
-    sub({d("k"), d("i")}, false, "A");
-  else
-    sub({d("i"), d("k")}, false, "A");
-  if (options.transposeB)
-    sub({d("j"), d("k")}, false, "B");
-  else
-    sub({d("k"), d("j")}, false, "B");
-
-  poly::DependenceAnalysis analysis({stmt});
-  const std::size_t base = options.batched ? 1 : 0;
-  const bool iParallel = analysis.isLoopParallel("S1", base + 0);
-  const bool jParallel = analysis.isLoopParallel("S1", base + 1);
-  const bool tilable = analysis.isBandPermutable("S1", 0, dims.size());
-  if (!iParallel || !jParallel || !tilable)
-    throwInput(
-        "the input loop nest does not expose the 2D parallelism and "
-        "tilability GEMM decomposition requires");
-
-  std::vector<bool> coincident;
-  for (std::size_t l = 0; l < dims.size(); ++l)
-    coincident.push_back(analysis.isLoopParallel("S1", l));
-
-  std::vector<poly::IntegerSet> domains{domain};
+  std::vector<poly::IntegerSet> domains{gemmDomain(options)};
   if (options.fusion == FusionKind::kPrologueQuantize) {
     poly::IntegerSet prologue("S0", options.batched
                                         ? std::vector<std::string>{"b", "i",
@@ -466,18 +490,10 @@ PipelineResult runGemmPipeline(const CodegenOptions& options,
     domains.push_back(epilogue);
   }
 
-  stage.emplace("pipeline.tile",
-                std::vector<trace::TraceArg>{
-                    trace::arg("tileM", options.tileM),
-                    trace::arg("tileN", options.tileN),
-                    trace::arg("tileK", options.tileK),
-                    trace::arg("stripFactor", options.stripFactor)});
-
   // --- Initial tree (Fig.2b) + batch isolation (Fig.3) --------------------
-  sched::ScheduleTree tree =
-      sched::buildInitialTree(domains, coincident, tilable);
-  PipelineResult result;
-  result.initialTreeDump = tree.toString();
+  sched::ScheduleTree tree = sched::buildInitialTree(
+      domains, analysis.coincident, analysis.tilable);
+  if (dumps != nullptr) dumps->initialTree = tree.toString();
 
   auto* gemmBand = &sched::nodeCast<sched::BandNode>(tree.root().onlyChild());
   if (options.batched)
@@ -511,7 +527,7 @@ PipelineResult runGemmPipeline(const CodegenOptions& options,
     koBand = &ktBand;  // now heads "ko"
     kiBand = &sched::nodeCast<sched::BandNode>(ktBand.onlyChild());
   }
-  result.tiledTreeDump = tree.toString();
+  if (dumps != nullptr) dumps->tiledTree = tree.toString();
 
   stage.emplace("pipeline.compute_mark",
                 std::vector<trace::TraceArg>{
@@ -741,7 +757,7 @@ PipelineResult runGemmPipeline(const CodegenOptions& options,
   }
 
   tree.validate();
-  result.finalTreeDump = tree.toString();
+  if (dumps != nullptr) dumps->finalTree = tree.toString();
 
   stage.emplace("pipeline.spm_layout");
 
@@ -789,6 +805,7 @@ PipelineResult runGemmPipeline(const CodegenOptions& options,
 
   stage.emplace("pipeline.codegen");
   program.body = codegen::buildProgramBody(tree);
+  PipelineResult result;
   result.program = std::move(program);
   const auto staticOps =
       static_cast<std::int64_t>(codegen::countOps(result.program.body));
@@ -806,6 +823,26 @@ PipelineResult runGemmPipeline(const CodegenOptions& options,
           " spm_bytes=", result.program.spmBytesUsed(),
           " buffers=", result.program.buffers.size());
   return result;
+}
+
+}  // namespace
+
+PipelineResult runGemmPipeline(const CodegenOptions& options,
+                               const sunway::ArchConfig& arch,
+                               const PatternAnalysis& analysis) {
+  return lowerSchedule(options, arch, analysis, nullptr);
+}
+
+PipelineResult runGemmPipeline(const CodegenOptions& options,
+                               const sunway::ArchConfig& arch) {
+  return lowerSchedule(options, arch, analyzeGemmPattern(options), nullptr);
+}
+
+ScheduleTreeDumps dumpScheduleTrees(const CodegenOptions& options,
+                                    const sunway::ArchConfig& arch) {
+  ScheduleTreeDumps dumps;
+  (void)lowerSchedule(options, arch, analyzeGemmPattern(options), &dumps);
+  return dumps;
 }
 
 }  // namespace sw::core

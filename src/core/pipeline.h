@@ -1,10 +1,13 @@
-// The GEMM code-generation pipeline (§3–§7): dependence analysis, compute
-// decomposition, hardware binding, DMA/RMA insertion, memory latency
-// hiding, and lowering to an executable KernelProgram.
-//
-// Every stage operates on schedule trees; the intermediate trees are kept
-// so tests and the --dump-schedule path can check them against the paper's
-// figures.
+// The GEMM code-generation pipeline (§3–§7), split where the pattern ends
+// and the schedule begins (Halide's algorithm/schedule split):
+//   * analyzeGemmPattern runs the dependence analysis of §2.2 once per
+//     pattern — batched or not, transposes, fusion;
+//   * runGemmPipeline lowers one schedule of an analysed pattern: compute
+//     decomposition, hardware binding, DMA/RMA insertion, memory latency
+//     hiding, and lowering to an executable KernelProgram.
+// The intermediate schedule trees are rendered only on request, by
+// dumpScheduleTrees, for tests and the --dump-schedule path that check them
+// against the paper's figures.
 #pragma once
 
 #include <string>
@@ -12,25 +15,63 @@
 
 #include "codegen/program.h"
 #include "core/options.h"
-#include "schedule/tree.h"
 #include "sunway/arch.h"
 
 namespace sw::core {
 
-/// Pipeline output: the final schedule tree, the stage-by-stage dumps, and
-/// the executable/printable kernel program.
-struct PipelineResult {
-  codegen::KernelProgram program;
-  std::string initialTreeDump;   // Fig.2b
-  std::string tiledTreeDump;     // Fig.4
-  std::string finalTreeDump;     // Fig.9 / Fig.11
+/// What the dependence analysis proves about one GEMM pattern.  It depends
+/// only on the pattern fields of CodegenOptions, never on the schedule, so
+/// one analysis serves every schedule of the pattern.
+struct PatternAnalysis {
+  /// The pattern the facts were proven for.
+  bool batched = false;
+  bool transposeA = false;
+  bool transposeB = false;
+  FusionKind fusion = FusionKind::kNone;
+  /// Per loop of the GEMM statement, outermost first ((b,) i, j, k): true
+  /// when the loop carries no dependence.
+  std::vector<bool> coincident;
+  /// The whole band is fully permutable.
+  bool tilable = false;
+
+  /// True when `options` describe the pattern this analysis proved.
+  [[nodiscard]] bool covers(const CodegenOptions& options) const {
+    return batched == options.batched && transposeA == options.transposeA &&
+           transposeB == options.transposeB && fusion == options.fusion;
+  }
 };
 
-/// Run the whole pipeline for the (possibly batched / fused) DGEMM pattern.
-/// Throws InputError if the dependence analysis cannot prove the required
-/// parallelism/tilability, or if the SPM working set would overflow.
+/// Prove the pattern of `options` has the 2D parallelism (i and j) and the
+/// tilability the GEMM decomposition requires.  Throws InputError if not.
+[[nodiscard]] PatternAnalysis analyzeGemmPattern(const CodegenOptions& options);
+
+/// Pipeline output: the executable/printable kernel program.
+struct PipelineResult {
+  codegen::KernelProgram program;
+};
+
+/// Lower the schedule in `options` for a pattern `analysis` has proven
+/// (`analysis.covers(options)` must hold).  Throws InputError if the
+/// options are inconsistent or the SPM working set would overflow.
+PipelineResult runGemmPipeline(const CodegenOptions& options,
+                               const sunway::ArchConfig& arch,
+                               const PatternAnalysis& analysis);
+
+/// analyzeGemmPattern(options), then the lowering above.
 PipelineResult runGemmPipeline(const CodegenOptions& options,
                                const sunway::ArchConfig& arch);
+
+/// The schedule tree after each stage, as ScheduleTree::toString renders it.
+struct ScheduleTreeDumps {
+  std::string initialTree;  // Fig.2b (Fig.3 when batched)
+  std::string tiledTree;    // Fig.4 / Fig.6
+  std::string finalTree;    // Fig.9 / Fig.11
+};
+
+/// Run the whole pipeline for `options` with a recorder of the stage trees.
+/// Compiles never render trees; this is the one path that does.
+[[nodiscard]] ScheduleTreeDumps dumpScheduleTrees(
+    const CodegenOptions& options, const sunway::ArchConfig& arch);
 
 /// Padded problem sizes: M, N rounded up to meshRows*tileM / meshCols*tileN
 /// and K to stripFactor*tileK (or tileK without RMA), per the zero-padding

@@ -126,8 +126,11 @@ ScheduleSearchResult searchSchedules(const core::CodegenOptions& base,
   const std::vector<EnumeratedCandidate> space =
       enumerateCandidates(base, arch, problem, config.space);
 
-  // --- stage 1: compile + rank every feasible point on the estimator ----
-  core::SwGemmCompiler compiler(arch);
+  // --- stage 1: lower + rank every feasible point on the estimator ------
+  // Candidates differ only in schedule, never in pattern, so one proof
+  // serves them all; each is lowered to program and plan, never printed.
+  const core::PatternAnalysis pattern = core::analyzeGemmPattern(base);
+  const core::SwGemmCompiler compiler(arch);
   std::vector<CandidateResult> results;
   results.reserve(space.size());
   // Kernels of feasible candidates, index-aligned with `results`, kept for
@@ -148,7 +151,7 @@ ScheduleSearchResult searchSchedules(const core::CodegenOptions& base,
                               {trace::arg("schedule", result.label())});
     try {
       core::CompiledKernel kernel =
-          compiler.compile(entry.candidate.apply(base));
+          compiler.lower(entry.candidate.apply(base), pattern);
       if (entry.candidate.shardedGroups > 1) {
         // Multi-group candidates score through the sharded estimator, so
         // the ranking sees the contention-derated node roofline rather

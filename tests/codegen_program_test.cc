@@ -35,8 +35,8 @@ TEST(SpmPlanner, RejectsOverflow) {
 TEST(SpmPlanner, BufferLookupFailsOnUnknownSet) {
   KernelProgram program;
   program.buffers = {SpmBufferDecl{"C", 64, 64, 1, 0}};
-  EXPECT_THROW(program.buffer("nope"), sw::InternalError);
-  EXPECT_THROW(program.array("nope"), sw::InternalError);
+  EXPECT_THROW((void)program.buffer("nope"), sw::InternalError);
+  EXPECT_THROW((void)program.array("nope"), sw::InternalError);
 }
 
 TEST(CountOps, NestedLoopsCounted) {

@@ -1,7 +1,8 @@
 // Determinism guard for the kernel cache (the correctness precondition of
 // cache keying): compiling identical CodegenOptions must yield
-// byte-identical generated sources and tree dumps and an equal kernel
-// program, regardless of what else the process compiled in between.
+// byte-identical generated sources and an equal kernel program, and
+// dumping its schedule trees byte-identical dumps, regardless of what else
+// the process compiled in between.
 //
 // Audit notes (PR 2): the pipeline keeps all keyed collections ordered
 // (std::map/std::set over strings), never iterates pointer-keyed
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "core/compiler.h"
+#include "core/pipeline.h"
 
 namespace sw::core {
 namespace {
@@ -50,9 +52,12 @@ TEST(CompileDeterminismTest, RepeatedCompilesAreByteIdentical) {
 
   // First sweep, in order.
   std::vector<CompiledKernel> first;
+  std::vector<ScheduleTreeDumps> firstTrees;
   first.reserve(variants.size());
-  for (const CodegenOptions& options : variants)
+  for (const CodegenOptions& options : variants) {
     first.push_back(compiler.compile(options));
+    firstTrees.push_back(dumpScheduleTrees(options, compiler.arch()));
+  }
 
   // Second sweep in reverse order, with a fresh compiler instance, so any
   // hidden state carried across compiles (allocator layout, iteration
@@ -60,13 +65,18 @@ TEST(CompileDeterminismTest, RepeatedCompilesAreByteIdentical) {
   SwGemmCompiler other;
   for (std::size_t i = variants.size(); i-- > 0;) {
     const CompiledKernel again = other.compile(variants[i]);
+    const ScheduleTreeDumps againTrees =
+        dumpScheduleTrees(variants[i], other.arch());
     const CompiledKernel& reference = first[i];
+    const ScheduleTreeDumps& referenceTrees = firstTrees[i];
     EXPECT_EQ(again.cpeSource, reference.cpeSource) << "variant " << i;
     EXPECT_EQ(again.mpeSource, reference.mpeSource) << "variant " << i;
-    EXPECT_EQ(again.initialTreeDump, reference.initialTreeDump)
+    EXPECT_EQ(againTrees.initialTree, referenceTrees.initialTree)
         << "variant " << i;
-    EXPECT_EQ(again.tiledTreeDump, reference.tiledTreeDump) << "variant " << i;
-    EXPECT_EQ(again.finalTreeDump, reference.finalTreeDump) << "variant " << i;
+    EXPECT_EQ(againTrees.tiledTree, referenceTrees.tiledTree)
+        << "variant " << i;
+    EXPECT_EQ(againTrees.finalTree, referenceTrees.finalTree)
+        << "variant " << i;
     EXPECT_TRUE(again.program == reference.program) << "variant " << i;
   }
   // The comparison has teeth: distinct variants compile to distinct

@@ -32,8 +32,9 @@ TEST(HistogramBuckets, GeometryInvariants) {
     EXPECT_LT(lower, upper);
     EXPECT_EQ(Histogram::bucketIndex(lower), i) << "bucket " << i;
     // Bounds tile the range with no gaps.
-    if (i < Histogram::kLogBuckets)
+    if (i < Histogram::kLogBuckets) {
       EXPECT_DOUBLE_EQ(upper, Histogram::bucketLowerBound(i + 1));
+    }
   }
   // Each decade holds exactly kBucketsPerDecade buckets.
   EXPECT_DOUBLE_EQ(

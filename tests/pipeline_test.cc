@@ -79,19 +79,19 @@ TEST(Pipeline, BatchedAddsParameterAndArrayDimension) {
 }
 
 TEST(Pipeline, TreeDumpsFollowThePaperFigures) {
-  PipelineResult result = runGemmPipeline(CodegenOptions{}, arch());
+  const ScheduleTreeDumps result = dumpScheduleTrees(CodegenOptions{}, arch());
   // Fig.2b: plain identity band.
-  EXPECT_NE(result.initialTreeDump.find("BAND (permutable)"),
+  EXPECT_NE(result.initialTree.find("BAND (permutable)"),
             std::string::npos);
   // Fig.4b/6: Rid/Cid binding and the strip-mined expressions.
-  EXPECT_NE(result.tiledTreeDump.find("Rid[0,8)"), std::string::npos);
-  EXPECT_NE(result.tiledTreeDump.find("floor((k)/32) - 8*floor((k)/256)"),
+  EXPECT_NE(result.tiledTree.find("Rid[0,8)"), std::string::npos);
+  EXPECT_NE(result.tiledTree.find("floor((k)/32) - 8*floor((k)/256)"),
             std::string::npos);
   // Fig.11: peeled inner sequence with RMA copies.
-  EXPECT_NE(result.finalTreeDump.find("copy:rbcastA_next"),
+  EXPECT_NE(result.finalTree.find("copy:rbcastA_next"),
             std::string::npos);
-  EXPECT_NE(result.finalTreeDump.find("ki in [7, 8)"), std::string::npos);
-  EXPECT_NE(result.finalTreeDump.find("copy:putC"), std::string::npos);
+  EXPECT_NE(result.finalTree.find("ki in [7, 8)"), std::string::npos);
+  EXPECT_NE(result.finalTree.find("copy:putC"), std::string::npos);
 }
 
 TEST(Pipeline, NonContractTileShapeFallsBackToNaive) {
@@ -99,10 +99,10 @@ TEST(Pipeline, NonContractTileShapeFallsBackToNaive) {
   CodegenOptions options;
   options.tileM = 32;
   options.tileN = 32;
-  PipelineResult result = runGemmPipeline(options, arch());
-  EXPECT_EQ(result.finalTreeDump.find("MARK: \"microkernel\""),
+  const ScheduleTreeDumps result = dumpScheduleTrees(options, arch());
+  EXPECT_EQ(result.finalTree.find("MARK: \"microkernel\""),
             std::string::npos);
-  EXPECT_NE(result.finalTreeDump.find("MARK: \"naive_compute\""),
+  EXPECT_NE(result.finalTree.find("MARK: \"naive_compute\""),
             std::string::npos);
 }
 
@@ -117,14 +117,14 @@ TEST(Pipeline, OversizedTilesOverflowSpm) {
 TEST(Pipeline, FusionAddsElementwiseMarks) {
   CodegenOptions prologue;
   prologue.fusion = FusionKind::kPrologueQuantize;
-  PipelineResult p = runGemmPipeline(prologue, arch());
-  EXPECT_NE(p.finalTreeDump.find("elementwise:quantizeA"),
+  const ScheduleTreeDumps p = dumpScheduleTrees(prologue, arch());
+  EXPECT_NE(p.finalTree.find("elementwise:quantizeA"),
             std::string::npos);
 
   CodegenOptions epilogue;
   epilogue.fusion = FusionKind::kEpilogueRelu;
-  PipelineResult e = runGemmPipeline(epilogue, arch());
-  EXPECT_NE(e.finalTreeDump.find("elementwise:reluC"), std::string::npos);
+  const ScheduleTreeDumps e = dumpScheduleTrees(epilogue, arch());
+  EXPECT_NE(e.finalTree.find("elementwise:reluC"), std::string::npos);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "core/compiler.h"
+#include "core/pipeline.h"
 
 namespace sw::core {
 namespace {
@@ -155,18 +156,18 @@ TEST(Printer, EdgeKernelLoopBoundsTakeTheCeiling) {
 }
 
 TEST(Printer, ScheduleDumpsShowPipelineStages) {
-  SwGemmCompiler compiler;
-  CompiledKernel kernel = compiler.compile(CodegenOptions{});
+  const ScheduleTreeDumps trees =
+      dumpScheduleTrees(CodegenOptions{}, sunway::ArchConfig{});
   // Fig.2b: identity band over (i, j, k).
-  EXPECT_TRUE(contains(kernel.initialTreeDump, "DOMAIN"));
-  EXPECT_TRUE(contains(kernel.initialTreeDump, "(coincident)"));
+  EXPECT_TRUE(contains(trees.initialTree, "DOMAIN"));
+  EXPECT_TRUE(contains(trees.initialTree, "(coincident)"));
   // Fig.4/6: tiled + strip-mined + hardware-bound.
-  EXPECT_TRUE(contains(kernel.tiledTreeDump, "Rid"));
-  EXPECT_TRUE(contains(kernel.tiledTreeDump, "floor((k)/256)"));
+  EXPECT_TRUE(contains(trees.tiledTree, "Rid"));
+  EXPECT_TRUE(contains(trees.tiledTree, "floor((k)/256)"));
   // Fig.11: extensions, peeling filters, micro-kernel mark.
-  EXPECT_TRUE(contains(kernel.finalTreeDump, "EXTENSION"));
-  EXPECT_TRUE(contains(kernel.finalTreeDump, "ko in [0, K/256 - 1)"));
-  EXPECT_TRUE(contains(kernel.finalTreeDump, "MARK: \"microkernel\""));
+  EXPECT_TRUE(contains(trees.finalTree, "EXTENSION"));
+  EXPECT_TRUE(contains(trees.finalTree, "ko in [0, K/256 - 1)"));
+  EXPECT_TRUE(contains(trees.finalTree, "MARK: \"microkernel\""));
 }
 
 }  // namespace

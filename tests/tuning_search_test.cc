@@ -6,12 +6,18 @@
 // error, and the checked-accessor regression for empty searches.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "codegen/athread_printer.h"
 #include "core/compiler.h"
+#include "core/gemm_runner.h"
+#include "core/pipeline.h"
+#include "runtime/plan.h"
 #include "support/error.h"
+#include "support/trace.h"
 #include "tuning/search_space.h"
 #include "tuning/tuner.h"
 
@@ -286,6 +292,115 @@ TEST(ScheduleSearch, MeasurementDecidesOnlyWhenMarked) {
   const ScheduleSearchResult byMeasurement(candidates,
                                            /*measurementDecides=*/true);
   EXPECT_DOUBLE_EQ(byMeasurement.best().measuredGflops, 20.0);
+}
+
+// --- ranking lowers what compile() prints ------------------------------
+
+/// The plan's instruction stream and every table it indexes have the same
+/// shape (the plan has no operator==; its code is the part runs execute).
+void expectSamePlanCode(const rt::ExecutionPlan& ranked,
+                        const rt::ExecutionPlan& compiled,
+                        const std::string& label) {
+  ASSERT_EQ(ranked.code.size(), compiled.code.size()) << label;
+  for (std::size_t pc = 0; pc < ranked.code.size(); ++pc) {
+    EXPECT_EQ(ranked.code[pc].op, compiled.code[pc].op) << label << " @" << pc;
+    EXPECT_EQ(ranked.code[pc].a, compiled.code[pc].a) << label << " @" << pc;
+  }
+  EXPECT_EQ(ranked.frameSlots, compiled.frameSlots) << label;
+  EXPECT_EQ(ranked.loops.size(), compiled.loops.size()) << label;
+  EXPECT_EQ(ranked.dmas.size(), compiled.dmas.size()) << label;
+  EXPECT_EQ(ranked.rmas.size(), compiled.rmas.size()) << label;
+  EXPECT_EQ(ranked.computes.size(), compiled.computes.size()) << label;
+  EXPECT_EQ(ranked.exprs.size(), compiled.exprs.size()) << label;
+  EXPECT_EQ(ranked.terms.size(), compiled.terms.size()) << label;
+  EXPECT_EQ(ranked.slotNames, compiled.slotNames) << label;
+  EXPECT_EQ(ranked.paramSlots, compiled.paramSlots) << label;
+}
+
+TEST(ScheduleSearch, RankingLowersExactlyWhatCompilePrints) {
+  // The search proves the base pattern once and lowers every candidate
+  // against that proof to program and plan alone.  Each such kernel must
+  // be the one compile() builds from the same options: the same printed
+  // sources, the same plan code, a bit-equal estimate — and the search's
+  // own score must be that estimate.
+  core::CodegenOptions batchedTransposed;
+  batchedTransposed.batched = true;
+  batchedTransposed.transposeA = true;
+  batchedTransposed.transposeB = true;
+  core::CodegenOptions relu;
+  relu.fusion = core::FusionKind::kEpilogueRelu;
+  const struct {
+    core::CodegenOptions base;
+    core::GemmProblem problem;
+  } cases[] = {
+      {core::CodegenOptions{}, {1024, 1024, 1024}},
+      {core::CodegenOptions{}, {100, 100, 100}},
+      {core::CodegenOptions{}, {257, 63, 65}},
+      {batchedTransposed, {100, 100, 100, 2}},
+      {relu, {100, 100, 100}},
+  };
+  const sunway::ArchConfig arch;
+  const core::SwGemmCompiler compiler(arch);
+  for (const auto& [base, problem] : cases) {
+    const core::PatternAnalysis pattern = core::analyzeGemmPattern(base);
+    const ScheduleSearchResult search =
+        searchSchedules(base, arch, problem, estimateOnly());
+    int checked = 0;
+    for (const CandidateResult& result : search.candidates()) {
+      if (!result.feasible) continue;
+      const core::CodegenOptions options = result.candidate.apply(base);
+      const std::string label = result.label() + " at " +
+                                std::to_string(problem.m) + "x" +
+                                std::to_string(problem.n) + "x" +
+                                std::to_string(problem.k);
+      const core::CompiledKernel ranked = compiler.lower(options, pattern);
+      const core::CompiledKernel compiled = compiler.compile(options);
+      EXPECT_TRUE(ranked.cpeSource.empty()) << label;
+      EXPECT_TRUE(ranked.program == compiled.program) << label;
+      const codegen::GeneratedSources printed =
+          codegen::printAthreadSources(ranked.program);
+      EXPECT_EQ(printed.cpe, compiled.cpeSource) << label;
+      EXPECT_EQ(printed.mpe, compiled.mpeSource) << label;
+      ASSERT_NE(ranked.plan, nullptr) << label;
+      expectSamePlanCode(*ranked.plan, *compiled.plan, label);
+      const rt::RunOutcome rankedEstimate =
+          core::estimateGemm(ranked, arch, problem);
+      const rt::RunOutcome compiledEstimate =
+          core::estimateGemm(compiled, arch, problem);
+      EXPECT_EQ(rankedEstimate.time, compiledEstimate.time) << label;
+      EXPECT_EQ(rankedEstimate.gflops, compiledEstimate.gflops) << label;
+      EXPECT_TRUE(rankedEstimate.counters == compiledEstimate.counters)
+          << label;
+      EXPECT_EQ(result.estimatedGflops, compiledEstimate.gflops) << label;
+      ++checked;
+    }
+    EXPECT_EQ(checked, search.feasibleCount());
+    EXPECT_GT(checked, 100);
+  }
+}
+
+TEST(ScheduleSearch, ProvesThePatternOnceAndPrintsNothing) {
+  // One dependence proof per search, however many candidates it ranks, and
+  // no printed sources: the winner is printed by whoever compiles it.
+  trace::Tracer& tracer = trace::Tracer::global();
+  tracer.clear();
+  tracer.enable();
+  const ScheduleSearchResult result =
+      searchSchedules(core::CodegenOptions{}, sunway::ArchConfig{},
+                      core::GemmProblem{100, 100, 100});
+  tracer.disable();
+  const std::vector<trace::TraceEvent> events = tracer.snapshot();
+  tracer.clear();
+  const auto count = [&events](const std::string& name) {
+    return std::count_if(
+        events.begin(), events.end(),
+        [&name](const trace::TraceEvent& e) { return e.name == name; });
+  };
+  EXPECT_GT(result.feasibleCount(), 100);
+  EXPECT_EQ(count("tuner.candidate"), result.feasibleCount());
+  EXPECT_EQ(count("pipeline.dependence"), 1);
+  EXPECT_EQ(count("codegen.print"), 0);
+  EXPECT_EQ(count("lower.plan"), result.feasibleCount());
 }
 
 }  // namespace

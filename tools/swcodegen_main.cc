@@ -39,6 +39,7 @@
 
 #include "core/compiler.h"
 #include "core/gemm_runner.h"
+#include "core/pipeline.h"
 #include "core/sharded_gemm.h"
 #include "kernel/microkernel.h"
 #include "service/kernel_service.h"
@@ -523,11 +524,15 @@ std::string modeNames(unsigned modes) {
   std::string out;
   for (unsigned mode = kCompile; mode <= kSoak; mode <<= 1) {
     if ((modes & mode) == 0) continue;
-    std::string name = mode == kCompile ? "INPUT.c compile" : "";
+    if (!out.empty()) out += ", ";
+    bool named = mode == kCompile;
+    if (named) out += "INPUT.c compile";
     for (const OptionSpec& spec : kOptions)
-      if ((spec.modes & kSelects) != 0 && (spec.modes & mode) != 0)
-        name += (name.empty() ? "" : "/") + std::string(spec.name);
-    out += (out.empty() ? "" : ", ") + name;
+      if ((spec.modes & kSelects) != 0 && (spec.modes & mode) != 0) {
+        if (named) out += '/';
+        out += spec.name;
+        named = true;
+      }
   }
   return out;
 }
@@ -690,12 +695,15 @@ ModeOutcome runCompileMode(
   const sw::sunway::ArchConfig& arch = service.arch();
   const sw::core::CompiledKernel kernel =
       service.compileSource(source, codegenOptions(cli));
-  if (cli.dumpSchedule)
+  if (cli.dumpSchedule) {
+    const sw::core::ScheduleTreeDumps dumps =
+        sw::core::dumpScheduleTrees(kernel.options, arch);
     std::printf("--- initial schedule tree ---\n%s\n"
                 "--- after compute decomposition ---\n%s\n"
                 "--- final schedule tree ---\n%s\n",
-                kernel.initialTreeDump.c_str(), kernel.tiledTreeDump.c_str(),
-                kernel.finalTreeDump.c_str());
+                dumps.initialTree.c_str(), dumps.tiledTree.c_str(),
+                dumps.finalTree.c_str());
+  }
   const bool fused = kernel.options.fusion != sw::core::FusionKind::kNone;
   writeSources(kernel, cli.outputPrefix,
                std::string(kernel.options.batched ? ", batched" : "") +
