@@ -268,9 +268,10 @@ class Interpreter {
     else
       services_.timing().compute(flops, sunway::ComputeRate::kNaive);
     if (!services_.functional()) return;
-    double* c = services_.spmPtr(resolveBuffer(info.c));
-    double* a = services_.spmPtr(resolveBuffer(info.a));
-    double* b = services_.spmPtr(resolveBuffer(info.b));
+    // Full tiles: a partial tile keeps the full-tile strides.
+    double* c = services_.spmPtr(resolveBuffer(info.c), info.m * info.n);
+    double* a = services_.spmPtr(resolveBuffer(info.a), info.m * info.k);
+    double* b = services_.spmPtr(resolveBuffer(info.b), info.k * info.n);
     if (m != info.m || n != info.n || k != info.k) {
       // Partial tile at full-tile SPM strides: strided edge kernel, same
       // per-element accumulation order as the full-shape kernels.
@@ -289,7 +290,7 @@ class Interpreter {
     const std::int64_t count = info.rows * info.cols;
     services_.timing().compute(count, sunway::ComputeRate::kElementwise);
     if (!services_.functional()) return;
-    double* tile = services_.spmPtr(resolveBuffer(info.target));
+    double* tile = services_.spmPtr(resolveBuffer(info.target), count);
     switch (info.op) {
       case ElementwiseMarkInfo::Op::kBetaScaleC:
         kernel::tileScale(tile, count, scalars_.beta);
@@ -305,7 +306,8 @@ class Interpreter {
         break;
       case ElementwiseMarkInfo::Op::kTranspose: {
         SW_CHECK(info.source.has_value(), "transpose mark without source");
-        const double* src = services_.spmPtr(resolveBuffer(*info.source));
+        const double* src =
+            services_.spmPtr(resolveBuffer(*info.source), count);
         kernel::tileTranspose(tile, src, info.rows, info.cols);
         break;
       }

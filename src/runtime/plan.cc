@@ -730,9 +730,10 @@ class PlanExecutor {
     else
       services_.timing().compute(flops, sunway::ComputeRate::kNaive);
     if (!functional_) return;
-    double* cp = services_.spmPtr(resolveBuffer(c.c));
-    double* ap = services_.spmPtr(resolveBuffer(c.a));
-    double* bp = services_.spmPtr(resolveBuffer(c.b));
+    // Full tiles: a partial tile keeps the full-tile strides.
+    double* cp = services_.spmPtr(resolveBuffer(c.c), c.m * c.n);
+    double* ap = services_.spmPtr(resolveBuffer(c.a), c.m * c.k);
+    double* bp = services_.spmPtr(resolveBuffer(c.b), c.k * c.n);
     if (partial) {
       // Partial tile at full-tile SPM strides: strided edge kernel, same
       // per-element accumulation order as the full-shape kernels.
@@ -752,7 +753,7 @@ class PlanExecutor {
     const std::int64_t count = e.rows * e.cols;
     services_.timing().compute(count, sunway::ComputeRate::kElementwise);
     if (!functional_) return;
-    double* tile = services_.spmPtr(resolveBuffer(e.target));
+    double* tile = services_.spmPtr(resolveBuffer(e.target), count);
     switch (e.op) {
       case ElementwiseMarkInfo::Op::kBetaScaleC:
         kernel::tileScale(tile, count, scalars_.beta);
@@ -767,7 +768,7 @@ class PlanExecutor {
         kernel::tileRelu(tile, count);
         break;
       case ElementwiseMarkInfo::Op::kTranspose: {
-        const double* src = services_.spmPtr(resolveBuffer(e.source));
+        const double* src = services_.spmPtr(resolveBuffer(e.source), count);
         kernel::tileTranspose(tile, src, e.rows, e.cols);
         break;
       }

@@ -190,14 +190,16 @@ core::CompiledKernel KernelService::compileSource(const std::string& source,
   }
   KernelPtr cached = compile(base);
   // The cache stores the canonical kernel; rename to the user's function
-  // and re-print the sources under that name (printing is cheap relative
-  // to the pipeline).
+  // and re-print the sources under that name.
   core::CompiledKernel kernel = *cached;
   kernel.program.name = pattern.functionName;
+  trace::Span printSpan("codegen.print");
   codegen::GeneratedSources sources =
       codegen::printAthreadSources(kernel.program);
   kernel.cpeSource = std::move(sources.cpe);
   kernel.mpeSource = std::move(sources.mpe);
+  printSpan.addArg(trace::arg(
+      "cpeBytes", static_cast<std::int64_t>(kernel.cpeSource.size())));
   return kernel;
 }
 

@@ -1,8 +1,10 @@
 #include "sunway/mesh.h"
 
 #include <sys/mman.h>
-#include <ucontext.h>
 #include <unistd.h>
+#if !defined(__x86_64__)
+#include <ucontext.h>
+#endif
 
 #include <algorithm>
 #include <cerrno>
@@ -10,6 +12,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <mutex>
 #include <sstream>
 #include <system_error>
 
@@ -62,84 +65,12 @@ enum class CpeState { kRunnable, kBarrier, kRmaWait, kDmaHang, kDone };
 constexpr const char* kStateNames[] = {"running", "barrier", "rma-wait",
                                        "dma-hang", "done"};
 
-/// Stacks for the CPE fibers of every mesh one host thread runs: a single
-/// mmap'd region outside the malloc heap, each stack above a PROT_NONE
-/// guard page so an overflow faults instead of corrupting its neighbour.
-/// Kept for the thread's lifetime and reused by each run on it.
-class FiberStacks {
- public:
-  static constexpr std::size_t kStackBytes = std::size_t{256} << 10;
-
-  /// Holds the calling thread's stacks, grown to `count`, for one run.
-  class Lease {
-   public:
-    explicit Lease(int count) : stacks_(forThisThread()) {
-      SW_CHECK(!stacks_.leased_,
-               "MeshSimulator::run called from inside a CPE of a running mesh");
-      stacks_.reserve(static_cast<std::size_t>(count));
-      stacks_.leased_ = true;
-    }
-    ~Lease() { stacks_.leased_ = false; }
-    Lease(const Lease&) = delete;
-    Lease& operator=(const Lease&) = delete;
-
-    /// Lowest address of stack `index`.
-    [[nodiscard]] char* stack(int index) const {
-      return stacks_.base_ + static_cast<std::size_t>(index) * slotBytes() +
-             guardBytes();
-    }
-
-   private:
-    FiberStacks& stacks_;
-  };
-
-  FiberStacks() = default;
-  FiberStacks(const FiberStacks&) = delete;
-  FiberStacks& operator=(const FiberStacks&) = delete;
-  ~FiberStacks() { release(); }
-
- private:
-  static FiberStacks& forThisThread() {
-    thread_local FiberStacks stacks;
-    return stacks;
-  }
-  static std::size_t guardBytes() {
-    static const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
-    return page;
-  }
-  static std::size_t slotBytes() { return guardBytes() + kStackBytes; }
-
-  void reserve(std::size_t count) {
-    if (count <= count_) return;
-    release();
-    void* base = ::mmap(nullptr, count * slotBytes(), PROT_READ | PROT_WRITE,
-                        MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK,
-                        -1, 0);
-    if (base == MAP_FAILED)
-      throw std::system_error(errno, std::generic_category(),
-                              "mmap of the CPE fiber stacks");
-    base_ = static_cast<char*>(base);
-    count_ = count;
-    for (std::size_t i = 0; i < count; ++i)
-      if (::mprotect(base_ + i * slotBytes(), guardBytes(), PROT_NONE) != 0)
-        throw std::system_error(errno, std::generic_category(),
-                                "mprotect of a fiber stack guard page");
-  }
-
-  void release() {
-    if (base_ != nullptr) ::munmap(base_, count_ * slotBytes());
-    base_ = nullptr;
-    count_ = 0;
-  }
-
-  char* base_ = nullptr;
-  std::size_t count_ = 0;
-  bool leased_ = false;
-};
-
 // Sanitizer fiber annotations.  ASan must be told of every stack switch,
 // or the first exception thrown inside a fiber reads as a stack overflow
-// of the host stack; TSan needs one context per fiber.
+// of the host stack.  A fiber that never returns leaves its frames
+// poisoned, so a reused stack is unpoisoned before a new fiber's first
+// frame is written on it, and an arena before it is unmapped.  TSan needs
+// one context per fiber.
 #if defined(__SANITIZE_ADDRESS__)
 void asanStartSwitch(void** fakeStack, const void* bottom, std::size_t size) {
   __sanitizer_start_switch_fiber(fakeStack, bottom, size);
@@ -148,9 +79,13 @@ void asanFinishSwitch(void* fakeStack, const void** bottom,
                       std::size_t* size) {
   __sanitizer_finish_switch_fiber(fakeStack, bottom, size);
 }
+void asanUnpoison(void* begin, std::size_t size) {
+  __asan_unpoison_memory_region(begin, size);
+}
 #else
 void asanStartSwitch(void**, const void*, std::size_t) {}
 void asanFinishSwitch(void*, const void**, std::size_t*) {}
+void asanUnpoison(void*, std::size_t) {}
 #endif
 #if defined(__SANITIZE_THREAD__)
 void* tsanCurrentFiber() { return __tsan_get_current_fiber(); }
@@ -164,6 +99,301 @@ void tsanDestroyFiber(void*) {}
 void tsanSwitchTo(void*) {}
 #endif
 
+/// What one mesh run needs on the host, in one MAP_NORESERVE mapping: per
+/// CPE a PROT_NONE guard page, a fiber stack and an SPM, and one more guard
+/// page past the last SPM.  A stack that overflows faults on its own guard
+/// page, an SPM write past its end on the next CPE's.  Pages come in as
+/// runs first touch them and stay until the process exits.
+///
+/// SPM is all zero at the start of every run: prepare() re-zeroes each
+/// CPE's SPM up to the high-water the previous run's accessor recorded
+/// (noteTouched), so a lease never touches SPM pages no run used.
+class MeshArena {
+ public:
+  static constexpr std::size_t kStackBytes = std::size_t{256} << 10;
+
+  MeshArena() = default;
+  MeshArena(const MeshArena&) = delete;
+  MeshArena& operator=(const MeshArena&) = delete;
+  ~MeshArena() { unmap(); }
+
+  /// Make room for `cpes` CPEs of `spmBytes` SPM each, remapping when the
+  /// arena is smaller, and zero what the previous run touched.
+  void prepare(int cpes, std::int64_t spmBytes) {
+    const auto count = static_cast<std::size_t>(cpes);
+    const std::size_t spmSlot =
+        roundToPage(static_cast<std::size_t>(spmBytes));
+    if (count > cpes_ || spmSlot > spmSlotBytes_)
+      remap(std::max(count, cpes_), std::max(spmSlot, spmSlotBytes_));
+    for (std::size_t cpe = 0; cpe < cpes_; ++cpe) {
+      // Skipped when empty: a zero-byte memset cost ~150 ns on a Xeon.
+      if (highWater_[cpe] == 0) continue;
+      std::memset(spm(static_cast<int>(cpe)), 0, highWater_[cpe]);
+      highWater_[cpe] = 0;
+    }
+  }
+
+  /// Lowest address of CPE `cpe`'s fiber stack.
+  [[nodiscard]] char* stack(int cpe) const { return slot(cpe) + pageBytes(); }
+
+  [[nodiscard]] double* spm(int cpe) const {
+    return reinterpret_cast<double*>(slot(cpe) + pageBytes() + kStackBytes);
+  }
+
+  /// The run may have written SPM bytes [0, endBytes) of `cpe`.
+  void noteTouched(int cpe, std::size_t endBytes) {
+    std::size_t& highWater = highWater_[static_cast<std::size_t>(cpe)];
+    highWater = std::max(highWater, endBytes);
+  }
+
+ private:
+  static std::size_t pageBytes() {
+    static const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+    return page;
+  }
+  static std::size_t roundToPage(std::size_t bytes) {
+    return (bytes + pageBytes() - 1) / pageBytes() * pageBytes();
+  }
+  [[nodiscard]] std::size_t slotBytes() const {
+    return pageBytes() + kStackBytes + spmSlotBytes_;
+  }
+  [[nodiscard]] char* slot(int cpe) const {
+    return base_ + static_cast<std::size_t>(cpe) * slotBytes();
+  }
+  [[nodiscard]] std::size_t mappedBytes() const {
+    return cpes_ * slotBytes() + pageBytes();
+  }
+
+  void remap(std::size_t cpes, std::size_t spmSlotBytes) {
+    unmap();
+    const std::size_t bytes =
+        cpes * (pageBytes() + kStackBytes + spmSlotBytes) + pageBytes();
+    void* base = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                        MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK,
+                        -1, 0);
+    if (base == MAP_FAILED)
+      throw std::system_error(errno, std::generic_category(),
+                              "mmap of a mesh arena");
+    base_ = static_cast<char*>(base);
+    cpes_ = cpes;
+    spmSlotBytes_ = spmSlotBytes;
+    highWater_.assign(cpes, 0);
+    for (std::size_t cpe = 0; cpe <= cpes; ++cpe)
+      if (::mprotect(base_ + cpe * slotBytes(), pageBytes(), PROT_NONE) != 0)
+        throw std::system_error(errno, std::generic_category(),
+                                "mprotect of a mesh arena guard page");
+  }
+
+  void unmap() {
+    if (base_ == nullptr) return;
+    asanUnpoison(base_, mappedBytes());  // a later mapping may reuse these
+    ::munmap(base_, mappedBytes());
+    base_ = nullptr;
+    cpes_ = 0;
+    spmSlotBytes_ = 0;
+    highWater_.clear();
+  }
+
+  char* base_ = nullptr;
+  std::size_t cpes_ = 0;
+  std::size_t spmSlotBytes_ = 0;  // page-rounded
+  /// Per CPE, the end of the SPM bytes this lease's run touched.
+  std::vector<std::size_t> highWater_;
+};
+
+/// One run's arena, leased from the process-wide free list of the arenas
+/// of meshes not running now: the most recently returned one (the
+/// warmest), grown if the mesh needs more CPEs or SPM, else a new one.  So
+/// the arenas held are the peak number of concurrent runs.  The arena goes
+/// back however the run ends.  A run started from inside a CPE is
+/// refused: a kernel cannot spawn a core group (athread_spawn is the
+/// MPE's), and the inner run's host context would be the outer CPE's
+/// fiber.
+class ArenaLease {
+ public:
+  ArenaLease(int cpes, std::int64_t spmBytes) {
+    SW_CHECK(!running_,
+             "MeshSimulator::run called from inside a CPE of a running mesh");
+    FreeList& list = freeList();
+    {
+      const std::lock_guard<std::mutex> lock(list.mutex);
+      if (!list.arenas.empty()) {
+        arena_ = std::move(list.arenas.back());
+        list.arenas.pop_back();
+      }
+    }
+    if (arena_ == nullptr) arena_ = std::make_unique<MeshArena>();
+    arena_->prepare(cpes, spmBytes);
+    running_ = true;
+  }
+  ~ArenaLease() {
+    running_ = false;
+    FreeList& list = freeList();
+    const std::lock_guard<std::mutex> lock(list.mutex);
+    list.arenas.push_back(std::move(arena_));
+  }
+  ArenaLease(const ArenaLease&) = delete;
+  ArenaLease& operator=(const ArenaLease&) = delete;
+
+  [[nodiscard]] MeshArena& operator*() const { return *arena_; }
+
+ private:
+  struct FreeList {
+    std::mutex mutex;
+    std::vector<std::unique_ptr<MeshArena>> arenas;
+  };
+  /// Never destroyed: a thread may still return an arena during exit.
+  static FreeList& freeList() {
+    static FreeList* const list = new FreeList;
+    return *list;
+  }
+
+  static inline thread_local bool running_ = false;
+  std::unique_ptr<MeshArena> arena_;
+};
+
+// Fiber switches.  On x86-64 a switch saves only what the SysV ABI makes
+// the callee preserve (rbx, rbp, r12-r15, the MXCSR control bits and the
+// x87 control word) on the old stack and swaps rsp: no system call, where
+// glibc's swapcontext makes one (rt_sigprocmask) per switch.  Other ISAs
+// use makecontext/swapcontext.
+
+#if defined(__x86_64__)
+
+extern "C" [[gnu::visibility("hidden")]] void sw_sunway_fiber_switch(
+    void** saveSp, void* loadSp);
+extern "C" [[gnu::visibility("hidden")]] void sw_sunway_fiber_start();
+
+// sw_sunway_fiber_switch(saveSp, loadSp): push the callee-saved state,
+// store rsp to *saveSp, load loadSp, pop the state saved there, return.
+// sw_sunway_fiber_start: a new fiber's first return lands here, with the
+// entry in r13 and its argument in r12; unwinders stop at its undefined
+// return address.
+asm(R"(
+  .pushsection .text
+  .p2align 4
+  .globl sw_sunway_fiber_switch
+  .hidden sw_sunway_fiber_switch
+  .type sw_sunway_fiber_switch, @function
+sw_sunway_fiber_switch:
+  .cfi_startproc
+  pushq %rbp
+  .cfi_adjust_cfa_offset 8
+  pushq %rbx
+  .cfi_adjust_cfa_offset 8
+  pushq %r12
+  .cfi_adjust_cfa_offset 8
+  pushq %r13
+  .cfi_adjust_cfa_offset 8
+  pushq %r14
+  .cfi_adjust_cfa_offset 8
+  pushq %r15
+  .cfi_adjust_cfa_offset 8
+  subq $16, %rsp
+  .cfi_adjust_cfa_offset 16
+  stmxcsr 8(%rsp)
+  fnstcw (%rsp)
+  movq %rsp, (%rdi)
+  movq %rsi, %rsp
+  fldcw (%rsp)
+  ldmxcsr 8(%rsp)
+  addq $16, %rsp
+  .cfi_adjust_cfa_offset -16
+  popq %r15
+  .cfi_adjust_cfa_offset -8
+  popq %r14
+  .cfi_adjust_cfa_offset -8
+  popq %r13
+  .cfi_adjust_cfa_offset -8
+  popq %r12
+  .cfi_adjust_cfa_offset -8
+  popq %rbx
+  .cfi_adjust_cfa_offset -8
+  popq %rbp
+  .cfi_adjust_cfa_offset -8
+  ret
+  .cfi_endproc
+  .size sw_sunway_fiber_switch, .-sw_sunway_fiber_switch
+
+  .p2align 4
+  .globl sw_sunway_fiber_start
+  .hidden sw_sunway_fiber_start
+  .type sw_sunway_fiber_start, @function
+sw_sunway_fiber_start:
+  .cfi_startproc
+  .cfi_undefined rip
+  movq %r12, %rdi
+  callq *%r13
+  ud2
+  .cfi_endproc
+  .size sw_sunway_fiber_start, .-sw_sunway_fiber_start
+  .popsection
+)");
+
+/// A suspended fiber: the stack pointer its callee-saved state sits under.
+struct FiberContext {
+  void* sp = nullptr;
+};
+
+/// Lay out the frame the first switch to `context` pops: the host's
+/// control words, zeroed registers but r12 = `arg` and r13 = `entry`, and
+/// sw_sunway_fiber_start as the return address, placed so the stack is
+/// 16-byte aligned at its call.
+void prepareFiber(FiberContext& context, char* stack, std::size_t bytes,
+                  void (*entry)(void*), void* arg) {
+  std::uint32_t mxcsr = 0;
+  std::uint16_t fcw = 0;
+  asm volatile("stmxcsr %0" : "=m"(mxcsr));
+  asm volatile("fnstcw %0" : "=m"(fcw));
+  auto* frame = reinterpret_cast<std::uint64_t*>(stack + bytes) - 11;
+  std::fill(frame, frame + 11, std::uint64_t{0});
+  frame[0] = fcw;
+  frame[1] = mxcsr;
+  frame[4] = reinterpret_cast<std::uint64_t>(entry);  // r13
+  frame[5] = reinterpret_cast<std::uint64_t>(arg);    // r12
+  frame[8] = reinterpret_cast<std::uint64_t>(&sw_sunway_fiber_start);
+  context.sp = frame;
+}
+
+void switchFiber(FiberContext& from, const FiberContext& to) {
+  sw_sunway_fiber_switch(&from.sp, to.sp);
+}
+
+#else
+
+struct FiberContext {
+  ucontext_t context{};
+  void (*entry)(void*) = nullptr;
+  void* arg = nullptr;
+};
+
+/// makecontext passes int arguments only, so the context arrives split.
+void startFiber(unsigned high, unsigned low) {
+  auto* context = reinterpret_cast<FiberContext*>(
+      (static_cast<std::uintptr_t>(high) << 32) | low);
+  context->entry(context->arg);
+}
+
+void prepareFiber(FiberContext& context, char* stack, std::size_t bytes,
+                  void (*entry)(void*), void* arg) {
+  context.entry = entry;
+  context.arg = arg;
+  SW_CHECK(::getcontext(&context.context) == 0, "getcontext failed");
+  context.context.uc_stack.ss_sp = stack;
+  context.context.uc_stack.ss_size = bytes;
+  context.context.uc_link = nullptr;  // entry never returns
+  const auto self = reinterpret_cast<std::uintptr_t>(&context);
+  ::makecontext(&context.context, reinterpret_cast<void (*)()>(&startFiber),
+                2, static_cast<unsigned>(self >> 32),
+                static_cast<unsigned>(self));
+}
+
+void switchFiber(FiberContext& from, const FiberContext& to) {
+  ::swapcontext(&from.context, &to.context);
+}
+
+#endif
+
 }  // namespace
 
 class MeshSimulator::Impl {
@@ -173,19 +403,15 @@ class MeshSimulator::Impl {
         config_(config),
         functional_(functional),
         meshSize_(config.meshSize()),
-        clocks_(static_cast<std::size_t>(meshSize_), 0) {
-    if (functional_) {
-      spms_.resize(static_cast<std::size_t>(meshSize_));
-      const std::size_t words =
-          static_cast<std::size_t>(config_.spmBytes) / sizeof(double);
-      for (auto& spm : spms_) spm.assign(words, 0.0);
-    }
-  }
+        spmCapacityBytes_(config.spmBytes / 8 * 8),
+        clocks_(static_cast<std::size_t>(meshSize_), 0) {}
 
   MeshSimulator& owner_;
   const ArchConfig& config_;
   bool functional_;
   int meshSize_;
+  /// SPM bytes a CPE may address: whole words of config_.spmBytes.
+  std::int64_t spmCapacityBytes_;
 
   // --- barrier with clock-max completion ---
   int barrierArrived_ = 0;
@@ -209,14 +435,11 @@ class MeshSimulator::Impl {
   };
   std::vector<std::unique_ptr<SlotChannels>> channels_;
 
-  // --- per-CPE SPM (functional mode) ---
-  std::vector<std::vector<double>> spms_;
-
   std::shared_ptr<const FaultPlan> faultPlan_;
 
   // --- the run in progress: the host context the fibers return to, and
   // the first error, after which every parked CPE unwinds ---
-  ucontext_t hostContext_{};
+  FiberContext hostContext_;
   void* hostTsanFiber_ = nullptr;
   const void* hostStackBottom_ = nullptr;
   std::size_t hostStackBytes_ = 0;
@@ -253,16 +476,17 @@ class CpeFiber final : public CpeServices {
  public:
   using Body = std::function<void(CpeServices&)>;
 
-  CpeFiber(MeshSimulator::Impl& mesh, int cpeId, const Body& body,
-           char* stack)
+  CpeFiber(MeshSimulator::Impl& mesh, MeshArena& arena, int cpeId,
+           const Body& body)
       : mesh_(mesh),
+        arena_(arena),
         plan_(mesh.faultPlan_.get()),
         cpeId_(cpeId),
         rid_(cpeId / mesh.config_.meshCols),
         cid_(cpeId % mesh.config_.meshCols),
         timing_(mesh.config_, mesh.slotNames_, trace::kMeshPid, cpeId),
         body_(body),
-        stack_(stack) {
+        stack_(arena.stack(cpeId)) {
     if (trace::enabled()) timing_.nameLanes(strCat("CPE ", rid_, ",", cid_));
   }
   ~CpeFiber() override {
@@ -295,19 +519,13 @@ class CpeFiber final : public CpeServices {
     if (!started_) {
       started_ = true;
       tsanFiber_ = tsanCreateFiber();
-      SW_CHECK(::getcontext(&context_) == 0, "getcontext failed");
-      context_.uc_stack.ss_sp = stack_;
-      context_.uc_stack.ss_size = FiberStacks::kStackBytes;
-      context_.uc_link = nullptr;  // main() never returns
-      const auto self = reinterpret_cast<std::uintptr_t>(this);
-      ::makecontext(&context_, reinterpret_cast<void (*)()>(&entry), 2,
-                    static_cast<unsigned>(self >> 32),
-                    static_cast<unsigned>(self));
+      asanUnpoison(stack_, MeshArena::kStackBytes);
+      prepareFiber(context_, stack_, MeshArena::kStackBytes, &entry, this);
     }
     void* hostFakeStack = nullptr;
     tsanSwitchTo(tsanFiber_);
-    asanStartSwitch(&hostFakeStack, stack_, FiberStacks::kStackBytes);
-    ::swapcontext(&mesh_.hostContext_, &context_);
+    asanStartSwitch(&hostFakeStack, stack_, MeshArena::kStackBytes);
+    switchFiber(mesh_.hostContext_, context_);
     asanFinishSwitch(hostFakeStack, nullptr, nullptr);
   }
 
@@ -414,9 +632,10 @@ class CpeFiber final : public CpeServices {
     if (mesh_.functional_ && !dropped && !corruptPut) {
       moveDmaData(request);
       if (fault.corrupt) {
-        double* spm = spmPtrOf(cpeId_, request.spmOffsetBytes);
-        FaultPlan::corruptTile(spm, request.tileRows * request.tileCols,
-                               cpeId_, occurrence);
+        const std::int64_t count = request.tileRows * request.tileCols;
+        FaultPlan::corruptTile(
+            spmRange(cpeId_, request.spmOffsetBytes, count * kWordBytes),
+            count, cpeId_, occurrence);
       }
     }
     SlotState& slot = slotState(request.slotId);
@@ -486,16 +705,19 @@ class CpeFiber final : public CpeServices {
 
   [[nodiscard]] CpeTiming& timing() override { return timing_; }
 
-  [[nodiscard]] double* spmPtr(std::int64_t offsetBytes) override {
+  [[nodiscard]] double* spmPtr(std::int64_t offsetBytes,
+                              std::int64_t count) override {
     if (!mesh_.functional_) return nullptr;
-    return spmPtrOf(cpeId_, offsetBytes);
+    // Clamped so the byte size cannot overflow; past the SPM either way.
+    const std::int64_t words =
+        std::min(count, mesh_.spmCapacityBytes_ / kWordBytes + 1);
+    return spmRange(cpeId_, offsetBytes, words * kWordBytes);
   }
 
  private:
-  /// makecontext passes int arguments only, so `this` arrives split.
-  static void entry(unsigned high, unsigned low) {
-    reinterpret_cast<CpeFiber*>((std::uintptr_t{high} << 32) | low)->main();
-  }
+  static constexpr std::int64_t kWordBytes = sizeof(double);
+
+  static void entry(void* self) { static_cast<CpeFiber*>(self)->main(); }
 
   [[noreturn]] void main() {
     asanFinishSwitch(nullptr, &mesh_.hostStackBottom_, &mesh_.hostStackBytes_);
@@ -513,7 +735,7 @@ class CpeFiber final : public CpeServices {
     tsanSwitchTo(mesh_.hostTsanFiber_);
     asanStartSwitch(finished ? nullptr : &fakeStack_, mesh_.hostStackBottom_,
                     mesh_.hostStackBytes_);
-    ::swapcontext(&context_, &mesh_.hostContext_);
+    switchFiber(context_, mesh_.hostContext_);
     asanFinishSwitch(fakeStack_, &mesh_.hostStackBottom_,
                      &mesh_.hostStackBytes_);
   }
@@ -526,15 +748,25 @@ class CpeFiber final : public CpeServices {
     state_ = CpeState::kRunnable;
   }
 
-  double* spmPtrOf(int cpe, std::int64_t offsetBytes) {
-    auto& spm = mesh_.spms_[static_cast<std::size_t>(cpe)];
-    if (offsetBytes < 0 ||
-        offsetBytes % static_cast<std::int64_t>(sizeof(double)) != 0 ||
-        offsetBytes >= static_cast<std::int64_t>(spm.size() * sizeof(double)))
-      throw ProtocolError(strCat("SPM access at byte ", offsetBytes,
-                                 " outside the ", mesh_.config_.spmBytes,
-                                 "-byte SPM"));
-    return spm.data() + offsetBytes / static_cast<std::int64_t>(sizeof(double));
+  /// SPM bytes [offsetBytes, offsetBytes + bytes) of CPE `cpe`, checked
+  /// over the whole range: its first word must exist and its end must lie
+  /// inside the SPM.  The arena zeroes what this hands out before the next
+  /// run.
+  double* spmRange(int cpe, std::int64_t offsetBytes, std::int64_t bytes) {
+    const std::int64_t capacity = mesh_.spmCapacityBytes_;
+    const auto where = [&] {
+      return strCat("CPE ", cpe / mesh_.config_.meshCols, ",",
+                    cpe % mesh_.config_.meshCols, ": SPM access of ", bytes,
+                    " bytes at byte ", offsetBytes);
+    };
+    if (offsetBytes < 0 || offsetBytes >= capacity || bytes < 0 ||
+        bytes > capacity - offsetBytes)
+      throw ProtocolError(strCat(where(), " falls outside its ",
+                                 mesh_.config_.spmBytes, "-byte SPM"));
+    if (offsetBytes % kWordBytes != 0)
+      throw ProtocolError(strCat(where(), " is not word-aligned"));
+    arena_.noteTouched(cpe, static_cast<std::size_t>(offsetBytes + bytes));
+    return arena_.spm(cpe) + offsetBytes / kWordBytes;
   }
 
   /// Resolve the host array through the interned-id cache (HostMemory is
@@ -553,7 +785,6 @@ class CpeFiber final : public CpeServices {
     if (request.tileRows == 0 || request.tileCols == 0) return;
     HostArray& array = hostArray(request);
     SW_CHECK(array.hasData(), "functional DMA against a virtual array");
-    double* spm = spmPtrOf(cpeId_, request.spmOffsetBytes);
     // SPM row stride: clamped edge tiles keep the full-tile stride so the
     // in-SPM layout matches what the compute/element-wise marks expect.
     const std::int64_t stride = request.spmRowStrideElems > 0
@@ -562,12 +793,9 @@ class CpeFiber final : public CpeServices {
     SW_CHECK(stride >= request.tileCols,
              strCat("SPM row stride ", stride, " narrower than tile row ",
                     request.tileCols));
-    // Validate the SPM side of the transfer fits (last word of last row).
-    const std::int64_t lastWord =
-        (request.tileRows - 1) * stride + request.tileCols - 1;
-    (void)spmPtrOf(cpeId_, request.spmOffsetBytes +
-                               lastWord *
-                                   static_cast<std::int64_t>(sizeof(double)));
+    double* spm = spmRange(
+        cpeId_, request.spmOffsetBytes,
+        ((request.tileRows - 1) * stride + request.tileCols) * kWordBytes);
     for (std::int64_t r = 0; r < request.tileRows; ++r) {
       const std::int64_t hostOffset = array.offsetOf(
           request.batchIndex, request.rowStart + r, request.colStart);
@@ -586,14 +814,15 @@ class CpeFiber final : public CpeServices {
   }
 
   void moveRmaData(const RmaRequest& request) {
-    const double* src = spmPtrOf(cpeId_, request.srcSpmOffsetBytes);
+    const double* src =
+        spmRange(cpeId_, request.srcSpmOffsetBytes, request.bytes);
     const bool isRow = request.isRowBroadcast();
     const int peers =
         isRow ? mesh_.config_.meshCols : mesh_.config_.meshRows;
     for (int p = 0; p < peers; ++p) {
       const int target = isRow ? rid_ * mesh_.config_.meshCols + p
                                : p * mesh_.config_.meshCols + cid_;
-      double* dst = spmPtrOf(target, request.dstSpmOffsetBytes);
+      double* dst = spmRange(target, request.dstSpmOffsetBytes, request.bytes);
       std::memcpy(dst, src, static_cast<std::size_t>(request.bytes));
     }
   }
@@ -638,6 +867,7 @@ class CpeFiber final : public CpeServices {
   }
 
   MeshSimulator::Impl& mesh_;
+  MeshArena& arena_;
   const FaultPlan* plan_;  // nullptr when injection is off
   int cpeId_;
   int rid_;
@@ -654,7 +884,7 @@ class CpeFiber final : public CpeServices {
   // --- the fiber and what it is parked on ---
   const Body& body_;
   char* stack_;
-  ucontext_t context_{};
+  FiberContext context_;
   bool started_ = false;
   void* tsanFiber_ = nullptr;
   void* fakeStack_ = nullptr;  // ASan's fake stack while switched out
@@ -715,12 +945,11 @@ MeshRunResult MeshSimulator::run(
     trace::Tracer::global().setProcessName(trace::kMeshPid,
                                            "mesh simulator (simulated clock)");
 
-  const FiberStacks::Lease stacks(mesh.meshSize_);
+  const ArenaLease arena(mesh.meshSize_, config_.spmBytes);
   std::vector<std::unique_ptr<CpeFiber>> cpes;
   cpes.reserve(static_cast<std::size_t>(mesh.meshSize_));
   for (int id = 0; id < mesh.meshSize_; ++id)
-    cpes.push_back(
-        std::make_unique<CpeFiber>(mesh, id, body, stacks.stack(id)));
+    cpes.push_back(std::make_unique<CpeFiber>(mesh, *arena, id, body));
 
   // Step the CPEs in id order, each until it finishes or parks.  A pass
   // that resumes nobody while some CPE is unfinished is a deadlock: no

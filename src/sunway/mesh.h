@@ -15,6 +15,17 @@
 // rules the symmetric estimator charges too; barriers take the maximum
 // across the mesh.  Software-pipelining benefit therefore *emerges* from
 // the generated schedule instead of being asserted by a formula.
+//
+// Host memory: a run leases its fiber stacks and SPMs as one arena from a
+// process-wide free list and gives it back when it ends, however it ends,
+// so a run pays for the pages its kernel touches and not for the mesh.
+// Every SPM is all zero at the start of every run: a lease re-zeroes each
+// CPE's SPM only up to the high-water of what the previous run touched
+// through the extent-checked accessors.  The arenas hold the pages runs
+// touched, times the peak number of concurrent runs, until the process
+// exits.  On x86-64 a fiber switch saves the callee-saved registers and
+// swaps the stack pointer without a system call; other ISAs use
+// swapcontext.
 #pragma once
 
 #include <cstdint>
@@ -60,9 +71,12 @@ class MeshSimulator {
   void setFaultPlan(std::shared_ptr<const FaultPlan> plan);
 
   /// athread_spawn + join: run `body` on every CPE, each on its own fiber
-  /// of the calling thread.  The body receives that CPE's services.  The
-  /// first exception any CPE throws is rethrown here once every CPE has
-  /// finished or unwound.
+  /// of the calling thread.  The body receives that CPE's services, and
+  /// every CPE's SPM reads zero when it starts, whatever an earlier run
+  /// left.  The first exception any CPE throws is rethrown here once every
+  /// CPE has finished or unwound.  The run leases its stacks and SPMs from
+  /// the process-wide arenas and returns them before it returns or throws;
+  /// a run started from inside a CPE is refused (InternalError).
   MeshRunResult run(const std::function<void(CpeServices&)>& body);
 
   /// Internal mesh state; public so the per-CPE services implementation in

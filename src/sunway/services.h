@@ -248,9 +248,12 @@ class CpeServices {
   /// functional runtime performs the math separately via spmPtr data).
   [[nodiscard]] virtual CpeTiming& timing() = 0;
 
-  /// Pointer into this CPE's SPM at `offsetBytes` (element-aligned);
-  /// nullptr in timing-only mode.
-  [[nodiscard]] virtual double* spmPtr(std::int64_t offsetBytes) = 0;
+  /// The `count` doubles of this CPE's SPM from `offsetBytes`
+  /// (element-aligned), checked over their whole extent: a range that does
+  /// not fit raises a ProtocolError naming the CPE.  The caller may read
+  /// and write exactly that range.  nullptr in timing-only mode.
+  [[nodiscard]] virtual double* spmPtr(std::int64_t offsetBytes,
+                                       std::int64_t count) = 0;
 
   /// The steady-state interface of a timing-only runtime whose iterations
   /// may be fast-forwarded; nullptr (the default) steps every op.  The

@@ -55,8 +55,8 @@ class SteppedServices final : public sunway::CpeServices {
     inner_.waitSlot(slotId, isRma, isRow);
   }
   sunway::CpeTiming& timing() override { return inner_.timing(); }
-  double* spmPtr(std::int64_t offsetBytes) override {
-    return inner_.spmPtr(offsetBytes);
+  double* spmPtr(std::int64_t offsetBytes, std::int64_t count) override {
+    return inner_.spmPtr(offsetBytes, count);
   }
   SimTime clock() const { return inner_.clock(); }
   const CpeCounters& counters() const { return inner_.counters(); }

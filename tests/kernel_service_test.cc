@@ -1,8 +1,9 @@
 // Kernel-service tests: cache hit/miss accounting, LRU eviction under the
-// entry budget, and single-flight deduplication observed through a
-// counting compiler stub.
+// entry budget, single-flight deduplication observed through a counting
+// compiler stub, and the traced prints of a source compile.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <mutex>
@@ -13,6 +14,7 @@
 #include "core/pipeline.h"
 #include "service/kernel_service.h"
 #include "support/error.h"
+#include "support/trace.h"
 
 namespace sw::service {
 namespace {
@@ -278,6 +280,41 @@ TEST(KernelServiceTest, FailedSearchClearsSingleFlightForRetry) {
       service.resolveSchedule(core::CodegenOptions{}, problem);
   EXPECT_EQ(resolved.options.tileM, 32);
   EXPECT_EQ(searches.load(), 2);  // the failed search did not wedge the key
+}
+
+TEST(KernelServiceTest, CompileSourceTracesEveryPrint) {
+  // A miss prints twice, the compile under the canonical name and then the
+  // rename under the source's function; a hit prints the rename only.
+  // Each print is a codegen.print span.
+  const sunway::ArchConfig arch;
+  KernelService service(arch, {});
+  const std::string source = R"(
+void my_gemm(long M, long N, long K, double alpha, double beta,
+             double A[M][K], double B[K][N], double C[M][N]) {
+  for (long i = 0; i < M; i++)
+    for (long j = 0; j < N; j++)
+      C[i][j] = beta * C[i][j];
+  for (long i = 0; i < M; i++)
+    for (long j = 0; j < N; j++)
+      for (long k = 0; k < K; k++)
+        C[i][j] = C[i][j] + alpha * A[i][k] * B[k][j];
+})";
+  trace::Tracer& tracer = trace::Tracer::global();
+  const auto tracedPrints = [&] {
+    tracer.clear();
+    tracer.enable();
+    const core::CompiledKernel kernel = service.compileSource(source);
+    tracer.disable();
+    const std::vector<trace::TraceEvent> events = tracer.snapshot();
+    tracer.clear();
+    EXPECT_EQ(kernel.program.name, "my_gemm");
+    return std::count_if(events.begin(), events.end(),
+                         [](const trace::TraceEvent& event) {
+                           return event.name == "codegen.print";
+                         });
+  };
+  EXPECT_EQ(tracedPrints(), 2);
+  EXPECT_EQ(tracedPrints(), 1);
 }
 
 TEST(KernelServiceTest, EstimatorRungZeroFillsC) {

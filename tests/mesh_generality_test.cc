@@ -1,7 +1,8 @@
 // Generality tests: the pipeline, simulator and runner are parameterised
 // by the ArchConfig — nothing is hard-coded to the 8x8 mesh.  A 4x4 mesh
-// with strip factor 4 must produce bit-exact results too, and combined
-// option sets (batched + fused + transposed) must compose.
+// with strip factor 4 must produce bit-exact results too, also when it
+// takes turns on the mesh arenas with other shapes, and combined option
+// sets (batched + fused + transposed) must compose.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -21,6 +22,73 @@ std::vector<double> randomMatrix(std::int64_t count, unsigned seed) {
   std::vector<double> data(static_cast<std::size_t>(count));
   for (double& v : data) v = dist(rng);
   return data;
+}
+
+TEST(MeshGenerality, MeshShapesTakeTurnsOnArenasBitExact) {
+  // Runs lease their fiber stacks and SPM from one process-wide pool of
+  // arenas, grown when a mesh needs more CPEs or more SPM.  First in this
+  // file, so the pool starts empty: the small-SPM mesh maps one arena,
+  // the 4x4 mesh grows its SPM, and then the three shapes take turns on
+  // it.  Every run repeats its shape's first run bit for bit.
+  struct Case {
+    sunway::ArchConfig arch;
+    CodegenOptions options;
+    GemmProblem problem;
+  };
+  std::vector<Case> cases(3);
+  cases[0].arch.spmBytes = 48 * 1024;
+  cases[0].options.tileM = 32;
+  cases[0].options.tileN = 32;
+  cases[0].options.tileK = 16;
+  cases[0].options.edgeTiles = true;
+  cases[0].problem = GemmProblem{100, 70, 40, 1, 1.5, 0.5};
+  cases[1].arch.meshRows = 4;
+  cases[1].arch.meshCols = 4;
+  cases[1].options.stripFactor = 4;
+  cases[1].problem = GemmProblem{256, 256, 128, 1, 1.0, 1.0};
+  cases[2].options.edgeTiles = true;
+  cases[2].problem = GemmProblem{150, 100, 96, 1, 1.25, 0.5};
+
+  struct Run {
+    std::vector<double> c;
+    sunway::SimTime time = 0;
+    sunway::CpeCounters counters;
+  };
+  std::vector<Run> first;
+  for (int round = 0; round < 3; ++round) {
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+      const Case& test = cases[i];
+      const CompiledKernel kernel =
+          SwGemmCompiler(test.arch).compile(test.options);
+      const GemmProblem& p = test.problem;
+      const std::vector<double> a =
+          randomMatrix(p.m * p.k, 10 + static_cast<unsigned>(i));
+      const std::vector<double> b =
+          randomMatrix(p.k * p.n, 20 + static_cast<unsigned>(i));
+      Run run;
+      run.c = randomMatrix(p.m * p.n, 30 + static_cast<unsigned>(i));
+      const rt::RunOutcome outcome =
+          runGemmFunctional(kernel, test.arch, p, a, b, run.c);
+      run.time = outcome.time;
+      run.counters = outcome.counters;
+      if (round == 0) {
+        std::vector<double> expected =
+            randomMatrix(p.m * p.n, 30 + static_cast<unsigned>(i));
+        kernel::referenceGemm(expected.data(), a.data(), b.data(), p.m, p.n,
+                              p.k, p.alpha, p.beta, test.options.tileK);
+        EXPECT_EQ(kernel::maxAbsDiff(run.c.data(), expected.data(),
+                                     p.m * p.n),
+                  0.0)
+            << "case " << i;
+        first.push_back(std::move(run));
+        continue;
+      }
+      SCOPED_TRACE(testing::Message() << "round " << round << " case " << i);
+      EXPECT_EQ(run.c, first[i].c);
+      EXPECT_EQ(run.time, first[i].time);
+      EXPECT_TRUE(run.counters == first[i].counters);
+    }
+  }
 }
 
 TEST(MeshGenerality, FourByFourMeshRunsBitExact) {

@@ -3,15 +3,16 @@
 // concurrent multi-group runs against single-group execution (edge tiles,
 // padded non-divisible shapes, transposes, batch, chained K-split
 // reduction), per-group fault-domain isolation, totals that repeat
-// bitwise across identical runs, and the contention-derated
-// multi-group estimator/roofline (including the one-group == estimateGemm
-// equality regression).
+// bitwise across identical runs and across concurrent callers, and the
+// contention-derated multi-group estimator/roofline (including the
+// one-group == estimateGemm equality regression).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
 #include <memory>
 #include <random>
+#include <thread>
 #include <vector>
 
 #include "core/sharded_gemm.h"
@@ -285,6 +286,53 @@ TEST(ShardedExecution, TotalsRepeatBitwiseAcrossIdenticalRuns) {
   }
   EXPECT_TRUE(third.counters == fourth.counters);
   EXPECT_EQ(third.seconds, fourth.seconds);
+}
+
+TEST(ShardedExecution, ConcurrentShardedCallsMatchSingleGroup) {
+  // Two callers each run a 6-group GEMM at once, so twelve meshes lease
+  // arenas from the process-wide pool at the same time and hand them
+  // between threads.  Each C equals a single-group run, and the counters
+  // equal the same sharded run made alone.
+  SwGemmCompiler compiler;
+  CodegenOptions options;
+  options.edgeTiles = true;
+  CompiledKernel kernel = compiler.compile(options);
+  const GemmProblem problem{256, 256, 256, 1, 1.0, 0.5};
+  ShardedConfig config;
+  config.groups = 6;
+
+  std::vector<Operands> ops;
+  std::vector<std::vector<double>> single;
+  std::vector<ShardedOutcome> alone;
+  for (unsigned caller = 0; caller < 2; ++caller) {
+    ops.push_back(makeOperands(kernel.options, problem, 70 + 10 * caller));
+    single.push_back(ops.back().c);
+    runGemmFunctional(kernel, compiler.arch(), problem, ops.back().a,
+                      ops.back().b, single.back());
+    std::vector<double> c = ops.back().c;
+    alone.push_back(runShardedFunctional(kernel, compiler.arch(), config,
+                                         problem, ops.back().a, ops.back().b,
+                                         c));
+  }
+  for (int rep = 0; rep < 2; ++rep) {
+    std::vector<std::vector<double>> c = {ops[0].c, ops[1].c};
+    std::vector<ShardedOutcome> together(2);
+    std::vector<std::thread> callers;
+    for (std::size_t caller = 0; caller < 2; ++caller)
+      callers.emplace_back([&, caller] {
+        together[caller] =
+            runShardedFunctional(kernel, compiler.arch(), config, problem,
+                                 ops[caller].a, ops[caller].b, c[caller]);
+      });
+    for (std::thread& t : callers) t.join();
+    for (std::size_t caller = 0; caller < 2; ++caller) {
+      SCOPED_TRACE(testing::Message() << "rep " << rep << " caller " << caller);
+      EXPECT_TRUE(bitIdentical(c[caller], single[caller]));
+      EXPECT_TRUE(together[caller].counters == alone[caller].counters);
+      EXPECT_EQ(together[caller].seconds, alone[caller].seconds);
+      EXPECT_TRUE(together[caller].failures.empty());
+    }
+  }
 }
 
 TEST(ShardedEstimator, OneGroupShardCostsExactlySingleGroupEstimate) {

@@ -1,14 +1,17 @@
-// Unit tests of the SW26010Pro core-group simulator: SPM bounds checking,
-// DMA semantics (strided gather, reply protocol, per-CPE engine
-// serialisation), RMA broadcast delivery, barrier clock-maxing, and
-// protocol-violation detection, reply-slot discipline included, on both
-// the mesh and the symmetric estimator.
+// Unit tests of the SW26010Pro core-group simulator: SPM bounds checking
+// over whole extents, all-zero SPM at the start of every run, DMA
+// semantics (strided gather, reply protocol, per-CPE engine serialisation),
+// RMA broadcast delivery, barrier clock-maxing, and protocol-violation
+// detection, reply-slot discipline included, on both the mesh and the
+// symmetric estimator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <functional>
 #include <string>
+#include <thread>
 
 #include "sunway/estimator.h"
 #include "sunway/host_memory.h"
@@ -96,7 +99,7 @@ TEST(Mesh, DmaMovesStridedTile) {
     request.slot = "r";
     cpe.dmaIssue(interned(cpe, request));
     waitDma(cpe, "r");
-    const double* spm = cpe.spmPtr(0);
+    const double* spm = cpe.spmPtr(0, 20);
     for (std::int64_t r = 0; r < 4; ++r)
       for (std::int64_t c = 0; c < 5; ++c)
         EXPECT_EQ(spm[r * 5 + c], (r + 2) * 100.0 + (c + 3));
@@ -109,7 +112,7 @@ TEST(Mesh, DmaPutWritesBack) {
   mesh.memory().add(HostArray::allocate("C", 1, 8, 8));
   mesh.run([&](CpeServices& cpe) {
     if (cpe.rid() != 0 || cpe.cid() != 0) return;
-    double* spm = cpe.spmPtr(0);
+    double* spm = cpe.spmPtr(0, 4);
     for (int i = 0; i < 4; ++i) spm[i] = 7.0 + i;
     DmaRequest request;
     request.isPut = true;
@@ -159,9 +162,9 @@ TEST(Mesh, RowBroadcastDeliversToWholeRow) {
   ArchConfig config;
   MeshSimulator mesh(config, /*functional=*/true);
   mesh.run([&](CpeServices& cpe) {
-    double* spm = cpe.spmPtr(0);
+    double* spm = cpe.spmPtr(0, 1);
     // Sender (column 3) stages a distinctive pattern at offset 1024B.
-    double* stage = cpe.spmPtr(1024);
+    double* stage = cpe.spmPtr(1024, 1);
     stage[0] = 1000.0 + cpe.rid();
     cpe.sync();
     if (cpe.cid() == 3) {
@@ -183,7 +186,7 @@ TEST(Mesh, ColumnBroadcastDeliversToWholeColumn) {
   ArchConfig config;
   MeshSimulator mesh(config, /*functional=*/true);
   mesh.run([&](CpeServices& cpe) {
-    double* stage = cpe.spmPtr(2048);
+    double* stage = cpe.spmPtr(2048, 1);
     stage[0] = 500.0 + cpe.cid();
     cpe.sync();
     if (cpe.rid() == 5) {
@@ -197,7 +200,7 @@ TEST(Mesh, ColumnBroadcastDeliversToWholeColumn) {
       cpe.rmaIssue(interned(cpe, request));
     }
     cpe.waitSlot(cpe.internSlot("cc"), true, false);
-    EXPECT_EQ(cpe.spmPtr(0)[0], 500.0 + cpe.cid());
+    EXPECT_EQ(cpe.spmPtr(0, 1)[0], 500.0 + cpe.cid());
   });
 }
 
@@ -205,9 +208,66 @@ TEST(Mesh, SpmOutOfBoundsThrows) {
   ArchConfig config;
   MeshSimulator mesh(config, /*functional=*/true);
   EXPECT_THROW(mesh.run([&](CpeServices& cpe) {
-    (void)cpe.spmPtr(config.spmBytes);  // one past the end
+    (void)cpe.spmPtr(config.spmBytes, 1);  // one past the end
   }),
                ProtocolError);
+}
+
+TEST(Mesh, SpmExtentPastTheEndThrows) {
+  // The first word lies inside the SPM, the last one does not.
+  ArchConfig config;
+  MeshSimulator mesh(config, /*functional=*/true);
+  const std::int64_t lastWord = config.spmBytes - 8;
+  EXPECT_NO_THROW(mesh.run(
+      [&](CpeServices& cpe) { (void)cpe.spmPtr(lastWord, 1); }));
+  EXPECT_THROW(mesh.run([&](CpeServices& cpe) {
+    (void)cpe.spmPtr(lastWord, 2);
+  }),
+               ProtocolError);
+  EXPECT_THROW(mesh.run([&](CpeServices& cpe) {
+    (void)cpe.spmPtr(0, config.spmBytes / 8 + 1);
+  }),
+               ProtocolError);
+}
+
+/// The ProtocolError a row broadcast of 8 words from CPE (0,3) raises;
+/// empty if it raises none.
+std::string rowBroadcastError(std::int64_t srcOffsetBytes,
+                              std::int64_t dstOffsetBytes) {
+  ArchConfig config;
+  MeshSimulator mesh(config, /*functional=*/true);
+  try {
+    mesh.run([&](CpeServices& cpe) {
+      if (cpe.rid() != 0 || cpe.cid() != 3) return;
+      RmaRequest request;
+      request.kind = RmaKind::kRowBroadcast;
+      request.isSender = true;
+      request.bytes = 64;
+      request.srcSpmOffsetBytes = srcOffsetBytes;
+      request.dstSpmOffsetBytes = dstOffsetBytes;
+      request.slot = "bc";
+      cpe.rmaIssue(interned(cpe, request));
+    });
+  } catch (const ProtocolError& error) {
+    return error.what();
+  }
+  return {};
+}
+
+TEST(Mesh, RmaPastTheEndOfSpmThrows) {
+  // Both ends of a broadcast are checked over all its bytes: a destination
+  // at the SPM's last word would write 56 bytes past every receiver's SPM.
+  const std::int64_t lastWord = ArchConfig{}.spmBytes - 8;
+  const std::string receiver = rowBroadcastError(0, lastWord);
+  EXPECT_NE(receiver.find("CPE 0,0: SPM access of 64 bytes at byte 262136 "
+                          "falls outside its 262144-byte SPM"),
+            std::string::npos)
+      << receiver;
+  const std::string sender = rowBroadcastError(lastWord, 0);
+  EXPECT_NE(sender.find("CPE 0,3: SPM access of 64 bytes at byte 262136"),
+            std::string::npos)
+      << sender;
+  EXPECT_EQ(rowBroadcastError(lastWord - 56, 0), "");
 }
 
 TEST(Mesh, ErrorInOneCpeDoesNotDeadlockBarrier) {
@@ -219,6 +279,61 @@ TEST(Mesh, ErrorInOneCpeDoesNotDeadlockBarrier) {
     cpe.sync();  // everyone else parks at the barrier
   }),
                ProtocolError);
+}
+
+// --- arenas: SPM is all zero at the start of every run ------------------
+
+/// Write a nonzero pattern across the CPE's whole SPM.
+void fillWholeSpm(CpeServices& cpe, std::int64_t spmBytes) {
+  const std::int64_t words = spmBytes / 8;
+  double* spm = cpe.spmPtr(0, words);
+  for (std::int64_t i = 0; i < words; ++i)
+    spm[i] = 1.0 + static_cast<double>(i + cpe.cid());
+}
+
+/// Nonzero SPM words across the mesh at the start of a run on `mesh`.
+std::int64_t nonzeroSpmWords(MeshSimulator& mesh) {
+  const std::int64_t words = mesh.config().spmBytes / 8;
+  std::int64_t nonzero = 0;
+  mesh.run([&](CpeServices& cpe) {
+    const double* spm = cpe.spmPtr(0, words);
+    nonzero += std::count_if(spm, spm + words,
+                             [](double value) { return value != 0.0; });
+  });
+  return nonzero;
+}
+
+TEST(MeshArena, RerunOfTheSameMeshStartsWithZeroSpm) {
+  ArchConfig config;
+  MeshSimulator mesh(config, /*functional=*/true);
+  mesh.run([&](CpeServices& cpe) { fillWholeSpm(cpe, config.spmBytes); });
+  EXPECT_EQ(nonzeroSpmWords(mesh), 0);
+}
+
+TEST(MeshArena, FreshMeshOnTheSameThreadStartsWithZeroSpm) {
+  ArchConfig config;
+  {
+    MeshSimulator dirty(config, /*functional=*/true);
+    dirty.run([&](CpeServices& cpe) { fillWholeSpm(cpe, config.spmBytes); });
+  }
+  MeshSimulator fresh(config, /*functional=*/true);
+  EXPECT_EQ(nonzeroSpmWords(fresh), 0);
+}
+
+TEST(MeshArena, MeshOnAnotherThreadStartsWithZeroSpm) {
+  ArchConfig config;
+  MeshSimulator dirty(config, /*functional=*/true);
+  dirty.run([&](CpeServices& cpe) { fillWholeSpm(cpe, config.spmBytes); });
+  std::int64_t nonzero = -1;
+  std::thread other([&] {
+    MeshSimulator fresh(config, /*functional=*/true);
+    nonzero = nonzeroSpmWords(fresh);
+    fresh.run([&](CpeServices& cpe) { fillWholeSpm(cpe, config.spmBytes); });
+  });
+  other.join();
+  EXPECT_EQ(nonzero, 0);
+  // And back: the other thread's writes are gone here too.
+  EXPECT_EQ(nonzeroSpmWords(dirty), 0);
 }
 
 TEST(Estimator, DmaEngineSerialisesMessages) {

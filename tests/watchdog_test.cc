@@ -3,9 +3,10 @@
 // carrying a per-CPE state dump as soon as no CPE can run — with no sleep
 // or deadline — and the abort machinery (barrier abort propagation,
 // rethrow after every CPE unwinds, mesh reuse after an aborted run) must
-// preserve the first error verbatim.
+// preserve the first error verbatim and leave the next run clean.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <thread>
@@ -60,7 +61,7 @@ std::string lostDmaReplyDump() {
 /// CPE of row 0 (the sender too) waits for it; the other rows finish.
 void rowZeroBroadcast(CpeServices& cpe) {
   if (cpe.rid() != 0) return;
-  cpe.spmPtr(1024)[0] = 7.0;
+  cpe.spmPtr(1024, 1)[0] = 7.0;
   if (cpe.cid() == 3) {
     RmaRequest request;
     request.kind = RmaKind::kRowBroadcast;
@@ -226,7 +227,8 @@ TEST(Abort, MeshIsReusableAfterAbortedRun) {
 }
 
 TEST(Abort, NestedRunFromInsideACpeIsRefused) {
-  // Both meshes would share the calling thread's fiber stacks.
+  // A kernel cannot spawn a core group (athread_spawn is the MPE's), and
+  // the inner run's host context would be the outer CPE's fiber.
   ArchConfig config;
   MeshSimulator outer(config, /*functional=*/false);
   MeshSimulator inner(config, /*functional=*/false);
@@ -240,9 +242,92 @@ TEST(Abort, SpmOutOfBoundsCarriesCpeCoordinates) {
   const std::string message =
       runExpectingProtocolError(mesh, [&](CpeServices& cpe) {
         if (cpe.rid() != 7 || cpe.cid() != 7) return;
-        (void)cpe.spmPtr(config.spmBytes);  // one byte past the SPM
+        (void)cpe.spmPtr(config.spmBytes, 1);  // one byte past the SPM
       });
   EXPECT_NE(message.find("SPM"), std::string::npos) << message;
+  EXPECT_NE(message.find("CPE 7,7"), std::string::npos) << message;
+}
+
+/// What a run sees at its start: every CPE counts the nonzero words of its
+/// whole SPM (functional meshes only), then computes and syncs.
+struct ProbeRun {
+  std::int64_t nonzeroSpmWords = 0;
+  MeshRunResult result;
+};
+
+ProbeRun probeRun(MeshSimulator& mesh) {
+  const std::int64_t words = mesh.config().spmBytes / 8;
+  ProbeRun probe;
+  probe.result = mesh.run([&](CpeServices& cpe) {
+    if (const double* spm = cpe.spmPtr(0, words))
+      probe.nonzeroSpmWords += std::count_if(
+          spm, spm + words, [](double value) { return value != 0.0; });
+    cpe.timing().compute(1000 * (cpe.cid() + 1), ComputeRate::kElementwise);
+    cpe.sync();
+  });
+  return probe;
+}
+
+/// Every CPE writes its whole SPM (functional meshes), then the run
+/// aborts: CPE (0,0) loses a DMA reply forever (a deadlock dump), or CPE
+/// (7,7) throws 200 frames down while the other 63 are parked at a barrier.
+std::string dirtyAbortedRun(MeshSimulator& mesh, bool deadlock) {
+  const std::int64_t words = mesh.config().spmBytes / 8;
+  if (deadlock) mesh.setFaultPlan(plan("dma-drop:cpe=0:occ=0:count=forever"));
+  const std::string message =
+      runExpectingProtocolError(mesh, [&](CpeServices& cpe) {
+        if (double* spm = cpe.spmPtr(0, words))
+          std::fill(spm, spm + words, 3.0);
+        if (!deadlock) {
+          if (cpe.rid() == 7 && cpe.cid() == 7) (void)throwFromDepth(200);
+          cpe.sync();
+          return;
+        }
+        if (cpe.rid() != 0 || cpe.cid() != 0) return;
+        DmaRequest request;
+        request.array = "A";
+        request.tileRows = 2;
+        request.tileCols = 2;
+        request.slot = "lost";
+        request.slotId = cpe.internSlot(request.slot);
+        request.arrayId = cpe.internArray(request.array);
+        cpe.dmaIssue(request);
+        cpe.waitSlot(request.slotId, /*isRma=*/false, true);
+      });
+  mesh.setFaultPlan(nullptr);
+  return message;
+}
+
+TEST(Abort, RunAfterAnAbortedRunStartsClean) {
+  // The aborted run's SPM writes, parked fibers and barrier state are all
+  // gone by the next run, on the same mesh and on a fresh one.
+  ArchConfig config;
+  for (const bool functional : {true, false}) {
+    MeshSimulator reference(config, functional);
+    const ProbeRun expected = probeRun(reference);
+    const auto expectClean = [&](const ProbeRun& probe) {
+      EXPECT_EQ(probe.nonzeroSpmWords, 0);
+      EXPECT_EQ(probe.result.perCpeTime, expected.result.perCpeTime);
+      EXPECT_TRUE(probe.result.perCpeCounters ==
+                  expected.result.perCpeCounters);
+    };
+    for (const bool deadlock : {true, false}) {
+      SCOPED_TRACE(testing::Message() << "functional=" << functional
+                                      << " deadlock=" << deadlock);
+      MeshSimulator mesh(config, functional);
+      mesh.memory().add(HostArray::allocate("A", 1, 8, 8));
+      const std::string message = dirtyAbortedRun(mesh, deadlock);
+      EXPECT_EQ(message.rfind(deadlock ? "mesh deadlock: no runnable CPE"
+                                       : "deep failure 200 frames down",
+                              0),
+                0u)
+          << message;
+      expectClean(probeRun(mesh));
+      (void)dirtyAbortedRun(mesh, deadlock);
+      MeshSimulator fresh(config, functional);
+      expectClean(probeRun(fresh));
+    }
+  }
 }
 
 TEST(Abort, TransientRmaDropIsNotADeadlock) {
