@@ -76,10 +76,11 @@ CompiledKernel SwGemmCompiler::lower(const CodegenOptions& options,
 }
 
 CompiledKernel SwGemmCompiler::compile(const CodegenOptions& options) const {
-  return compileAs(options, "");
+  return compileAs(options, nullptr, "");
 }
 
 CompiledKernel SwGemmCompiler::compileAs(const CodegenOptions& options,
+                                         const PatternAnalysis* verdict,
                                          const std::string& name) const {
   trace::Span span("compile",
                    {trace::arg("tileM", options.tileM),
@@ -89,7 +90,9 @@ CompiledKernel SwGemmCompiler::compileAs(const CodegenOptions& options,
                     trace::arg("useRma", options.useRma ? "true" : "false"),
                     trace::arg("hideLatency",
                                options.hideLatency ? "true" : "false")});
-  CompiledKernel kernel = lower(options, analyzeGemmPattern(options));
+  CompiledKernel kernel =
+      lower(options, verdict != nullptr ? adoptFrontendVerdict(*verdict)
+                                        : analyzeGemmPattern(options));
   if (!name.empty()) kernel.program.name = name;
   trace::Span printSpan("codegen.print");
   codegen::GeneratedSources sources =

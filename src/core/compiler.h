@@ -4,9 +4,11 @@
 // CodegenOptions, or a naive C source accepted by the frontend) into a
 // CompiledKernel: the executable per-CPE program, its lowered plan and the
 // generated athread C sources.  lower() builds the program and plan alone,
-// against a pattern analysis the caller proved once (the tuner ranks every
-// candidate schedule this way); compile() is that lowering plus the
-// printer.  Schedule-tree dumps are on request (core::dumpScheduleTrees).
+// against a pattern analysis (the tuner ranks every candidate schedule
+// this way); compile() is that lowering, against the process's one proof
+// of the pattern, plus the printer.  A source compile proves once, in the
+// frontend, and prints once, under the user's function name.
+// Schedule-tree dumps are on request (core::dumpScheduleTrees).
 // canonicalRequestKey names a compile request; the kernel service caches
 // compiled kernels under it and the tuning database embeds it.
 #pragma once
@@ -50,6 +52,23 @@ inline constexpr int kRequestKeyVersion = 3;
 [[nodiscard]] std::string canonicalRequestKey(const CodegenOptions& options,
                                               const sunway::ArchConfig& arch);
 
+/// A naive C GEMM source after the frontend (§2.3): the options its
+/// pattern selects, the user's function name, and the frontend's
+/// dependence verdict on the user's nest.
+struct ParsedGemmSource {
+  CodegenOptions options;
+  std::string functionName;
+  PatternAnalysis verdict;
+};
+
+/// Parse, analyse and classify `source` (plain / batched / fused, operand
+/// layouts) in one `frontend.parse` span.  The pattern fields of `base`
+/// (batched, transposes, fusion) come from the source; its other fields,
+/// explicit toggles such as useAsm/useRma/hideLatency, are kept.  Throws
+/// InputError when the source is not an accepted GEMM form.
+[[nodiscard]] ParsedGemmSource parseGemmSource(const std::string& source,
+                                               CodegenOptions base = {});
+
 class SwGemmCompiler {
  public:
   explicit SwGemmCompiler(sunway::ArchConfig arch = {})
@@ -60,12 +79,16 @@ class SwGemmCompiler {
   /// Compile the canonical DGEMM pattern with the given options.
   [[nodiscard]] CompiledKernel compile(const CodegenOptions& options) const;
 
-  /// Compile a naive C GEMM source (§2.3): parse, analyse, classify the
-  /// pattern (plain / batched / fused), then run the pipeline.  Explicit
-  /// toggles in `base` (useAsm/useRma/hideLatency) are honoured; the
-  /// pattern-derived fields (batched, fusion) come from the source.
+  /// Compile a naive C GEMM source (§2.3): compileParsed of
+  /// parseGemmSource(source, base).
   [[nodiscard]] CompiledKernel compileSource(const std::string& source,
                                              CodegenOptions base = {}) const;
+
+  /// Compile a parsed source.  Its verdict stands for the pattern's proof
+  /// (adoptFrontendVerdict), and the program is named after the user's
+  /// function before the one print.
+  [[nodiscard]] CompiledKernel compileParsed(
+      const ParsedGemmSource& parsed) const;
 
   /// The program and plan of `options` for a pattern `pattern` proved
   /// (pattern.covers(options)), with no sources printed: what a search
@@ -74,9 +97,11 @@ class SwGemmCompiler {
                                      const PatternAnalysis& pattern) const;
 
  private:
-  /// compile(), naming the program `name` before printing when it is not
-  /// empty.
+  /// compile(), taking the pattern's proof from the frontend's `verdict`
+  /// when it is not null and naming the program `name` before printing
+  /// when it is not empty.
   [[nodiscard]] CompiledKernel compileAs(const CodegenOptions& options,
+                                         const PatternAnalysis* verdict,
                                          const std::string& name) const;
 
   sunway::ArchConfig arch_;

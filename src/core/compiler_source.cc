@@ -4,17 +4,14 @@
 
 namespace sw::core {
 
-CompiledKernel SwGemmCompiler::compileSource(const std::string& source,
-                                             CodegenOptions base) const {
-  frontend::GemmPatternInfo pattern;
-  {
-    trace::Span span("frontend.parse",
-                     {trace::arg("sourceBytes",
-                                 static_cast<std::int64_t>(source.size()))});
-    pattern = frontend::analyzeGemmSource(source);
-    span.addArg(trace::arg("function", pattern.functionName));
-    span.addArg(trace::arg("batched", pattern.batched ? "true" : "false"));
-  }
+ParsedGemmSource parseGemmSource(const std::string& source,
+                                 CodegenOptions base) {
+  trace::Span span("frontend.parse",
+                   {trace::arg("sourceBytes",
+                               static_cast<std::int64_t>(source.size()))});
+  const frontend::GemmPatternInfo pattern = frontend::analyzeGemmSource(source);
+  span.addArg(trace::arg("function", pattern.functionName));
+  span.addArg(trace::arg("batched", pattern.batched ? "true" : "false"));
   base.batched = pattern.batched;
   base.transposeA = pattern.transposeA;
   base.transposeB = pattern.transposeB;
@@ -29,8 +26,21 @@ CompiledKernel SwGemmCompiler::compileSource(const std::string& source,
       base.fusion = FusionKind::kEpilogueRelu;
       break;
   }
+  return ParsedGemmSource{
+      base, pattern.functionName,
+      PatternAnalysis{base.batched, base.transposeA, base.transposeB,
+                      base.fusion, pattern.coincident, pattern.tilable}};
+}
+
+CompiledKernel SwGemmCompiler::compileSource(const std::string& source,
+                                             CodegenOptions base) const {
+  return compileParsed(parseGemmSource(source, base));
+}
+
+CompiledKernel SwGemmCompiler::compileParsed(
+    const ParsedGemmSource& parsed) const {
   // The generated kernel is named after the user's function.
-  return compileAs(base, pattern.functionName);
+  return compileAs(parsed.options, &parsed.verdict, parsed.functionName);
 }
 
 }  // namespace sw::core

@@ -1,5 +1,8 @@
 #include "core/pipeline.h"
 
+#include <array>
+#include <atomic>
+#include <mutex>
 #include <optional>
 #include <utility>
 
@@ -385,12 +388,11 @@ PaddedShape padShape(std::int64_t m, std::int64_t n, std::int64_t k,
   return padded;
 }
 
-PatternAnalysis analyzeGemmPattern(const CodegenOptions& options) {
-  trace::Span span(
-      "pipeline.dependence",
-      {trace::arg("batched", options.batched ? "true" : "false"),
-       trace::arg("fusion", static_cast<std::int64_t>(options.fusion))});
+namespace {
 
+/// The §2.2 proof of one pattern: the GEMM statement's domain and
+/// accesses, then each dependence question once.
+PatternAnalysis provePattern(const CodegenOptions& options) {
   // --- Statement domain and accesses (§2.2) -------------------------------
   poly::StatementInfo stmt{"S1", gemmDomain(options), {}};
   const std::vector<std::string>& dims = stmt.domain.dims();
@@ -430,6 +432,71 @@ PatternAnalysis analyzeGemmPattern(const CodegenOptions& options) {
         "the input loop nest does not expose the 2D parallelism and "
         "tilability GEMM decomposition requires");
   return analysis;
+}
+
+/// One pattern's entry in the process-wide memo.  It is filled at most
+/// once, under `mutex`, and read without the lock once `ready` is set; it
+/// is never evicted, and a proof that throws leaves it empty.
+struct PatternEntry {
+  std::mutex mutex;
+  std::atomic<bool> ready{false};
+  PatternAnalysis analysis;
+};
+
+/// The entry of the pattern of (batched, transposeA, transposeB, fusion):
+/// 2 x 2 x 2 x 3 = 24 of them.
+PatternEntry& patternEntry(bool batched, bool transposeA, bool transposeB,
+                           FusionKind fusion) {
+  static std::array<PatternEntry, 24> entries;
+  const auto fusionIndex = static_cast<std::size_t>(fusion);
+  SW_CHECK(fusionIndex < 3, "unknown fusion kind");
+  return entries[fusionIndex * 8 + (transposeB ? 4 : 0) +
+                 (transposeA ? 2 : 0) + (batched ? 1 : 0)];
+}
+
+/// Fill `entry` with make() unless it is filled already; true when this
+/// call filled it.  A caller that finds another thread filling it waits.
+template <typename Make>
+bool fillOnce(PatternEntry& entry, Make&& make) {
+  if (entry.ready.load(std::memory_order_acquire)) return false;
+  const std::lock_guard<std::mutex> lock(entry.mutex);
+  if (entry.ready.load(std::memory_order_relaxed)) return false;
+  entry.analysis = make();
+  entry.ready.store(true, std::memory_order_release);
+  return true;
+}
+
+std::vector<trace::TraceArg> patternArgs(bool batched, FusionKind fusion) {
+  return {trace::arg("batched", batched ? "true" : "false"),
+          trace::arg("fusion", static_cast<std::int64_t>(fusion))};
+}
+
+}  // namespace
+
+const PatternAnalysis& analyzeGemmPattern(const CodegenOptions& options) {
+  trace::Span span("pipeline.dependence",
+                   patternArgs(options.batched, options.fusion));
+  PatternEntry& entry = patternEntry(options.batched, options.transposeA,
+                                     options.transposeB, options.fusion);
+  const bool proved =
+      fillOnce(entry, [&options] { return provePattern(options); });
+  span.addArg(trace::arg("analysis", proved ? "proved" : "reused"));
+  return entry.analysis;
+}
+
+const PatternAnalysis& adoptFrontendVerdict(const PatternAnalysis& verdict) {
+  trace::Span span("pipeline.dependence",
+                   patternArgs(verdict.batched, verdict.fusion));
+  span.addArg(trace::arg("analysis", "frontend"));
+  SW_CHECK(verdict.coincident.size() == (verdict.batched ? 4u : 3u),
+           "the frontend's verdict must name every loop of the GEMM nest");
+  PatternEntry& entry = patternEntry(verdict.batched, verdict.transposeA,
+                                     verdict.transposeB, verdict.fusion);
+  if (!fillOnce(entry, [&verdict] { return verdict; }))
+    SW_CHECK(entry.analysis.coincident == verdict.coincident &&
+                 entry.analysis.tilable == verdict.tilable,
+             "the frontend's verdict differs from the pattern's proof");
+  return entry.analysis;
 }
 
 namespace {

@@ -1,10 +1,16 @@
 // The GEMM code-generation pipeline (§3–§7), split where the pattern ends
 // and the schedule begins (Halide's algorithm/schedule split):
 //   * analyzeGemmPattern runs the dependence analysis of §2.2 once per
-//     pattern — batched or not, transposes, fusion;
+//     pattern per process — batched or not, transposes, fusion: at most
+//     24 proofs, however many compiles, searches and service workers ask;
+//     a source compile hands in the frontend's verdict on the user's nest
+//     instead (adoptFrontendVerdict), so it proves once, in the frontend;
 //   * runGemmPipeline lowers one schedule of an analysed pattern: compute
 //     decomposition, hardware binding, DMA/RMA insertion, memory latency
 //     hiding, and lowering to an executable KernelProgram.
+// Every compile opens one `pipeline.dependence` span whose `analysis`
+// argument says where its pattern's proof came from: `proved` (this call
+// ran it), `reused` (an earlier call in this process did) or `frontend`.
 // The intermediate schedule trees are rendered only on request, by
 // dumpScheduleTrees, for tests and the --dump-schedule path that check them
 // against the paper's figures.
@@ -43,7 +49,20 @@ struct PatternAnalysis {
 
 /// Prove the pattern of `options` has the 2D parallelism (i and j) and the
 /// tilability the GEMM decomposition requires.  Throws InputError if not.
-[[nodiscard]] PatternAnalysis analyzeGemmPattern(const CodegenOptions& options);
+/// The proof runs on the pattern's first call in this process; every later
+/// call, from any thread, returns that entry, which lives until the process
+/// exits.  Concurrent first calls prove once and share the result; a proof
+/// that throws is not remembered.
+[[nodiscard]] const PatternAnalysis& analyzeGemmPattern(
+    const CodegenOptions& options);
+
+/// The pattern's proof for a source compile: `verdict` is the frontend's
+/// dependence verdict on the user's nest (frontend::GemmPatternInfo), which
+/// an accepted nest shares with the canonical pattern.  It becomes the
+/// pattern's entry when this process has none yet; otherwise the two must
+/// agree (InternalError if not).  Returns the pattern's entry.
+[[nodiscard]] const PatternAnalysis& adoptFrontendVerdict(
+    const PatternAnalysis& verdict);
 
 /// Pipeline output: the executable/printable kernel program.
 struct PipelineResult {

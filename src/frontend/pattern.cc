@@ -371,11 +371,12 @@ GemmPatternInfo analyzeGemmFunction(const FunctionDecl& function) {
   }
   poly::DependenceAnalysis analysis(info.statements);
   const std::size_t base = info.batched ? 1 : 0;
-  if (!analysis.isLoopParallel(gemmStmtName, base + 0) ||
-      !analysis.isLoopParallel(gemmStmtName, base + 1))
+  for (std::size_t level = 0; level < base + 3; ++level)
+    info.coincident.push_back(analysis.isLoopParallel(gemmStmtName, level));
+  if (!info.coincident[base + 0] || !info.coincident[base + 1])
     throwInput("the GEMM nest's outer loops are not parallel");
-  if (!analysis.isBandPermutable(gemmStmtName, 0, base + 3))
-    throwInput("the GEMM nest is not tilable");
+  info.tilable = analysis.isBandPermutable(gemmStmtName, 0, base + 3);
+  if (!info.tilable) throwInput("the GEMM nest is not tilable");
 
   return info;
 }

@@ -46,6 +46,14 @@ struct GemmPatternInfo {
 
   /// The extracted polyhedral statements (for inspection and tests).
   std::vector<poly::StatementInfo> statements;
+
+  /// The dependence verdict on the GEMM statement of the user's nest: per
+  /// loop, outermost first ((b,) i, j, k), true when the loop carries no
+  /// dependence; and whether the whole band is tilable.  An accepted nest
+  /// is the canonical pattern up to renaming, so this is the verdict
+  /// core::analyzeGemmPattern proves for the pattern.
+  std::vector<bool> coincident;
+  bool tilable = false;
 };
 
 /// Parse + analyse + classify.  Throws InputError with a diagnostic when

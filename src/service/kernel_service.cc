@@ -7,8 +7,6 @@
 #include <thread>
 #include <utility>
 
-#include "codegen/athread_printer.h"
-#include "frontend/pattern.h"
 #include "runtime/plan.h"
 #include "support/digest.h"
 #include "support/error.h"
@@ -73,11 +71,30 @@ KernelService::KernelPtr KernelService::compile(
 
 KernelService::KernelPtr KernelService::compile(
     const core::CodegenOptions& options, ServeOutcome* outcome) {
-  const std::string key = core::canonicalRequestKey(options, arch_);
+  return serveRequest(core::canonicalRequestKey(options, arch_),
+                      [&] { return compileFn_(options); }, outcome);
+}
+
+core::CompiledKernel KernelService::compileSource(const std::string& source,
+                                                  core::CodegenOptions base) {
+  const core::ParsedGemmSource parsed = core::parseGemmSource(source, base);
+  // The program's name is part of the kernel, so it is part of the key:
+  // a miss prints once, under the user's function name, and a hit prints
+  // nothing.
+  ServeOutcome outcome;
+  return *serveRequest(
+      core::canonicalRequestKey(parsed.options, arch_) + "name=" +
+          parsed.functionName,
+      [&] { return core::SwGemmCompiler(arch_).compileParsed(parsed); },
+      &outcome);
+}
+
+KernelService::KernelPtr KernelService::serveRequest(
+    const std::string& key, const Producer& producer, ServeOutcome* outcome) {
   trace::Span span("service.request",
                    {trace::arg("key", digestHex(fnv1a64(key)))});
   const double start = nowSeconds();
-  KernelPtr kernel = serve(key, options, outcome);
+  KernelPtr kernel = serve(key, producer, outcome);
   span.addArg(trace::arg("outcome", toString(*outcome)));
   span.addArg(trace::arg(
       "latency_bucket",
@@ -85,9 +102,9 @@ KernelService::KernelPtr KernelService::compile(
   return kernel;
 }
 
-KernelService::KernelPtr KernelService::serve(
-    const std::string& key, const core::CodegenOptions& options,
-    ServeOutcome* outcome) {
+KernelService::KernelPtr KernelService::serve(const std::string& key,
+                                              const Producer& producer,
+                                              ServeOutcome* outcome) {
   std::promise<KernelPtr> promise;
   {
     std::unique_lock<std::mutex> lock(mutex_);
@@ -112,7 +129,7 @@ KernelService::KernelPtr KernelService::serve(
 
   // Leader path: this thread owns the (single) compile for the key.
   try {
-    KernelPtr kernel = produce(key, options, outcome);
+    KernelPtr kernel = produce(key, producer, outcome);
     promise.set_value(kernel);
     std::lock_guard<std::mutex> lock(mutex_);
     inflight_.erase(key);
@@ -127,10 +144,10 @@ KernelService::KernelPtr KernelService::serve(
   }
 }
 
-KernelService::KernelPtr KernelService::produce(
-    const std::string& key, const core::CodegenOptions& options,
-    ServeOutcome* outcome) {
-  core::CompiledKernel compiled = compileFn_(options);
+KernelService::KernelPtr KernelService::produce(const std::string& key,
+                                                const Producer& producer,
+                                                ServeOutcome* outcome) {
+  core::CompiledKernel compiled = producer();
   // Custom CompileFn implementations (test doubles) may hand back plan-less
   // kernels; every kernel served by the cache carries its lowered plan.
   if (!compiled.plan) compiled.plan = rt::lowerToPlan(compiled.program);
@@ -163,44 +180,6 @@ void KernelService::publishGaugesLocked() const {
                static_cast<double>(stats_.evictions));
   registry.set("service.cache.entries", static_cast<double>(stats_.entries));
   registry.set("service.cache.hit_rate", stats_.hitRate());
-}
-
-core::CompiledKernel KernelService::compileSource(const std::string& source,
-                                                  core::CodegenOptions base) {
-  frontend::GemmPatternInfo pattern;
-  {
-    trace::Span span("frontend.parse",
-                     {trace::arg("sourceBytes",
-                                 static_cast<std::int64_t>(source.size()))});
-    pattern = frontend::analyzeGemmSource(source);
-  }
-  base.batched = pattern.batched;
-  base.transposeA = pattern.transposeA;
-  base.transposeB = pattern.transposeB;
-  switch (pattern.fusion) {
-    case frontend::FusionPattern::kNone:
-      base.fusion = core::FusionKind::kNone;
-      break;
-    case frontend::FusionPattern::kPrologueQuantize:
-      base.fusion = core::FusionKind::kPrologueQuantize;
-      break;
-    case frontend::FusionPattern::kEpilogueRelu:
-      base.fusion = core::FusionKind::kEpilogueRelu;
-      break;
-  }
-  KernelPtr cached = compile(base);
-  // The cache stores the canonical kernel; rename to the user's function
-  // and re-print the sources under that name.
-  core::CompiledKernel kernel = *cached;
-  kernel.program.name = pattern.functionName;
-  trace::Span printSpan("codegen.print");
-  codegen::GeneratedSources sources =
-      codegen::printAthreadSources(kernel.program);
-  kernel.cpeSource = std::move(sources.cpe);
-  kernel.mpeSource = std::move(sources.mpe);
-  printSpan.addArg(trace::arg(
-      "cpeBytes", static_cast<std::int64_t>(kernel.cpeSource.size())));
-  return kernel;
 }
 
 std::vector<KernelService::BatchResult> KernelService::compileBatch(

@@ -13,7 +13,8 @@
 // concurrently; the CLI exposes it as `swcodegen --serve-batch/--warm`.
 //
 // Requests are addressed by core::canonicalRequestKey (every
-// CodegenOptions + ArchConfig field, plus the key version).  Cache
+// CodegenOptions + ArchConfig field, plus the key version); a source
+// request's key adds the function name its kernel is printed under.  Cache
 // correctness rests on compile determinism — identical keys yield
 // identical kernels — which tests/compile_determinism_test.cc guards.
 //
@@ -94,9 +95,10 @@ struct KernelServiceStats {
 class KernelService {
  public:
   using KernelPtr = std::shared_ptr<const core::CompiledKernel>;
-  /// Test seam: the underlying compile function.  The default constructor
-  /// wires in SwGemmCompiler::compile; tests substitute a counting stub to
-  /// observe how many pipeline runs the cache actually triggers.
+  /// Test seam: the compile function of spec requests.  The default
+  /// constructor wires in SwGemmCompiler::compile; tests substitute a
+  /// counting stub to observe how many pipeline runs the cache actually
+  /// triggers.  Source requests (compileSource) do not go through it.
   using CompileFn =
       std::function<core::CompiledKernel(const core::CodegenOptions&)>;
 
@@ -118,12 +120,12 @@ class KernelService {
   KernelPtr compile(const core::CodegenOptions& options,
                     ServeOutcome* outcome);
 
-  /// Parse a naive C GEMM source, then serve the derived options through
-  /// the cache.  The returned kernel is re-titled after the source's
-  /// function and its athread sources re-printed under that name, in a
-  /// second `codegen.print` span after the compile's own on a miss.  The
-  /// cache stores the canonical kernel, so every call pays that print:
-  /// about 0.2-0.25 ms, more than the 0.1 ms plan lowering.
+  /// Parse a naive C GEMM source (core::parseGemmSource), then serve its
+  /// kernel through the cache under the request key plus the source's
+  /// function name.  A miss compiles through SwGemmCompiler::compileParsed
+  /// (not the CompileFn): the frontend's verdict stands for the pattern's
+  /// proof, and the sources are printed once, under the function's name.
+  /// A hit prints nothing.
   core::CompiledKernel compileSource(const std::string& source,
                                      core::CodegenOptions base = {});
 
@@ -244,13 +246,19 @@ class KernelService {
   };
   using LruList = std::list<Entry>;
 
-  KernelPtr serve(const std::string& key, const core::CodegenOptions& options,
+  /// The compile a miss of one request runs.
+  using Producer = std::function<core::CompiledKernel()>;
+
+  /// serve() inside a `service.request` span, with its latency recorded.
+  KernelPtr serveRequest(const std::string& key, const Producer& producer,
+                         ServeOutcome* outcome);
+  KernelPtr serve(const std::string& key, const Producer& producer,
                   ServeOutcome* outcome);
   /// Leader path: compile, then admit to the LRU (evicting the least
   /// recently used entries beyond maxEntries).  Never holds mutex_ while
   /// compiling.
-  KernelPtr produce(const std::string& key,
-                    const core::CodegenOptions& options, ServeOutcome* outcome);
+  KernelPtr produce(const std::string& key, const Producer& producer,
+                    ServeOutcome* outcome);
   void publishGaugesLocked() const;
 
   /// Leader path of resolveSchedule: DB lookup, search, store.

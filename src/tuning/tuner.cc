@@ -127,9 +127,10 @@ ScheduleSearchResult searchSchedules(const core::CodegenOptions& base,
       enumerateCandidates(base, arch, problem, config.space);
 
   // --- stage 1: lower + rank every feasible point on the estimator ------
-  // Candidates differ only in schedule, never in pattern, so one proof
-  // serves them all; each is lowered to program and plan, never printed.
-  const core::PatternAnalysis pattern = core::analyzeGemmPattern(base);
+  // Candidates differ only in schedule, never in pattern, so the
+  // pattern's one proof in this process serves them all; each is lowered
+  // to program and plan, never printed.
+  const core::PatternAnalysis& pattern = core::analyzeGemmPattern(base);
   const core::SwGemmCompiler compiler(arch);
   std::vector<CandidateResult> results;
   results.reserve(space.size());

@@ -5,12 +5,15 @@
 // tuning overhead" of ATLAS-style search.  This subsystem builds the
 // search anyway, now that candidate evaluation is cheap and attributable:
 //
-//   stage 1 (rank):     the base pattern's dependences are proven once;
-//                       every feasible point of the enumerated space is
-//                       lowered against that proof to its program and plan
-//                       (no sources, no tree dumps) and scored with the
-//                       timing estimator — plan engine, logical clocks, so
-//                       the ranking is deterministic and host-invariant;
+//   stage 1 (rank):     the base pattern's dependences are proven once
+//                       per process (core::analyzeGemmPattern), so a
+//                       search of a pattern already compiled proves
+//                       nothing; every feasible point of the enumerated
+//                       space is lowered against that proof to its program
+//                       and plan (no sources, no tree dumps) and scored
+//                       with the timing estimator — plan engine, logical
+//                       clocks, so the ranking is deterministic and
+//                       host-invariant;
 //   stage 2 (validate): the top-N of the ranking run functionally on the
 //                       mesh simulator with random data.  When
 //                       the problem fits the validation flop budget the

@@ -105,6 +105,9 @@ TEST(Pattern, RecognisesPlainGemm) {
   EXPECT_EQ(info.betaVar, "beta");
   EXPECT_TRUE(info.hasBetaScale);
   EXPECT_EQ(info.statements.size(), 2u);
+  // The verdict on (i, j, k): i and j carry nothing, k the accumulation.
+  EXPECT_EQ(info.coincident, (std::vector<bool>{true, true, false}));
+  EXPECT_TRUE(info.tilable);
 }
 
 TEST(Pattern, RecognisesMinimalGemmWithPlusAssign) {
@@ -133,6 +136,8 @@ void bmm(long T, long M, long N, long K, double A[T][M][K],
   EXPECT_TRUE(info.batched);
   EXPECT_EQ(info.paramBatch, "T");
   EXPECT_EQ(info.paramM, "M");
+  EXPECT_EQ(info.coincident, (std::vector<bool>{true, true, true, false}));
+  EXPECT_TRUE(info.tilable);
 }
 
 TEST(Pattern, RecognisesPrologueFusion) {
@@ -257,6 +262,42 @@ void f(long M, long N, long K, double A[M][K], double B[K][N],
       D[i][j] = D[i][j] + D[i][j];
 })"),
                sw::InputError);
+}
+
+/// The InputError message analyzeGemmSource throws on `source`, or "" when
+/// it accepts it.
+std::string rejection(const std::string& source) {
+  try {
+    (void)analyzeGemmSource(source);
+  } catch (const sw::InputError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Pattern, RejectsTheOutputReadAsAnOperand) {
+  // The dependence check, not the subscript match, rejects these: reading
+  // C as A (C[i][k]) makes j carry a dependence, reading it as B (C[k][j])
+  // makes i carry one.  The arrays are undeclared, so no shape check runs
+  // first.  Two reads of one input array carry nothing.
+  const auto nest = [](const std::string& product) {
+    return "void f(long M, long N, long K) {\n"
+           "  for (long i = 0; i < M; i++)\n"
+           "    for (long j = 0; j < N; j++)\n"
+           "      for (long k = 0; k < K; k++)\n"
+           "        C[i][j] = C[i][j] + " +
+           product + ";\n}\n";
+  };
+  const std::string notParallel = "the GEMM nest's outer loops are not parallel";
+  EXPECT_NE(rejection(nest("C[i][k] * B[k][j]")).find(notParallel),
+            std::string::npos);
+  EXPECT_NE(rejection(nest("A[i][k] * C[k][j]")).find(notParallel),
+            std::string::npos);
+  const GemmPatternInfo info = analyzeGemmSource(nest("A[i][k] * A[k][j]"));
+  EXPECT_EQ(info.arrayA, "A");
+  EXPECT_EQ(info.arrayB, "A");
+  EXPECT_EQ(info.coincident, (std::vector<bool>{true, true, false}));
+  EXPECT_TRUE(info.tilable);
 }
 
 }  // namespace

@@ -283,9 +283,8 @@ TEST(KernelServiceTest, FailedSearchClearsSingleFlightForRetry) {
 }
 
 TEST(KernelServiceTest, CompileSourceTracesEveryPrint) {
-  // A miss prints twice, the compile under the canonical name and then the
-  // rename under the source's function; a hit prints the rename only.
-  // Each print is a codegen.print span.
+  // A miss prints once, under the source's function name; a hit prints
+  // nothing.  Each print is a codegen.print span.
   const sunway::ArchConfig arch;
   KernelService service(arch, {});
   const std::string source = R"(
@@ -313,8 +312,21 @@ void my_gemm(long M, long N, long K, double alpha, double beta,
                            return event.name == "codegen.print";
                          });
   };
-  EXPECT_EQ(tracedPrints(), 2);
   EXPECT_EQ(tracedPrints(), 1);
+  EXPECT_EQ(tracedPrints(), 0);
+
+  // The served kernel is the direct compile's, byte for byte, and a spec
+  // request of the same options is its own entry, under the spec's name.
+  const core::CompiledKernel served = service.compileSource(source);
+  const core::CompiledKernel direct =
+      core::SwGemmCompiler(arch).compileSource(source);
+  EXPECT_EQ(served.cpeSource, direct.cpeSource);
+  EXPECT_EQ(served.mpeSource, direct.mpeSource);
+  const KernelService::KernelPtr spec = service.compile(served.options);
+  EXPECT_EQ(spec->program.name,
+            core::SwGemmCompiler(arch).compile(served.options).program.name);
+  EXPECT_NE(spec->program.name, "my_gemm");
+  EXPECT_EQ(service.stats().compiles, 2);
 }
 
 TEST(KernelServiceTest, EstimatorRungZeroFillsC) {

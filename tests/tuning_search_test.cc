@@ -380,8 +380,11 @@ TEST(ScheduleSearch, RankingLowersExactlyWhatCompilePrints) {
 }
 
 TEST(ScheduleSearch, ProvesThePatternOnceAndPrintsNothing) {
-  // One dependence proof per search, however many candidates it ranks, and
-  // no printed sources: the winner is printed by whoever compiles it.
+  // One dependence analysis per search, however many candidates it ranks,
+  // and no printed sources: the winner is printed by whoever compiles it.
+  // The analysis is the process's proof of the pattern, so once a compile
+  // has proved it the search reuses it.
+  (void)core::analyzeGemmPattern(core::CodegenOptions{});
   trace::Tracer& tracer = trace::Tracer::global();
   tracer.clear();
   tracer.enable();
@@ -401,6 +404,16 @@ TEST(ScheduleSearch, ProvesThePatternOnceAndPrintsNothing) {
   EXPECT_EQ(count("pipeline.dependence"), 1);
   EXPECT_EQ(count("codegen.print"), 0);
   EXPECT_EQ(count("lower.plan"), result.feasibleCount());
+  const auto dependence =
+      std::find_if(events.begin(), events.end(), [](const auto& e) {
+        return e.name == "pipeline.dependence";
+      });
+  ASSERT_NE(dependence, events.end());
+  const auto analysis =
+      std::find_if(dependence->args.begin(), dependence->args.end(),
+                   [](const auto& arg) { return arg.key == "analysis"; });
+  ASSERT_NE(analysis, dependence->args.end());
+  EXPECT_EQ(analysis->value, "reused");
 }
 
 }  // namespace

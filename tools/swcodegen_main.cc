@@ -232,22 +232,27 @@ SmokeRun smokeRun(const sw::core::CompiledKernel& kernel,
 }
 
 void printStageBreakdown() {
-  // Aggregate compile-category spans by name, in first-seen order.
+  // Aggregate compile-category spans by name, in first-seen order.  A
+  // span's `analysis` argument (pipeline.dependence: proved, reused or
+  // frontend) splits its row, since a proof is most of a compile's cost.
   std::vector<std::string> order;
   std::map<std::string, double> totalMicros;
   std::map<std::string, int> count;
   for (const sw::trace::TraceEvent& e :
        sw::trace::Tracer::global().snapshot()) {
     if (e.phase != 'X' || e.category != "compile") continue;
-    if (totalMicros.find(e.name) == totalMicros.end()) order.push_back(e.name);
-    totalMicros[e.name] += e.durMicros;
-    ++count[e.name];
+    std::string stage = e.name;
+    for (const sw::trace::TraceArg& arg : e.args)
+      if (arg.key == "analysis") stage += " (" + arg.value + ")";
+    if (totalMicros.find(stage) == totalMicros.end()) order.push_back(stage);
+    totalMicros[stage] += e.durMicros;
+    ++count[stage];
   }
   std::printf("compile pipeline breakdown (host wall-clock):\n");
-  std::printf("  %-28s %10s %6s\n", "stage", "ms", "calls");
-  for (const std::string& name : order)
-    std::printf("  %-28s %10.3f %6d\n", name.c_str(),
-                totalMicros[name] / 1e3, count[name]);
+  std::printf("  %-32s %10s %6s\n", "stage", "ms", "calls");
+  for (const std::string& stage : order)
+    std::printf("  %-32s %10.3f %6d\n", stage.c_str(),
+                totalMicros[stage] / 1e3, count[stage]);
   std::printf("\n");
 }
 
