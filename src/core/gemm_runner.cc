@@ -169,6 +169,8 @@ rt::RunOutcome runGemmFunctional(const CompiledKernel& kernel,
     hostCopyBytes += unpackPadded(c, mesh.memory().get("C"), problem.batch,
                                   problem.m, problem.n);
   outcome.hostCopyBytes = hostCopyBytes;
+  span.addArg(trace::arg("host_rma_copy_bytes", outcome.hostRmaCopyBytes));
+  span.addArg(trace::arg("host_spm_dirty_bytes", outcome.hostSpmDirtyBytes));
   nameProblem(outcome.report, problem);
   return outcome;
 }

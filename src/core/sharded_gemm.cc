@@ -331,6 +331,8 @@ ShardedOutcome runShardedFunctional(const CompiledKernel& kernel,
     sunway::SimTime time = 0;
     sunway::SimTime commTime = 0;
     std::int64_t hostCopyBytes = 0;
+    std::int64_t hostRmaCopyBytes = 0;
+    std::int64_t hostSpmDirtyBytes = 0;
     std::optional<ShardedOutcome::GroupFailure> failure;
   };
   std::vector<ShardResult> results(plan.shards.size());
@@ -404,6 +406,8 @@ ShardedOutcome runShardedFunctional(const CompiledKernel& kernel,
     result.time = run.time;
     result.commTime = shardCommTime(arch, concurrency, problem, s);
     result.hostCopyBytes = run.hostCopyBytes + gatherBytes;
+    result.hostRmaCopyBytes = run.hostRmaCopyBytes;
+    result.hostSpmDirtyBytes = run.hostSpmDirtyBytes;
   };
 
   auto worker = [&](int group) {
@@ -462,6 +466,8 @@ ShardedOutcome runShardedFunctional(const CompiledKernel& kernel,
     if (result.failure) outcome.failures.push_back(std::move(*result.failure));
     outcome.counters.add(result.counters);
     outcome.hostCopyBytes += result.hostCopyBytes;
+    outcome.hostRmaCopyBytes += result.hostRmaCopyBytes;
+    outcome.hostSpmDirtyBytes += result.hostSpmDirtyBytes;
     outcome.shardsRun += 1;
     path.add(plan.shards[i], result.time, result.commTime);
   }

@@ -103,6 +103,9 @@ struct ShardedOutcome {
   sunway::CpeCounters counters;  // summed over all shards
   perf::PerfReport report;       // multi-group roofline
   std::int64_t hostCopyBytes = 0;
+  /// RunOutcome's host RMA-copy and dirty-SPM bytes, summed over shards.
+  std::int64_t hostRmaCopyBytes = 0;
+  std::int64_t hostSpmDirtyBytes = 0;
   int shardsRun = 0;
 
   /// Deadlock/protocol aborts recovered by a fault-free re-run.

@@ -234,9 +234,15 @@ void tileRelu(double* tile, std::int64_t count) {
 
 void tileTranspose(double* dst, const double* src, std::int64_t srcRows,
                    std::int64_t srcCols) {
-  for (std::int64_t r = 0; r < srcRows; ++r)
-    for (std::int64_t c = 0; c < srcCols; ++c)
-      dst[c * srcRows + r] = src[r * srcCols + c];
+  tileTranspose(dst, src, srcRows, srcCols, srcCols, srcRows);
+}
+
+void tileTranspose(double* dst, const double* src, std::int64_t rows,
+                   std::int64_t cols, std::int64_t srcStride,
+                   std::int64_t dstStride) {
+  for (std::int64_t r = 0; r < rows; ++r)
+    for (std::int64_t c = 0; c < cols; ++c)
+      dst[c * dstStride + r] = src[r * srcStride + c];
 }
 
 }  // namespace sw::kernel

@@ -94,4 +94,11 @@ void tileRelu(double* tile, std::int64_t count);
 void tileTranspose(double* dst, const double* src, std::int64_t srcRows,
                    std::int64_t srcCols);
 
+/// The same for the leading rows x cols of a source whose rows lie
+/// `srcStride` doubles apart, into a target whose rows lie `dstStride`
+/// apart: the live part of an edge tile at full-tile strides.
+void tileTranspose(double* dst, const double* src, std::int64_t rows,
+                   std::int64_t cols, std::int64_t srcStride,
+                   std::int64_t dstStride);
+
 }  // namespace sw::kernel

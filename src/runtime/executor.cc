@@ -188,6 +188,8 @@ RunOutcome runOnMesh(sunway::MeshSimulator& mesh,
   outcome.seconds = sunway::toSeconds(meshResult.time);
   outcome.gflops = metrics::safeDiv(reportedFlops, outcome.seconds) / 1e9;
   outcome.counters = meshResult.totals;
+  outcome.hostRmaCopyBytes = meshResult.hostRmaCopyBytes;
+  outcome.hostSpmDirtyBytes = meshResult.hostSpmDirtyBytes;
   outcome.metrics =
       deriveRunMetrics(meshResult.totals, meshResult.time,
                        mesh.config().meshSize(), program,

@@ -48,6 +48,12 @@ struct RunOutcome {
   /// shadow arrays (pack + unpack).  Zero on the edge-tile path, which
   /// binds the caller's buffers directly.
   std::int64_t hostCopyBytes = 0;
+  /// A functional mesh run's host work inside the mesh
+  /// (sunway::MeshRunResult): bytes its RMA copies wrote, summed over
+  /// receivers, and SPM bytes it wrote, which the next run re-zeroes.
+  /// Zero for estimates.
+  std::int64_t hostRmaCopyBytes = 0;
+  std::int64_t hostSpmDirtyBytes = 0;
 };
 
 /// Roofline ceilings for PerfReport, derived from the architecture model:

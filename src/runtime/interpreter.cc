@@ -270,8 +270,8 @@ class Interpreter {
     if (!services_.functional()) return;
     // Full tiles: a partial tile keeps the full-tile strides.
     double* c = services_.spmPtr(resolveBuffer(info.c), info.m * info.n);
-    double* a = services_.spmPtr(resolveBuffer(info.a), info.m * info.k);
-    double* b = services_.spmPtr(resolveBuffer(info.b), info.k * info.n);
+    double* a = services_.spmPtr(resolveBuffer(info.a), info.m * info.k, 0);
+    double* b = services_.spmPtr(resolveBuffer(info.b), info.k * info.n, 0);
     if (m != info.m || n != info.n || k != info.k) {
       // Partial tile at full-tile SPM strides: strided edge kernel, same
       // per-element accumulation order as the full-shape kernels.
@@ -307,7 +307,7 @@ class Interpreter {
       case ElementwiseMarkInfo::Op::kTranspose: {
         SW_CHECK(info.source.has_value(), "transpose mark without source");
         const double* src =
-            services_.spmPtr(resolveBuffer(*info.source), count);
+            services_.spmPtr(resolveBuffer(*info.source), count, 0);
         kernel::tileTranspose(tile, src, info.rows, info.cols);
         break;
       }

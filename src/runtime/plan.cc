@@ -651,6 +651,9 @@ class PlanExecutor {
     request.spmOffsetBytes = resolveBuffer(d.buffer);
     if ((request.rowStart | request.colStart | request.batchIndex) < 0)
       throwNegativeDma(d, request);
+    if (functional_ && !d.base.isPut)
+      setLive(request.spmOffsetBytes,
+              {request.tileRows, request.tileCols, d.base.tileCols});
     lastDmaBySlot_[static_cast<std::size_t>(d.slot)] = index;
     services_.dmaIssue(request);
   }
@@ -669,6 +672,9 @@ class PlanExecutor {
 
   void execRma(int index) {
     const PlanRma& r = plan_.rmas[static_cast<std::size_t>(index)];
+    // The destination of every CPE of the line receives the sender's live
+    // part, which the receivers cannot see, so later ops handle it whole.
+    if (functional_) forgetLive(resolveBuffer(r.dst));
     if (!guardAlwaysTrue_ &&
         frame_[static_cast<std::size_t>(r.guardSlot)] != evalExpr(r.guardExpr))
       return;  // receivers only wait on replyr
@@ -676,6 +682,12 @@ class PlanExecutor {
         rmaRequests_[static_cast<std::size_t>(index)];
     request.srcSpmOffsetBytes = resolveBuffer(r.src);
     request.dstSpmOffsetBytes = resolveBuffer(r.dst);
+    if (functional_) {
+      // The receivers' compute clamps read exactly the sender's live part.
+      const LiveTile* live = findLive(request.srcSpmOffsetBytes);
+      request.hostCopy =
+          live != nullptr ? std::optional(live->extent) : std::nullopt;
+    }
     services_.rmaIssue(request);
   }
 
@@ -730,10 +742,12 @@ class PlanExecutor {
     else
       services_.timing().compute(flops, sunway::ComputeRate::kNaive);
     if (!functional_) return;
-    // Full tiles: a partial tile keeps the full-tile strides.
-    double* cp = services_.spmPtr(resolveBuffer(c.c), c.m * c.n);
-    double* ap = services_.spmPtr(resolveBuffer(c.a), c.m * c.k);
-    double* bp = services_.spmPtr(resolveBuffer(c.b), c.k * c.n);
+    // Full tiles: a partial tile keeps the full-tile strides and writes
+    // only the leading m x n of C.
+    double* cp = services_.spmPtr(resolveBuffer(c.c), c.m * c.n,
+                                  sunway::TileExtent{m, n, c.n}.span());
+    double* ap = services_.spmPtr(resolveBuffer(c.a), c.m * c.k, 0);
+    double* bp = services_.spmPtr(resolveBuffer(c.b), c.k * c.n, 0);
     if (partial) {
       // Partial tile at full-tile SPM strides: strided edge kernel, same
       // per-element accumulation order as the full-shape kernels.
@@ -747,32 +761,88 @@ class PlanExecutor {
       kernel::dgemmNaiveKernel(cp, ap, bp, c.m, c.n, c.k);
   }
 
+  /// Element-wise ops touch the live part of their tile only (the whole
+  /// tile when none is recorded); the modelled cost is the whole tile's.
   void execElementwise(int index) {
     const PlanElementwise& e =
         plan_.elementwises[static_cast<std::size_t>(index)];
     const std::int64_t count = e.rows * e.cols;
     services_.timing().compute(count, sunway::ComputeRate::kElementwise);
     if (!functional_) return;
-    double* tile = services_.spmPtr(resolveBuffer(e.target), count);
-    switch (e.op) {
-      case ElementwiseMarkInfo::Op::kBetaScaleC:
-        kernel::tileScale(tile, count, scalars_.beta);
-        break;
-      case ElementwiseMarkInfo::Op::kAlphaScaleA:
-        kernel::tileScale(tile, count, scalars_.alpha);
-        break;
-      case ElementwiseMarkInfo::Op::kQuantize:
-        kernel::tileQuantize(tile, count);
-        break;
-      case ElementwiseMarkInfo::Op::kRelu:
-        kernel::tileRelu(tile, count);
-        break;
-      case ElementwiseMarkInfo::Op::kTranspose: {
-        const double* src = services_.spmPtr(resolveBuffer(e.source), count);
-        kernel::tileTranspose(tile, src, e.rows, e.cols);
-        break;
-      }
+    const std::int64_t target = resolveBuffer(e.target);
+    if (e.op == ElementwiseMarkInfo::Op::kTranspose) {
+      // The source's live rows x cols land as cols x rows of the target,
+      // whose rows are e.rows doubles apart.
+      const std::int64_t source = resolveBuffer(e.source);
+      const sunway::TileExtent in = liveOr(source, e.rows, e.cols);
+      const sunway::TileExtent out{in.cols, in.rows, e.rows};
+      const double* src = services_.spmPtr(source, count, 0);
+      double* dst = services_.spmPtr(target, count, out.span());
+      kernel::tileTranspose(dst, src, in.rows, in.cols, in.stride,
+                            out.stride);
+      setLive(target, out);
+      return;
     }
+    const sunway::TileExtent live = liveOr(target, e.rows, e.cols);
+    double* tile = services_.spmPtr(target, count, live.span());
+    const auto apply = [&](double* data, std::int64_t n) {
+      switch (e.op) {
+        case ElementwiseMarkInfo::Op::kBetaScaleC:
+          return kernel::tileScale(data, n, scalars_.beta);
+        case ElementwiseMarkInfo::Op::kAlphaScaleA:
+          return kernel::tileScale(data, n, scalars_.alpha);
+        case ElementwiseMarkInfo::Op::kQuantize:
+          return kernel::tileQuantize(data, n);
+        case ElementwiseMarkInfo::Op::kRelu:
+          return kernel::tileRelu(data, n);
+        case ElementwiseMarkInfo::Op::kTranspose:
+          return;  // handled above
+      }
+    };
+    if (live.cols == live.stride) return apply(tile, live.rows * live.cols);
+    for (std::int64_t r = 0; r < live.rows; ++r)
+      apply(tile + r * live.stride, live.cols);
+  }
+
+  // --- live extents (functional runs only) ---
+
+  /// What the last get or transpose into the buffer at `offsetBytes`
+  /// wrote.  A CPE resolves a handful of buffers, so a linear search
+  /// serves.
+  struct LiveTile {
+    std::int64_t offsetBytes = 0;
+    sunway::TileExtent extent;
+  };
+
+  void setLive(std::int64_t offsetBytes, const sunway::TileExtent& extent) {
+    for (LiveTile& tile : live_)
+      if (tile.offsetBytes == offsetBytes) {
+        tile.extent = extent;
+        return;
+      }
+    live_.push_back({offsetBytes, extent});
+  }
+
+  void forgetLive(std::int64_t offsetBytes) {
+    std::erase_if(live_, [&](const LiveTile& tile) {
+      return tile.offsetBytes == offsetBytes;
+    });
+  }
+
+  [[nodiscard]] const LiveTile* findLive(std::int64_t offsetBytes) const {
+    for (const LiveTile& tile : live_)
+      if (tile.offsetBytes == offsetBytes) return &tile;
+    return nullptr;
+  }
+
+  /// The live extent of the rows x cols tile at `offsetBytes`, or the whole
+  /// tile when none is recorded.
+  [[nodiscard]] sunway::TileExtent liveOr(std::int64_t offsetBytes,
+                                          std::int64_t rows,
+                                          std::int64_t cols) const {
+    const LiveTile* live = findLive(offsetBytes);
+    return live != nullptr ? live->extent
+                           : sunway::TileExtent{rows, cols, cols};
   }
 
   const ExecutionPlan& plan_;
@@ -802,6 +872,7 @@ class PlanExecutor {
   std::vector<sunway::RmaRequest> rmaRequests_;
   /// Template index of the last DMA issued per plan slot id, for retry.
   std::vector<int> lastDmaBySlot_;
+  std::vector<LiveTile> live_;
 };
 
 }  // namespace

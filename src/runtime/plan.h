@@ -26,6 +26,18 @@
 // tests/plan_equivalence_test.cc), including the DMA retry protocol under
 // fault injection.
 //
+// In a functional run the executor also tracks live extents: for each
+// resolved SPM buffer, the rows x cols its last DMA get or transpose wrote
+// at the full-tile stride (an edge-tile clamp leaves the rest stale).  A
+// broadcast asks the mesh to copy only the sender's live rows
+// (RmaRequest::hostCopy), and element-wise ops touch only live rows.  Every
+// receiver's compute clamp has the same origin and bound as the sender's
+// DMA clamp, so nothing reads a word the clamped copy skipped; C, ticks
+// and counters stay those of whole-tile copies.  A buffer without a record
+// is handled whole.  A broadcast drops the record of its destination on
+// every CPE of the line, since its receivers do not see the sender's
+// clamp.
+//
 // Against a timing-only backend with a SteadyState (the symmetric
 // estimator), the executor also fast-forwards: at a loop's back-edge it
 // snapshots the relative timing state, and when it equals the one 1 or 2

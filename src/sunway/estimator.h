@@ -103,7 +103,8 @@ class SymmetricCpeServices final : public CpeServices, public SteadyState {
   }
 
   [[nodiscard]] CpeTiming& timing() override { return timing_; }
-  [[nodiscard]] double* spmPtr(std::int64_t, std::int64_t) override {
+  [[nodiscard]] double* spmPtr(std::int64_t, std::int64_t,
+                               std::int64_t) override {
     return nullptr;
   }
   [[nodiscard]] SteadyState* steadyState() override { return this; }

@@ -7,6 +7,7 @@
 #endif
 
 #include <algorithm>
+#include <bit>
 #include <cerrno>
 #include <cstdint>
 #include <cstdlib>
@@ -105,12 +106,15 @@ void tsanSwitchTo(void*) {}
 /// page, an SPM write past its end on the next CPE's.  Pages come in as
 /// runs first touch them and stay until the process exits.
 ///
-/// SPM is all zero at the start of every run: prepare() re-zeroes each
-/// CPE's SPM up to the high-water the previous run's accessor recorded
-/// (noteTouched), so a lease never touches SPM pages no run used.
+/// SPM is all zero at the start of every run: the accessors mark each SPM
+/// block a run writes (noteWritten), and prepare() re-zeroes exactly the
+/// marked blocks, so a lease never touches SPM a run only read or never
+/// used.
 class MeshArena {
  public:
   static constexpr std::size_t kStackBytes = std::size_t{256} << 10;
+  /// Granule of the written-SPM bitmap.
+  static constexpr std::size_t kBlockBytes = 1024;
 
   MeshArena() = default;
   MeshArena(const MeshArena&) = delete;
@@ -118,18 +122,30 @@ class MeshArena {
   ~MeshArena() { unmap(); }
 
   /// Make room for `cpes` CPEs of `spmBytes` SPM each, remapping when the
-  /// arena is smaller, and zero what the previous run touched.
+  /// arena is smaller, and zero what the previous run wrote.
   void prepare(int cpes, std::int64_t spmBytes) {
     const auto count = static_cast<std::size_t>(cpes);
     const std::size_t spmSlot =
         roundToPage(static_cast<std::size_t>(spmBytes));
     if (count > cpes_ || spmSlot > spmSlotBytes_)
       remap(std::max(count, cpes_), std::max(spmSlot, spmSlotBytes_));
-    for (std::size_t cpe = 0; cpe < cpes_; ++cpe) {
-      // Skipped when empty: a zero-byte memset cost ~150 ns on a Xeon.
-      if (highWater_[cpe] == 0) continue;
-      std::memset(spm(static_cast<int>(cpe)), 0, highWater_[cpe]);
-      highWater_[cpe] = 0;
+    for (std::size_t word = 0; word < written_.size(); ++word) {
+      std::uint64_t bits = written_[word];
+      if (bits == 0) continue;
+      written_[word] = 0;
+      // A word belongs to one CPE, so each run of consecutive marked
+      // blocks is one memset inside that CPE's SPM.
+      const auto cpe = static_cast<int>(word / wordsPerCpe_);
+      char* const words = reinterpret_cast<char*>(spm(cpe)) +
+                          word % wordsPerCpe_ * 64 * kBlockBytes;
+      while (bits != 0) {
+        const int first = std::countr_zero(bits);
+        const int length = std::countr_one(bits >> first);
+        bits = length == 64 ? 0 : bits & ~(((std::uint64_t{1} << length) - 1)
+                                           << first);
+        std::memset(words + static_cast<std::size_t>(first) * kBlockBytes, 0,
+                    static_cast<std::size_t>(length) * kBlockBytes);
+      }
     }
   }
 
@@ -140,10 +156,24 @@ class MeshArena {
     return reinterpret_cast<double*>(slot(cpe) + pageBytes() + kStackBytes);
   }
 
-  /// The run may have written SPM bytes [0, endBytes) of `cpe`.
-  void noteTouched(int cpe, std::size_t endBytes) {
-    std::size_t& highWater = highWater_[static_cast<std::size_t>(cpe)];
-    highWater = std::max(highWater, endBytes);
+  /// The run wrote SPM bytes [offsetBytes, offsetBytes + bytes) of `cpe`.
+  void noteWritten(int cpe, std::size_t offsetBytes, std::size_t bytes) {
+    if (bytes == 0) return;
+    const std::size_t base = static_cast<std::size_t>(cpe) * wordsPerCpe_ * 64;
+    const std::size_t last = base + (offsetBytes + bytes - 1) / kBlockBytes;
+    for (std::size_t block = base + offsetBytes / kBlockBytes; block <= last;
+         ++block)
+      written_[block / 64] |= std::uint64_t{1} << (block % 64);
+  }
+
+  /// SPM bytes the current run wrote, in whole blocks: what the next
+  /// prepare() re-zeroes.
+  [[nodiscard]] std::int64_t writtenBytes() const {
+    std::int64_t blocks = 0;
+    // Most words are zero, and popcount can be a library call.
+    for (const std::uint64_t word : written_)
+      if (word != 0) blocks += std::popcount(word);
+    return blocks * static_cast<std::int64_t>(kBlockBytes);
   }
 
  private:
@@ -163,7 +193,6 @@ class MeshArena {
   [[nodiscard]] std::size_t mappedBytes() const {
     return cpes_ * slotBytes() + pageBytes();
   }
-
   void remap(std::size_t cpes, std::size_t spmSlotBytes) {
     unmap();
     const std::size_t bytes =
@@ -177,7 +206,8 @@ class MeshArena {
     base_ = static_cast<char*>(base);
     cpes_ = cpes;
     spmSlotBytes_ = spmSlotBytes;
-    highWater_.assign(cpes, 0);
+    wordsPerCpe_ = (spmSlotBytes / kBlockBytes + 63) / 64;
+    written_.assign(cpes * wordsPerCpe_, 0);
     for (std::size_t cpe = 0; cpe <= cpes; ++cpe)
       if (::mprotect(base_ + cpe * slotBytes(), pageBytes(), PROT_NONE) != 0)
         throw std::system_error(errno, std::generic_category(),
@@ -191,14 +221,20 @@ class MeshArena {
     base_ = nullptr;
     cpes_ = 0;
     spmSlotBytes_ = 0;
-    highWater_.clear();
+    wordsPerCpe_ = 0;
+    written_.clear();
   }
 
   char* base_ = nullptr;
   std::size_t cpes_ = 0;
   std::size_t spmSlotBytes_ = 0;  // page-rounded
-  /// Per CPE, the end of the SPM bytes this lease's run touched.
-  std::vector<std::size_t> highWater_;
+  /// Bitmap words per CPE.  Each CPE's blocks start a word of their own
+  /// (a page holds whole blocks, but an SPM of 48 KiB is not whole words),
+  /// so no run of marked blocks reaches the next CPE's guard page.
+  std::size_t wordsPerCpe_ = 0;
+  /// One bit per kBlockBytes of SPM, wordsPerCpe_ words per CPE, CPE after
+  /// CPE: blocks this lease's run wrote.
+  std::vector<std::uint64_t> written_;
 };
 
 /// One run's arena, leased from the process-wide free list of the arenas
@@ -532,6 +568,9 @@ class CpeFiber final : public CpeServices {
   /// Mark a fiber that never started as done, so an aborted run skips it.
   void discard() { state_ = CpeState::kDone; }
 
+  /// Host bytes this CPE's broadcasts copied into receivers' SPM.
+  [[nodiscard]] std::int64_t rmaCopyBytes() const { return rmaCopyBytes_; }
+
   /// One line of the deadlock dump: blocked-on site, logical clock,
   /// message counters and pending descriptors.
   void describe(std::ostream& os) const {
@@ -632,10 +671,11 @@ class CpeFiber final : public CpeServices {
     if (mesh_.functional_ && !dropped && !corruptPut) {
       moveDmaData(request);
       if (fault.corrupt) {
-        const std::int64_t count = request.tileRows * request.tileCols;
+        const std::int64_t bytes =
+            request.tileRows * request.tileCols * kWordBytes;
         FaultPlan::corruptTile(
-            spmRange(cpeId_, request.spmOffsetBytes, count * kWordBytes),
-            count, cpeId_, occurrence);
+            spmRange(cpeId_, request.spmOffsetBytes, bytes, bytes),
+            bytes / kWordBytes, cpeId_, occurrence);
       }
     }
     SlotState& slot = slotState(request.slotId);
@@ -705,13 +745,15 @@ class CpeFiber final : public CpeServices {
 
   [[nodiscard]] CpeTiming& timing() override { return timing_; }
 
-  [[nodiscard]] double* spmPtr(std::int64_t offsetBytes,
-                              std::int64_t count) override {
+  [[nodiscard]] double* spmPtr(std::int64_t offsetBytes, std::int64_t count,
+                               std::int64_t writeCount) override {
     if (!mesh_.functional_) return nullptr;
     // Clamped so the byte size cannot overflow; past the SPM either way.
     const std::int64_t words =
         std::min(count, mesh_.spmCapacityBytes_ / kWordBytes + 1);
-    return spmRange(cpeId_, offsetBytes, words * kWordBytes);
+    return spmRange(cpeId_, offsetBytes, words * kWordBytes,
+                    std::clamp<std::int64_t>(writeCount, 0, words) *
+                        kWordBytes);
   }
 
  private:
@@ -750,9 +792,10 @@ class CpeFiber final : public CpeServices {
 
   /// SPM bytes [offsetBytes, offsetBytes + bytes) of CPE `cpe`, checked
   /// over the whole range: its first word must exist and its end must lie
-  /// inside the SPM.  The arena zeroes what this hands out before the next
-  /// run.
-  double* spmRange(int cpe, std::int64_t offsetBytes, std::int64_t bytes) {
+  /// inside the SPM.  The caller writes the first `writeBytes` of it, which
+  /// the arena re-zeroes before the next run.
+  double* spmRange(int cpe, std::int64_t offsetBytes, std::int64_t bytes,
+                   std::int64_t writeBytes) {
     const std::int64_t capacity = mesh_.spmCapacityBytes_;
     const auto where = [&] {
       return strCat("CPE ", cpe / mesh_.config_.meshCols, ",",
@@ -765,7 +808,8 @@ class CpeFiber final : public CpeServices {
                                  mesh_.config_.spmBytes, "-byte SPM"));
     if (offsetBytes % kWordBytes != 0)
       throw ProtocolError(strCat(where(), " is not word-aligned"));
-    arena_.noteTouched(cpe, static_cast<std::size_t>(offsetBytes + bytes));
+    arena_.noteWritten(cpe, static_cast<std::size_t>(offsetBytes),
+                       static_cast<std::size_t>(writeBytes));
     return arena_.spm(cpe) + offsetBytes / kWordBytes;
   }
 
@@ -793,9 +837,10 @@ class CpeFiber final : public CpeServices {
     SW_CHECK(stride >= request.tileCols,
              strCat("SPM row stride ", stride, " narrower than tile row ",
                     request.tileCols));
-    double* spm = spmRange(
-        cpeId_, request.spmOffsetBytes,
-        ((request.tileRows - 1) * stride + request.tileCols) * kWordBytes);
+    const std::int64_t bytes =
+        ((request.tileRows - 1) * stride + request.tileCols) * kWordBytes;
+    double* spm = spmRange(cpeId_, request.spmOffsetBytes, bytes,
+                           request.isPut ? 0 : bytes);
     for (std::int64_t r = 0; r < request.tileRows; ++r) {
       const std::int64_t hostOffset = array.offsetOf(
           request.batchIndex, request.rowStart + r, request.colStart);
@@ -813,18 +858,31 @@ class CpeFiber final : public CpeServices {
     }
   }
 
+  /// Copy the broadcast into every receiver of the line, itself included.
+  /// Each end is checked over the modelled `bytes`; what moves is the
+  /// request's host-copy extent, in one copy from its first live word to
+  /// its last (all `bytes` without one).  The words between live rows are
+  /// never read, and one copy beats a copy per row at these tile widths.
   void moveRmaData(const RmaRequest& request) {
+    const std::int64_t copyBytes = request.hostCopy
+                                       ? request.hostCopy->span() * kWordBytes
+                                       : request.bytes;
+    SW_CHECK(copyBytes <= request.bytes,
+             strCat("RMA host copy of ", copyBytes,
+                    " bytes exceeds its modelled ", request.bytes, " bytes"));
     const double* src =
-        spmRange(cpeId_, request.srcSpmOffsetBytes, request.bytes);
+        spmRange(cpeId_, request.srcSpmOffsetBytes, request.bytes, 0);
     const bool isRow = request.isRowBroadcast();
     const int peers =
         isRow ? mesh_.config_.meshCols : mesh_.config_.meshRows;
     for (int p = 0; p < peers; ++p) {
       const int target = isRow ? rid_ * mesh_.config_.meshCols + p
                                : p * mesh_.config_.meshCols + cid_;
-      double* dst = spmRange(target, request.dstSpmOffsetBytes, request.bytes);
-      std::memcpy(dst, src, static_cast<std::size_t>(request.bytes));
+      double* dst = spmRange(target, request.dstSpmOffsetBytes, request.bytes,
+                             copyBytes);
+      std::memcpy(dst, src, static_cast<std::size_t>(copyBytes));
     }
+    rmaCopyBytes_ += peers * copyBytes;
   }
 
   /// Take the next unconsumed round on `channel`, parking until it is sent;
@@ -880,6 +938,7 @@ class CpeFiber final : public CpeServices {
   std::int64_t syncOccurrence_ = 0;
   /// HostArray pointers by interned array id, resolved lazily per run.
   std::vector<HostArray*> arrayCache_;
+  std::int64_t rmaCopyBytes_ = 0;
 
   // --- the fiber and what it is parked on ---
   const Body& body_;
@@ -988,7 +1047,9 @@ MeshRunResult MeshSimulator::run(
     result.perCpeTime.push_back(timing.clock());
     result.perCpeCounters.push_back(timing.counters());
     result.totals.add(timing.counters());
+    result.hostRmaCopyBytes += cpe->rmaCopyBytes();
   }
+  result.hostSpmDirtyBytes = (*arena).writtenBytes();
   result.time = addTicks(
       *std::max_element(result.perCpeTime.begin(), result.perCpeTime.end()),
       config_.spawnOverheadTime());

@@ -19,9 +19,12 @@
 // Host memory: a run leases its fiber stacks and SPMs as one arena from a
 // process-wide free list and gives it back when it ends, however it ends,
 // so a run pays for the pages its kernel touches and not for the mesh.
-// Every SPM is all zero at the start of every run: a lease re-zeroes each
-// CPE's SPM only up to the high-water of what the previous run touched
-// through the extent-checked accessors.  The arenas hold the pages runs
+// Every SPM is all zero at the start of every run: the extent-checked
+// accessors mark each 1 KiB SPM block a run writes, and the next lease
+// re-zeroes only those blocks; a read marks nothing.  A broadcast copies
+// to its receivers only the live rows its request names (the sender's
+// edge-tile clamp, RmaRequest::hostCopy), while its checks, timing and
+// counters cover the whole modelled tile.  The arenas hold the pages runs
 // touched, times the peak number of concurrent runs, until the process
 // exits.  On x86-64 a fiber switch saves the callee-saved registers and
 // swaps the stack pointer without a system call; other ISAs use
@@ -51,6 +54,11 @@ struct MeshRunResult {
   /// Raw counters of each CPE in mesh order (rid * meshCols + cid), for
   /// per-lane attribution and the counter-invariant tests.
   std::vector<CpeCounters> perCpeCounters;
+  /// Host work of the functional run, not of the modelled machine: bytes
+  /// the RMA copies wrote, summed over receivers, and SPM bytes the run
+  /// wrote (whole 1 KiB blocks), which the next run's lease re-zeroes.
+  std::int64_t hostRmaCopyBytes = 0;
+  std::int64_t hostSpmDirtyBytes = 0;
 };
 
 class MeshSimulator {

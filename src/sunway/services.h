@@ -20,6 +20,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -64,13 +65,34 @@ enum class RmaKind {
   kColBroadcast,
 };
 
+/// The leading part of an SPM tile: `rows` rows of `cols` doubles, the
+/// rows `stride` doubles apart, from the tile's first word.  An edge-tile
+/// DMA writes such a part of its full-tile layout.
+struct TileExtent {
+  std::int64_t rows = 0;
+  std::int64_t cols = 0;
+  std::int64_t stride = 0;
+
+  /// Doubles from the first live word to the last one; 0 when empty.
+  [[nodiscard]] std::int64_t span() const {
+    return rows > 0 && cols > 0 ? (rows - 1) * stride + cols : 0;
+  }
+};
+
 /// A fully evaluated RMA message.
 struct RmaRequest {
   RmaKind kind = RmaKind::kRowBroadcast;
   bool isSender = false;
+  /// The modelled transfer: the whole tile.  Timing, counters and every
+  /// SPM bounds check use it.
   std::int64_t bytes = 0;
   std::int64_t srcSpmOffsetBytes = 0;  // sender-side staging buffer
   std::int64_t dstSpmOffsetBytes = 0;  // receive buffer
+  /// What the functional mesh copies to each receiver, at the same offsets:
+  /// the sender's live part of the tile when set (it lies inside `bytes`),
+  /// else all `bytes`.  The host copy is not the modelled transfer, so it
+  /// changes no simulated number.
+  std::optional<TileExtent> hostCopy;
   std::string slot;
   /// Dense id from CpeServices::internSlot.
   int slotId = -1;
@@ -251,9 +273,16 @@ class CpeServices {
   /// The `count` doubles of this CPE's SPM from `offsetBytes`
   /// (element-aligned), checked over their whole extent: a range that does
   /// not fit raises a ProtocolError naming the CPE.  The caller may read
-  /// and write exactly that range.  nullptr in timing-only mode.
+  /// that range and write its first `writeCount` doubles (0 for a read).
+  /// The functional mesh re-zeroes what was written before its next run,
+  /// so a read costs nothing later.  nullptr in timing-only mode.
   [[nodiscard]] virtual double* spmPtr(std::int64_t offsetBytes,
-                                       std::int64_t count) = 0;
+                                       std::int64_t count,
+                                       std::int64_t writeCount) = 0;
+  /// The same range, all of which the caller may write.
+  [[nodiscard]] double* spmPtr(std::int64_t offsetBytes, std::int64_t count) {
+    return spmPtr(offsetBytes, count, count);
+  }
 
   /// The steady-state interface of a timing-only runtime whose iterations
   /// may be fast-forwarded; nullptr (the default) steps every op.  The

@@ -70,7 +70,7 @@ ScheduleSearchResult::ScheduleSearchResult(
   }
   for (std::size_t i = 0; i < candidates_.size(); ++i) {
     const CandidateResult& c = candidates_[i];
-    if (!c.feasible) continue;
+    if (!c.feasible || c.validationFailed) continue;
     if (c.estimatedGflops > bestScore) {
       bestScore = c.estimatedGflops;
       bestIndex_ = i;
@@ -83,7 +83,7 @@ const CandidateResult& ScheduleSearchResult::best() const {
   if (!hasBest_ || bestIndex_ >= candidates_.size())
     throw InputError(
         "ScheduleSearchResult::best(): the search found no feasible "
-        "schedule candidate");
+        "schedule candidate that did not fail validation");
   return candidates_[bestIndex_];
 }
 
@@ -262,6 +262,7 @@ ScheduleSearchResult searchSchedules(const core::CodegenOptions& base,
         validateSpan.addArg(trace::arg("gflops", outcome.gflops));
       }
     } catch (const Error& e) {
+      result.validationFailed = true;
       result.note = strCat(result.note, "; validation failed: ", e.what());
       validateSpan.addArg(trace::arg("error", e.what()));
     }

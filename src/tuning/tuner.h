@@ -75,6 +75,9 @@ struct CandidateResult {
   /// GFLOPS (at the validation shape, which result.validationShape names).
   bool validated = false;
   double measuredGflops = 0.0;
+  /// Stage 2 ran this candidate's mesh run and it threw (`note` says
+  /// why): such a candidate never wins, whatever its estimate.
+  bool validationFailed = false;
   perf::PerfReport report;
 
   [[nodiscard]] std::string label() const { return candidate.label(); }
@@ -87,7 +90,8 @@ class ScheduleSearchResult {
   ScheduleSearchResult() = default;
   /// Build from a candidate list, selecting the best feasible entry
   /// (validated measurement when decisive, else the stage-1 estimate;
-  /// strict improvement only, so earlier entries win ties).
+  /// strict improvement only, so earlier entries win ties).  A candidate
+  /// whose validation failed is never selected.
   /// `measurementDecides` marks the measured GFLOPS as rank-authoritative
   /// (validation ran at the full problem shape).
   explicit ScheduleSearchResult(std::vector<CandidateResult> candidates,

@@ -55,8 +55,9 @@ class SteppedServices final : public sunway::CpeServices {
     inner_.waitSlot(slotId, isRma, isRow);
   }
   sunway::CpeTiming& timing() override { return inner_.timing(); }
-  double* spmPtr(std::int64_t offsetBytes, std::int64_t count) override {
-    return inner_.spmPtr(offsetBytes, count);
+  double* spmPtr(std::int64_t offsetBytes, std::int64_t count,
+                 std::int64_t writeCount) override {
+    return inner_.spmPtr(offsetBytes, count, writeCount);
   }
   SimTime clock() const { return inner_.clock(); }
   const CpeCounters& counters() const { return inner_.counters(); }

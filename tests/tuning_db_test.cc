@@ -238,6 +238,42 @@ TEST(ResolveSchedule, SecondCallServesFromTheTuningDb) {
   EXPECT_EQ(reloaded.stats().tuneSearches, 0);
 }
 
+TEST(ResolveSchedule, NeverStoresAScheduleWhoseValidationFailed) {
+  // The search's top estimate threw in its mesh run, at a proxy shape
+  // (so the estimate ranks): the service must store the runner-up.
+  const sunway::ArchConfig arch;
+  KernelServiceConfig config;
+  config.tuningDir = scratchDir("resolve_failed_validation");
+  KernelService service(arch, config);
+  service.setSearchFnForTest([](const core::CodegenOptions&,
+                                const sunway::ArchConfig&,
+                                const core::GemmProblem&, const TunerConfig&) {
+    std::vector<CandidateResult> candidates(2);
+    candidates[0].feasible = true;
+    candidates[0].candidate.tileM = 128;
+    candidates[0].estimatedGflops = 500.0;
+    candidates[0].validationFailed = true;
+    candidates[0].note = "validation failed: mesh deadlock";
+    candidates[1].feasible = true;
+    candidates[1].candidate.tileM = 32;
+    candidates[1].estimatedGflops = 100.0;
+    candidates[1].validated = true;
+    candidates[1].measuredGflops = 90.0;
+    return ScheduleSearchResult(std::move(candidates));
+  });
+  const core::GemmProblem problem{96, 96, 96};
+  const KernelService::ResolvedSchedule resolved =
+      service.resolveSchedule(core::CodegenOptions{}, problem);
+  EXPECT_EQ(resolved.options.tileM, 32);
+  EXPECT_DOUBLE_EQ(resolved.record.gflops, 100.0);
+
+  KernelService reloaded(arch, config);
+  const KernelService::ResolvedSchedule stored =
+      reloaded.resolveSchedule(core::CodegenOptions{}, problem);
+  EXPECT_EQ(stored.source, KernelService::ResolvedSchedule::Source::kDiskHit);
+  EXPECT_EQ(stored.options.tileM, 32);
+}
+
 TEST(ResolveSchedule, NoDirectoriesStillSearches) {
   std::atomic<int> searches{0};
   KernelService service(sunway::ArchConfig{}, KernelServiceConfig{});

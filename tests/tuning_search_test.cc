@@ -294,6 +294,45 @@ TEST(ScheduleSearch, MeasurementDecidesOnlyWhenMarked) {
   EXPECT_DOUBLE_EQ(byMeasurement.best().measuredGflops, 20.0);
 }
 
+/// Three feasible candidates, best estimate first: the top one's mesh run
+/// threw, the second validated, the third ranked below the validation cut.
+std::vector<CandidateResult> topEstimateFailedValidation() {
+  std::vector<CandidateResult> candidates(3);
+  candidates[0].feasible = true;
+  candidates[0].estimatedGflops = 100.0;
+  candidates[0].validationFailed = true;
+  candidates[0].note = "vendor micro-kernel; validation failed: mesh deadlock";
+  candidates[1].feasible = true;
+  candidates[1].estimatedGflops = 50.0;
+  candidates[1].validated = true;
+  candidates[1].measuredGflops = 20.0;
+  candidates[2].feasible = true;
+  candidates[2].estimatedGflops = 10.0;
+  return candidates;
+}
+
+TEST(ScheduleSearch, FailedValidationNeverWins) {
+  // At the full shape the measurement decides; at a proxy shape the
+  // estimate does.  Either way the schedule whose run threw is out.
+  for (const bool fullShape : {true, false}) {
+    const ScheduleSearchResult result(topEstimateFailedValidation(),
+                                      fullShape);
+    EXPECT_DOUBLE_EQ(result.best().estimatedGflops, 50.0) << fullShape;
+  }
+  // When every validation threw, no measurement decides: the best
+  // estimate that did not fail wins, even one never validated.
+  std::vector<CandidateResult> allFailed = topEstimateFailedValidation();
+  allFailed[1].validated = false;
+  allFailed[1].validationFailed = true;
+  const ScheduleSearchResult fallback(allFailed, /*measurementDecides=*/true);
+  EXPECT_DOUBLE_EQ(fallback.best().estimatedGflops, 10.0);
+  // With nothing else left there is no best at all.
+  allFailed.pop_back();
+  const ScheduleSearchResult none(std::move(allFailed));
+  EXPECT_FALSE(none.hasBest());
+  EXPECT_THROW((void)none.best(), sw::InputError);
+}
+
 // --- ranking lowers what compile() prints ------------------------------
 
 /// The plan's instruction stream and every table it indexes have the same

@@ -106,6 +106,8 @@ sw::rt::RunOutcome asRunOutcome(const sw::core::ShardedOutcome& sharded,
   outcome.counters = sharded.counters;
   outcome.report = sharded.report;
   outcome.hostCopyBytes = sharded.hostCopyBytes;
+  outcome.hostRmaCopyBytes = sharded.hostRmaCopyBytes;
+  outcome.hostSpmDirtyBytes = sharded.hostSpmDirtyBytes;
   return outcome;
 }
 
@@ -296,6 +298,10 @@ void printRunMetrics(const std::string& title,
               static_cast<long long>(outcome.counters.rmaBroadcastsSent));
   std::printf("  %-24s %12lld\n", "mesh barriers",
               static_cast<long long>(outcome.counters.syncs));
+  if (outcome.report.engine.ends_with("mesh"))  // the run's host work
+    std::printf("  %-24s %12lld RMA copy bytes, %lld SPM bytes to re-zero\n",
+                "host", static_cast<long long>(outcome.hostRmaCopyBytes),
+                static_cast<long long>(outcome.hostSpmDirtyBytes));
   if (outcome.counters.faultsInjected > 0 || outcome.counters.dmaRetries > 0) {
     std::printf("  %-24s %12lld\n", "faults injected",
                 static_cast<long long>(outcome.counters.faultsInjected));
