@@ -101,21 +101,21 @@ inline void printRule(int width) {
   std::putchar('\n');
 }
 
-/// Publishes the simulated-run metrics of an outcome as benchmark counters
-/// so `--benchmark_format=json` carries the observability gauges next to
-/// "sim_gflops" (overlap/stall/occupancy percentages and the SPM
-/// high-water mark in KB).
+/// Publishes the simulated-run numbers of an outcome as benchmark counters
+/// so `--benchmark_format=json` carries them next to "sim_gflops": the
+/// overlap and compute shares from the run's report, and the SPM
+/// high-water mark in KB from the kernel's program.
 inline void exportRunCounters(benchmark::State& state,
                               const rt::RunOutcome& outcome,
+                              const codegen::KernelProgram& program,
                               const sunway::ArchConfig& arch) {
   state.counters["sim_gflops"] = outcome.gflops;
   state.counters["pct_peak"] = 100.0 * outcome.gflops /
                                (arch.peakFlops() / 1e9);
-  state.counters["overlap_pct"] = outcome.metrics.overlapPct;
-  state.counters["stall_pct"] = outcome.metrics.stallPct;
-  state.counters["compute_pct"] = outcome.metrics.computePct;
+  state.counters["overlap_pct"] = outcome.report.overlapPct;
+  state.counters["compute_pct"] = outcome.report.attribution.computePct;
   state.counters["spm_high_water_kb"] =
-      static_cast<double>(outcome.metrics.spmHighWaterBytes) / 1024.0;
+      static_cast<double>(program.spmBytesUsed()) / 1024.0;
   state.counters["ceiling_utilization"] =
       outcome.report.roofline.ceilingUtilization;
 }

@@ -68,7 +68,7 @@ void benchVariant(benchmark::State& state, const std::string& caseName,
   static KernelCache cache;
   rt::RunOutcome outcome;
   for (auto _ : state) outcome = cache.estimate(options, shape);
-  exportRunCounters(state, outcome, cache.arch());
+  exportRunCounters(state, outcome, cache.get(options).program, cache.arch());
   exportCaseReport(caseName, outcome);
 }
 

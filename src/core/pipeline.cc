@@ -14,7 +14,6 @@
 #include "support/format.h"
 #include "support/logging.h"
 #include "support/math_util.h"
-#include "support/metrics.h"
 #include "support/trace.h"
 
 namespace sw::core {
@@ -879,13 +878,6 @@ PipelineResult lowerSchedule(const CodegenOptions& options,
   stage->addArg(trace::arg("staticOps", staticOps));
   stage.reset();
 
-  metrics::MetricsRegistry& registry = metrics::MetricsRegistry::global();
-  registry.set("compile.static_ops", static_cast<double>(staticOps));
-  registry.set("compile.spm_bytes",
-               static_cast<double>(result.program.spmBytesUsed()));
-  registry.set("compile.spm_buffers",
-               static_cast<double>(result.program.buffers.size()));
-  registry.add("compile.pipeline_runs", 1.0);
   SW_INFO("pipeline", "event=pipeline_done static_ops=", staticOps,
           " spm_bytes=", result.program.spmBytesUsed(),
           " buffers=", result.program.buffers.size());

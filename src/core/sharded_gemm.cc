@@ -14,6 +14,7 @@
 #include "support/format.h"
 #include "support/logging.h"
 #include "support/math_util.h"
+#include "support/metrics.h"
 
 namespace sw::core {
 

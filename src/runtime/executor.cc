@@ -1,12 +1,11 @@
 #include "runtime/executor.h"
 
-#include <algorithm>
-
 #include "runtime/plan.h"
 #include "sunway/estimator.h"
 #include "support/error.h"
 #include "support/format.h"
 #include "support/logging.h"
+#include "support/metrics.h"
 #include "support/trace.h"
 
 namespace sw::rt {
@@ -61,6 +60,7 @@ void fillSampleCounters(const sunway::CpeCounters& totals,
   sample.rmaStallSeconds = toSeconds(totals.rmaStallTicks);
   sample.syncStallSeconds = toSeconds(totals.syncStallTicks);
   sample.retryStallSeconds = toSeconds(totals.retryStallTicks);
+  sample.waitStallSeconds = toSeconds(totals.waitStallTicks);
   sample.dmaBusySeconds = toSeconds(totals.dmaBusyTicks);
   sample.rmaBusySeconds = toSeconds(totals.rmaBusyTicks);
   sample.dmaMessages = totals.dmaMessages;
@@ -114,31 +114,6 @@ perf::MachineModel machineModelFromArch(const sunway::ArchConfig& config,
   return machine;
 }
 
-metrics::DerivedRunMetrics deriveRunMetrics(
-    const sunway::CpeCounters& totals, sunway::SimTime wall, int cpeCount,
-    const codegen::KernelProgram& program, std::int64_t spmBudgetBytes) {
-  using sunway::toSeconds;
-  metrics::DerivedRunMetrics m;
-  const double busy = toSeconds(totals.dmaBusyTicks) +
-                      toSeconds(totals.rmaBusyTicks);
-  const double waitStall = toSeconds(totals.waitStallTicks);
-  const double compute = toSeconds(totals.computeTicks);
-  const double hidden = std::clamp(busy - waitStall, 0.0, busy);
-  // safePct maps an idle engine (busy == 0) to 0%, never NaN.
-  m.overlapPct = metrics::safePct(hidden, busy);
-  m.stallPct = metrics::safePct(waitStall, compute + waitStall);
-  const double aggregateWall = toSeconds(wall) * static_cast<double>(cpeCount);
-  m.computePct = std::min(100.0, metrics::safePct(compute, aggregateWall));
-  m.spmHighWaterBytes = program.spmBytesUsed();
-  m.spmBudgetBytes = spmBudgetBytes;
-  if (spmBudgetBytes > 0)
-    m.spmBudgetPct = 100.0 * static_cast<double>(m.spmHighWaterBytes) /
-                     static_cast<double>(spmBudgetBytes);
-  for (const codegen::SpmBufferDecl& buffer : program.buffers)
-    m.perBufferBytes[buffer.set] = buffer.totalBytes();
-  return m;
-}
-
 std::map<std::string, std::int64_t> bindParams(
     const codegen::KernelProgram& program, std::int64_t m, std::int64_t n,
     std::int64_t k, std::int64_t batch) {
@@ -183,24 +158,18 @@ RunOutcome runOnMesh(sunway::MeshSimulator& mesh,
           runCpeProgram(program, params, scalars, services);
       });
   RunOutcome outcome;
-  outcome.engine = plan != nullptr ? "plan" : "tree";
   outcome.time = meshResult.time;
   outcome.seconds = sunway::toSeconds(meshResult.time);
   outcome.gflops = metrics::safeDiv(reportedFlops, outcome.seconds) / 1e9;
   outcome.counters = meshResult.totals;
   outcome.hostRmaCopyBytes = meshResult.hostRmaCopyBytes;
   outcome.hostSpmDirtyBytes = meshResult.hostSpmDirtyBytes;
-  outcome.metrics =
-      deriveRunMetrics(meshResult.totals, meshResult.time,
-                       mesh.config().meshSize(), program,
-                       mesh.config().spmBytes);
-  outcome.metrics.publish(metrics::MetricsRegistry::global(), "run.mesh.");
   outcome.report =
       buildRunReport(program, "mesh", params, meshResult.time,
                      mesh.config().meshSize(), reportedFlops,
                      meshResult.totals, mesh.config());
-  // Resilience counters accumulate across runs (unlike the per-run gauges
-  // above) so a degrading service call keeps the full fault history.
+  // Failure-path events accumulate across runs in the registry, so a
+  // degrading service call keeps the full fault history.
   if (meshResult.totals.faultsInjected > 0)
     metrics::MetricsRegistry::global().add(
         "fault.injected", static_cast<double>(meshResult.totals.faultsInjected));
@@ -209,8 +178,7 @@ RunOutcome runOnMesh(sunway::MeshSimulator& mesh,
         "dma.retries", static_cast<double>(meshResult.totals.dmaRetries));
   SW_DEBUG("executor", "event=mesh_run kernel=", program.name,
            " sim_seconds=", outcome.seconds, " gflops=", outcome.gflops,
-           " overlap_pct=", outcome.metrics.overlapPct,
-           " stall_pct=", outcome.metrics.stallPct);
+           " overlap_pct=", outcome.report.overlapPct);
   return outcome;
 }
 
@@ -233,15 +201,9 @@ RunOutcome estimateTiming(const sunway::ArchConfig& config,
   } catch (const sunway::ClockRangeError& error) {
     throwClockRangeFor(program, params, error);
   }
-  outcome.engine = plan != nullptr ? "plan" : "tree";
   outcome.seconds = sunway::toSeconds(outcome.time);
   outcome.gflops = metrics::safeDiv(reportedFlops, outcome.seconds) / 1e9;
   outcome.counters = services.counters();
-  outcome.metrics = deriveRunMetrics(outcome.counters, outcome.time,
-                                     /*cpeCount=*/1, program,
-                                     config.spmBytes);
-  outcome.metrics.publish(metrics::MetricsRegistry::global(),
-                          "run.estimate.");
   outcome.report =
       buildRunReport(program, "estimator", params, outcome.time,
                      /*cpeCount=*/1, reportedFlops, outcome.counters,
@@ -250,8 +212,7 @@ RunOutcome estimateTiming(const sunway::ArchConfig& config,
       steadyStateReport(services.steadyStateStats(), outcome.time);
   SW_DEBUG("executor", "event=estimate kernel=", program.name,
            " sim_seconds=", outcome.seconds, " gflops=", outcome.gflops,
-           " overlap_pct=", outcome.metrics.overlapPct,
-           " stall_pct=", outcome.metrics.stallPct);
+           " overlap_pct=", outcome.report.overlapPct);
   return outcome;
 }
 

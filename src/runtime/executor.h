@@ -11,7 +11,6 @@
 #include "runtime/interpreter.h"
 #include "sunway/arch.h"
 #include "sunway/mesh.h"
-#include "support/metrics.h"
 #include "support/perf_report.h"
 
 namespace sw::rt {
@@ -33,16 +32,11 @@ struct RunOutcome {
   sunway::SimTime time = 0;
   double seconds = 0.0;
   double gflops = 0.0;
-  /// Engine that produced this outcome: "plan" or "tree" (the estimator
-  /// reports the engine it stepped with).
-  std::string engine = "plan";
   sunway::CpeCounters counters;
-  /// Derived gauges (overlap %, stall %, SPM high-water vs. budget,
-  /// per-buffer bytes); filled by runOnMesh / estimateTiming.
-  metrics::DerivedRunMetrics metrics;
-  /// The run's explanation layer: time attribution, roofline position and
-  /// top bottleneck (see support/perf_report.h); filled by runOnMesh /
-  /// estimateTiming for both engines.
+  /// The run's only record of its derived numbers: time attribution,
+  /// overlap, roofline position and top bottleneck (see
+  /// support/perf_report.h); filled by runOnMesh / estimateTiming for both
+  /// engines.  Nothing is copied into the metrics registry.
   perf::PerfReport report;
   /// Bytes runGemmFunctional copied between the caller's arrays and padded
   /// shadow arrays (pack + unpack).  Zero on the edge-tile path, which
@@ -81,13 +75,6 @@ void fillSampleCounters(const sunway::CpeCounters& totals,
     const std::map<std::string, std::int64_t>& params, sunway::SimTime wall,
     int cpeCount, double reportedFlops, const sunway::CpeCounters& totals,
     const sunway::ArchConfig& config);
-
-/// Compute the derived gauges from one run's aggregate counters.
-/// `cpeCount` is the number of CPEs the counters were summed over (64 for
-/// a mesh run, 1 for the symmetric estimator).
-metrics::DerivedRunMetrics deriveRunMetrics(
-    const sunway::CpeCounters& totals, sunway::SimTime wall, int cpeCount,
-    const codegen::KernelProgram& program, std::int64_t spmBudgetBytes);
 
 /// Bind program parameter names to concrete (padded) sizes.
 std::map<std::string, std::int64_t> bindParams(

@@ -26,14 +26,12 @@ double nowSeconds() {
       .count();
 }
 
-/// Record one request latency into the named histogram, refresh the
-/// percentile gauges, and return the histogram bucket label so the span
-/// can carry it (coarse timing survives even when the raw trace is off).
+/// Record one request latency into the named histogram and return the
+/// histogram bucket label so the span can carry it (coarse timing
+/// survives even when the raw trace is off).
 std::string recordLatency(const char* histogram, double seconds) {
   const double ms = seconds * 1e3;
   metrics::HistogramRegistry::global().record(histogram, ms);
-  metrics::HistogramRegistry::global().publishPercentiles(
-      metrics::MetricsRegistry::global(), "ms");
   return metrics::Histogram::bucketLabel(metrics::Histogram::bucketIndex(ms));
 }
 
@@ -113,13 +111,11 @@ KernelService::KernelPtr KernelService::serve(const std::string& key,
       lru_.splice(lru_.begin(), lru_, it->second);
       ++stats_.memoryHits;
       *outcome = ServeOutcome::kMemoryHit;
-      publishGaugesLocked();
       return it->second->kernel;
     }
     if (auto it = inflight_.find(key); it != inflight_.end()) {
       ++stats_.shared;
       *outcome = ServeOutcome::kShared;
-      publishGaugesLocked();
       std::shared_future<KernelPtr> future = it->second;
       lock.unlock();
       return future.get();  // rethrows the leader's failure, if any
@@ -133,13 +129,11 @@ KernelService::KernelPtr KernelService::serve(const std::string& key,
     promise.set_value(kernel);
     std::lock_guard<std::mutex> lock(mutex_);
     inflight_.erase(key);
-    publishGaugesLocked();
     return kernel;
   } catch (...) {
     promise.set_exception(std::current_exception());
     std::lock_guard<std::mutex> lock(mutex_);
     inflight_.erase(key);
-    publishGaugesLocked();
     throw;
   }
 }
@@ -165,21 +159,6 @@ KernelService::KernelPtr KernelService::produce(const std::string& key,
   stats_.entries = lru_.size();
   *outcome = ServeOutcome::kCompiled;
   return kernel;
-}
-
-void KernelService::publishGaugesLocked() const {
-  metrics::MetricsRegistry& registry = metrics::MetricsRegistry::global();
-  registry.set("service.cache.requests",
-               static_cast<double>(stats_.requests));
-  registry.set("service.cache.memory_hits",
-               static_cast<double>(stats_.memoryHits));
-  registry.set("service.cache.compiles",
-               static_cast<double>(stats_.compiles));
-  registry.set("service.cache.shared", static_cast<double>(stats_.shared));
-  registry.set("service.cache.evictions",
-               static_cast<double>(stats_.evictions));
-  registry.set("service.cache.entries", static_cast<double>(stats_.entries));
-  registry.set("service.cache.hit_rate", stats_.hitRate());
 }
 
 std::vector<KernelService::BatchResult> KernelService::compileBatch(
@@ -253,7 +232,9 @@ KernelServiceStats KernelService::stats() const {
   // lock order everywhere is tuneMutex_ before mutex_.
   std::lock_guard<std::mutex> tuneLock(tuneMutex_);
   std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
+  KernelServiceStats stats = stats_;
+  stats.tuningDb = tuningDb_.stats();
+  return stats;
 }
 
 // --- graceful degradation -----------------------------------------------
@@ -396,18 +377,6 @@ std::string KernelService::tuningDbPath(const std::string& tuneKey) const {
   return tuningDb_.pathForKey(tuneKey);
 }
 
-void KernelService::publishTunerGaugesLocked() const {
-  metrics::MetricsRegistry& registry = metrics::MetricsRegistry::global();
-  registry.set("tuner.searches", static_cast<double>(stats_.tuneSearches));
-  registry.set("tuner.db_hits", static_cast<double>(stats_.tuneDbHits));
-  registry.set("tuner.shared", static_cast<double>(stats_.tuneShared));
-  const tuning::TuningDbStats& db = tuningDb_.stats();
-  registry.set("tuner.db_misses", static_cast<double>(db.misses));
-  registry.set("tuner.db_corrupt", static_cast<double>(db.corrupt));
-  registry.set("tuner.db_stale", static_cast<double>(db.stale));
-  registry.set("tuner.db_stores", static_cast<double>(db.stores));
-}
-
 tuning::TunedScheduleRecord KernelService::produceSchedule(
     const std::string& tuneKey, const core::CodegenOptions& base,
     const core::GemmProblem& problem, bool* fromDisk) {
@@ -503,7 +472,6 @@ KernelService::ResolvedSchedule KernelService::resolveSchedule(
       {
         std::lock_guard<std::mutex> relock(tuneMutex_);
         ++stats_.tuneShared;
-        publishTunerGaugesLocked();
       }
       return finish(std::move(record), ResolvedSchedule::Source::kShared,
                     "shared");
@@ -520,7 +488,6 @@ KernelService::ResolvedSchedule KernelService::resolveSchedule(
     {
       std::lock_guard<std::mutex> lock(tuneMutex_);
       tuneInflight_.erase(tuneKey);
-      publishTunerGaugesLocked();
     }
     return finish(std::move(record),
                   fromDisk ? ResolvedSchedule::Source::kDiskHit
@@ -530,7 +497,6 @@ KernelService::ResolvedSchedule KernelService::resolveSchedule(
     promise.set_exception(std::current_exception());
     std::lock_guard<std::mutex> lock(tuneMutex_);
     tuneInflight_.erase(tuneKey);
-    publishTunerGaugesLocked();
     throw;
   }
 }

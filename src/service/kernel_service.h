@@ -19,9 +19,10 @@
 // identical kernels — which tests/compile_determinism_test.cc guards.
 //
 // Observability: every request opens a trace span on its worker thread
-// ("service.request", outcome=memory_hit|compile|shared) and the service
-// publishes "service.cache.*" gauges (requests, memory_hits, compiles,
-// shared, evictions, entries, hit_rate) into the global MetricsRegistry.
+// ("service.request", outcome=memory_hit|compile|shared) and records its
+// latency in the "service.compile_latency" histogram.  The cache, tuner
+// and tuning-DB counts live in stats() alone; the metrics registry gets
+// only the degrade steps of runResilient.
 #pragma once
 
 #include <cstdint>
@@ -82,6 +83,8 @@ struct KernelServiceStats {
   std::int64_t tuneSearches = 0;
   std::int64_t tuneDbHits = 0;
   std::int64_t tuneShared = 0;
+  /// The tuning database's own lookup and store counts.
+  tuning::TuningDbStats tuningDb;
 
   /// Requests served without a pipeline run / all requests, in [0,1].
   [[nodiscard]] double hitRate() const {
@@ -220,8 +223,8 @@ class KernelService {
   /// persist the winner.  Thread-safe with single-flight semantics —
   /// concurrent calls for the same tune key trigger exactly one search,
   /// the rest share its record.  Search failures (e.g. nothing feasible)
-  /// propagate to every waiter.  Emits "tuner.resolve" spans and
-  /// `tuner.*` gauges.
+  /// propagate to every waiter.  Emits "tuner.resolve" spans and records
+  /// the "tuner.resolve_latency" histogram; the counts land in stats().
   ResolvedSchedule resolveSchedule(const core::CodegenOptions& base,
                                    const core::GemmProblem& problem);
 
@@ -259,13 +262,11 @@ class KernelService {
   /// compiling.
   KernelPtr produce(const std::string& key, const Producer& producer,
                     ServeOutcome* outcome);
-  void publishGaugesLocked() const;
 
   /// Leader path of resolveSchedule: DB lookup, search, store.
   tuning::TunedScheduleRecord produceSchedule(
       const std::string& tuneKey, const core::CodegenOptions& base,
       const core::GemmProblem& problem, bool* fromDisk);
-  void publishTunerGaugesLocked() const;
 
   CompileFn compileFn_;
   RunFn runFn_;  // empty = core::runGemmFunctional against arch_

@@ -23,14 +23,12 @@ double steadyNowSeconds() {
       .count();
 }
 
-/// Record one queue-wait latency (ms) and refresh the percentile gauges;
-/// returns the bucket label for the request's trace span.
+/// Record one queue-wait latency (ms); returns the bucket label for the
+/// request's trace span.
 std::string recordQueueWait(double seconds) {
   const double ms = seconds * 1e3;
   metrics::HistogramRegistry::global().record("service.admission.queue_wait",
                                               ms);
-  metrics::HistogramRegistry::global().publishPercentiles(
-      metrics::MetricsRegistry::global(), "ms");
   return metrics::Histogram::bucketLabel(metrics::Histogram::bucketIndex(ms));
 }
 
@@ -84,7 +82,6 @@ double ServiceFrontend::admit(const RequestContext& ctx, const char* what) {
       std::lock_guard<std::mutex> lock(mutex_);
       ++stats_.submitted;
       ++stats_.shedDeadlineAtEnqueue;
-      publishGaugesLocked();
     }
     countShed("deadline");
     throw OverloadError(
@@ -98,7 +95,6 @@ double ServiceFrontend::admit(const RequestContext& ctx, const char* what) {
       std::lock_guard<std::mutex> lock(mutex_);
       ++stats_.submitted;
       ++stats_.shedQuota;
-      publishGaugesLocked();
     }
     countShed("quota");
     throw OverloadError(OverloadKind::kQuotaExhausted, ctx.tenant,
@@ -120,7 +116,6 @@ std::future<CompileResponse> ServiceFrontend::submitCompile(
     {
       std::lock_guard<std::mutex> lock(mutex_);
       ++stats_.breakerFastFails;
-      publishGaugesLocked();
     }
     countShed("circuit_open");
     throw OverloadError(OverloadKind::kCircuitOpen, ctx.tenant,
@@ -161,7 +156,6 @@ std::future<CompileResponse> ServiceFrontend::submitCompile(
         countShed("queue_full");
       } else {
         ++stats_.shedQueueFull;
-        publishGaugesLocked();
         lock.unlock();
         countShed("queue_full");
         throw OverloadError(
@@ -174,7 +168,6 @@ std::future<CompileResponse> ServiceFrontend::submitCompile(
     queue_.emplace(QueueKey{-ctx.priority, nextSeq_++}, std::move(item));
     stats_.queueDepth = static_cast<std::int64_t>(queue_.size());
     stats_.queueDepthPeak = std::max(stats_.queueDepthPeak, stats_.queueDepth);
-    publishGaugesLocked();
   }
   cv_.notify_one();
   return future;
@@ -195,7 +188,6 @@ void ServiceFrontend::workerLoop() {
       auto node = queue_.extract(queue_.begin());
       item = std::move(node.mapped());
       stats_.queueDepth = static_cast<std::int64_t>(queue_.size());
-      publishGaugesLocked();
     }
     serveCompile(std::move(item), clock_());
   }
@@ -215,7 +207,6 @@ void ServiceFrontend::serveCompile(Queued item, double dequeuedAt) {
     {
       std::lock_guard<std::mutex> lock(mutex_);
       ++stats_.deadlineMisses;
-      publishGaugesLocked();
     }
     metrics::MetricsRegistry::global().add("service.admission.deadline_miss",
                                            1.0);
@@ -233,7 +224,6 @@ void ServiceFrontend::serveCompile(Queued item, double dequeuedAt) {
     {
       std::lock_guard<std::mutex> lock(mutex_);
       ++stats_.breakerFastFails;
-      publishGaugesLocked();
     }
     countShed("circuit_open");
     item.promise.set_exception(std::make_exception_ptr(
@@ -252,7 +242,6 @@ void ServiceFrontend::serveCompile(Queued item, double dequeuedAt) {
     {
       std::lock_guard<std::mutex> lock(mutex_);
       ++stats_.completed;
-      publishGaugesLocked();
     }
     item.promise.set_value(std::move(response));
   } catch (...) {
@@ -261,7 +250,6 @@ void ServiceFrontend::serveCompile(Queued item, double dequeuedAt) {
     {
       std::lock_guard<std::mutex> lock(mutex_);
       ++stats_.failed;
-      publishGaugesLocked();
     }
     item.promise.set_exception(std::current_exception());
   }
@@ -281,7 +269,6 @@ KernelService::ResilientRunResult ServiceFrontend::runGuarded(
     {
       std::lock_guard<std::mutex> lock(mutex_);
       ++stats_.breakerFastFails;
-      publishGaugesLocked();
     }
     countShed("circuit_open");
     SW_WARN("service", "event=run_breaker_open tenant=", ctx.tenant,
@@ -323,7 +310,6 @@ KernelService::ResolvedSchedule ServiceFrontend::resolveGuarded(
     {
       std::lock_guard<std::mutex> lock(mutex_);
       ++stats_.breakerFastFails;
-      publishGaugesLocked();
     }
     countShed("circuit_open");
     throw OverloadError(OverloadKind::kCircuitOpen, ctx.tenant,
@@ -356,7 +342,6 @@ void ServiceFrontend::shutdown() {
     std::lock_guard<std::mutex> lock(mutex_);
     leftovers.swap(queue_);
     stats_.queueDepth = 0;
-    publishGaugesLocked();
   }
   for (auto& [key, item] : leftovers) {
     item.promise.set_exception(std::make_exception_ptr(
@@ -368,19 +353,6 @@ void ServiceFrontend::shutdown() {
 FrontendStats ServiceFrontend::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return stats_;
-}
-
-void ServiceFrontend::publishGaugesLocked() {
-  metrics::MetricsRegistry& registry = metrics::MetricsRegistry::global();
-  registry.set("service.admission.queue_depth",
-               static_cast<double>(stats_.queueDepth));
-  registry.set("service.admission.queue_depth_peak",
-               static_cast<double>(stats_.queueDepthPeak));
-  registry.set("service.admission.submitted",
-               static_cast<double>(stats_.submitted));
-  registry.set("service.admission.completed",
-               static_cast<double>(stats_.completed));
-  registry.set("service.admission.failed", static_cast<double>(stats_.failed));
 }
 
 }  // namespace sw::service

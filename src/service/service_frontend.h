@@ -25,11 +25,12 @@
 // Rejected work always surfaces as a typed OverloadError; nothing is
 // silently dropped.
 //
-// Observability: `service.admission.*` gauges (queue_depth, enqueued,
-// completed, shed + per-cause breakdown, deadline_miss, breaker_trip,
-// breaker_open.<domain>) in the global MetricsRegistry, a
-// "service.admission.queue_wait" latency histogram, and an
-// "admission.request" trace span per dequeued request.
+// Observability: the admission counts live in stats(); the global
+// MetricsRegistry gets only failure-path `service.admission.*` events
+// (shed + per-cause breakdown, displaced, deadline_miss, breaker_trip,
+// breaker_open.<domain>).  Each dequeued request records the
+// "service.admission.queue_wait" latency histogram and an
+// "admission.request" trace span.
 #pragma once
 
 #include <condition_variable>
@@ -58,7 +59,7 @@ struct CompileResponse {
   double totalSeconds = 0.0;      // enqueue → completion
 };
 
-/// Aggregate admission counters, mirrored into service.admission.* gauges.
+/// Aggregate admission counters: the one home of these numbers.
 struct FrontendStats {
   std::int64_t submitted = 0;
   std::int64_t completed = 0;
@@ -156,7 +157,6 @@ class ServiceFrontend {
   /// Shared enqueue-side admission gates; throws OverloadError on shed.
   /// Returns the absolute deadline.
   double admit(const RequestContext& ctx, const char* what);
-  void publishGaugesLocked();
 
   KernelService& service_;
   const AdmissionConfig config_;

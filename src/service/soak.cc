@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 #include <deque>
+#include <map>
 #include <mutex>
 #include <random>
 #include <thread>
@@ -303,17 +304,30 @@ SoakReport runSoak(KernelService& service, const SoakConfig& config) {
   report.wrongAnswers = total.wrongAnswers;
   if (effective.chaosPlan) report.faultPlan = effective.chaosPlan->describe();
   report.breakerTrips = frontend.breakerTrips();
+  report.submitted = frontendStats.submitted;
   report.queueDepthPeak = frontendStats.queueDepthPeak;
   report.displaced = frontendStats.displaced;
   report.wallSeconds = wall;
   report.throughputPerSecond =
       static_cast<double>(report.completed) / wall;
 
+  // The frontend's counts, then the registry's failure-path admission
+  // events, under one sorted set of service.admission.* names.
+  std::map<std::string, double> admission = {
+      {"service.admission.submitted",
+       static_cast<double>(frontendStats.submitted)},
+      {"service.admission.completed",
+       static_cast<double>(frontendStats.completed)},
+      {"service.admission.failed", static_cast<double>(frontendStats.failed)},
+      {"service.admission.queue_depth",
+       static_cast<double>(frontendStats.queueDepth)},
+      {"service.admission.queue_depth_peak",
+       static_cast<double>(frontendStats.queueDepthPeak)},
+  };
   for (const auto& [name, value] :
-       metrics::MetricsRegistry::global().snapshot()) {
-    if (name.rfind("service.admission.", 0) == 0)
-      report.admissionGauges.emplace_back(name, value);
-  }
+       metrics::MetricsRegistry::global().snapshot())
+    if (name.rfind("service.admission.", 0) == 0) admission.emplace(name, value);
+  report.admissionGauges.assign(admission.begin(), admission.end());
 
   SW_INFO("service", "event=soak_done offered=", report.offered,
           " completed=", report.completed, " shed=", report.shed.total(),
@@ -384,7 +398,8 @@ std::string SoakReport::toText() const {
       shed.quota, " deadline_at_enqueue=", shed.deadlineAtEnqueue,
       " deadline_miss=", shed.deadlineMiss, " circuit_open=",
       shed.circuitOpen, " shutdown=", shed.shutdown, "\n",
-      "  admission           queue_depth_peak=", queueDepthPeak,
+      "  admission           submitted=", submitted,
+      " queue_depth_peak=", queueDepthPeak,
       " displaced=", displaced, " breaker_trips=", breakerTrips, "\n",
       "  throughput          ", strCat(throughputPerSecond), " req/s over ",
       strCat(wallSeconds), " s\n");

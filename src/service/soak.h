@@ -101,14 +101,16 @@ struct SoakReport {
   std::string faultPlan;  // human description; empty without chaos
 
   std::int64_t breakerTrips = 0;
+  std::int64_t submitted = 0;  // FrontendStats::submitted
   std::int64_t queueDepthPeak = 0;
   std::int64_t displaced = 0;
 
   double wallSeconds = 0.0;
   double throughputPerSecond = 0.0;
 
-  /// The service.admission.* gauge snapshot at report time (name → value),
-  /// embedded so the JSON report carries the admission counters verbatim.
+  /// The frontend's stats() (submitted, completed, failed, queue_depth,
+  /// queue_depth_peak) plus the registry's failure-path service.admission.*
+  /// events, sorted by name: the JSON report's service_admission_metrics.
   std::vector<std::pair<std::string, double>> admissionGauges;
 
   [[nodiscard]] std::string toJson() const;

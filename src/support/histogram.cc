@@ -5,8 +5,6 @@
 #include <cstdio>
 #include <limits>
 
-#include "support/metrics.h"
-
 namespace sw::metrics {
 
 int Histogram::bucketIndex(double value) {
@@ -137,19 +135,6 @@ bool HistogramRegistry::has(const std::string& name) const {
 void HistogramRegistry::clear() {
   std::lock_guard<std::mutex> lock(mutex_);
   histograms_.clear();
-}
-
-void HistogramRegistry::publishPercentiles(MetricsRegistry& registry,
-                                           const std::string& unit) const {
-  const std::map<std::string, Histogram> snap = snapshot();
-  for (const auto& [name, histogram] : snap) {
-    registry.set(name + ".count", static_cast<double>(histogram.count()));
-    registry.set(name + ".p50_" + unit, histogram.percentile(50.0));
-    registry.set(name + ".p90_" + unit, histogram.percentile(90.0));
-    registry.set(name + ".p99_" + unit, histogram.percentile(99.0));
-    registry.set(name + ".mean_" + unit, histogram.mean());
-    registry.set(name + ".max_" + unit, histogram.maxRecorded());
-  }
 }
 
 }  // namespace sw::metrics

@@ -1,12 +1,11 @@
 // Fixed-bucket log-scale latency histogram with percentile extraction.
 //
-// The flat `service.*` gauges of the metrics registry lose the latency
-// *distribution* — a p99 regression hides completely behind an unchanged
-// mean.  Histogram keeps a fixed array of geometric buckets (8 per decade
-// across 9 decades, values in any unit the caller picks — the kernel
-// service records milliseconds) so recording is O(1), lock-free once the
-// registry hands the caller a reference, and merging/percentiles are exact
-// closed-form functions of the bucket counts.
+// A flat gauge loses the latency *distribution* — a p99 regression hides
+// completely behind an unchanged mean.  Histogram keeps a fixed array of
+// geometric buckets (8 per decade across 9 decades, values in any unit the
+// caller picks — the kernel service records milliseconds) so recording is
+// O(1), lock-free once the registry hands the caller a reference, and
+// merging/percentiles are exact closed-form functions of the bucket counts.
 //
 // Percentile convention (pinned by tests/histogram_test.cc): for a
 // recorded count n, percentile p maps to the continuous rank
@@ -26,8 +25,6 @@
 #include <string>
 
 namespace sw::metrics {
-
-class MetricsRegistry;
 
 class Histogram {
  public:
@@ -73,10 +70,11 @@ class Histogram {
   double max_ = 0.0;
 };
 
-/// Process-wide, thread-safe name → Histogram map, the distribution-aware
-/// sibling of MetricsRegistry.  The kernel service records per-request
-/// compile/run latency here; the CLI's --profile table and tests read the
-/// snapshot back out.
+/// Process-wide, thread-safe name → Histogram map: the one home of the
+/// kernel service's per-request compile/run latency, the tuner's resolve
+/// latency and the admission queue wait.  The CLI's --profile table and
+/// tests read the snapshot back out; nothing copies its percentiles
+/// elsewhere.
 class HistogramRegistry {
  public:
   static HistogramRegistry& global();
@@ -85,13 +83,6 @@ class HistogramRegistry {
   [[nodiscard]] std::map<std::string, Histogram> snapshot() const;
   [[nodiscard]] bool has(const std::string& name) const;
   void clear();
-
-  /// Flatten every histogram's headline stats into gauges of `registry`:
-  /// "<name>.count", "<name>.p50_<unit>", ".p90_<unit>", ".p99_<unit>",
-  /// ".mean_<unit>", ".max_<unit>".  `unit` is a suffix tag only (the
-  /// histogram is unit-agnostic); the service passes "ms".
-  void publishPercentiles(MetricsRegistry& registry,
-                          const std::string& unit) const;
 
  private:
   HistogramRegistry() = default;

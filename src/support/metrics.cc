@@ -1,6 +1,7 @@
 #include "support/metrics.h"
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 
 #include "support/histogram.h"
@@ -52,26 +53,6 @@ std::map<std::string, double> MetricsRegistry::snapshot() const {
 void MetricsRegistry::clear() {
   std::lock_guard<std::mutex> lock(mutex_);
   gauges_.clear();
-}
-
-std::map<std::string, double> DerivedRunMetrics::toGauges(
-    const std::string& prefix) const {
-  std::map<std::string, double> gauges;
-  gauges[prefix + "overlap_pct"] = overlapPct;
-  gauges[prefix + "stall_pct"] = stallPct;
-  gauges[prefix + "compute_pct"] = computePct;
-  gauges[prefix + "spm_high_water_bytes"] =
-      static_cast<double>(spmHighWaterBytes);
-  gauges[prefix + "spm_budget_pct"] = spmBudgetPct;
-  for (const auto& [set, bytes] : perBufferBytes)
-    gauges[prefix + "spm_buffer_bytes." + set] = static_cast<double>(bytes);
-  return gauges;
-}
-
-void DerivedRunMetrics::publish(MetricsRegistry& registry,
-                                const std::string& prefix) const {
-  for (const auto& [name, value] : toGauges(prefix))
-    registry.set(name, value);
 }
 
 namespace {

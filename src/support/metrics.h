@@ -1,15 +1,15 @@
-// Metrics registry and derived run gauges.
+// Metrics registry of failure-path events, and the --profile tables.
 //
-// MetricsRegistry is a process-wide, thread-safe name → gauge map the
-// compiler, tuner and runtimes publish into; the CLI's --profile table and
-// the benchmark harness read it back out.  DerivedRunMetrics packages the
-// per-run gauges computed from raw CpeCounters — overlap %, stall %, SPM
-// high-water mark against the 256 KB budget, per-buffer bytes — and is
-// surfaced through rt::RunOutcome (see runtime/executor.h, which fills it
-// via deriveRunMetrics).
+// MetricsRegistry is a process-wide, thread-safe name → counter map of
+// events that have no other home: sheds by cause, displacements,
+// deadline misses, breaker trips and states, degrade steps, injected
+// faults, DMA retries and mesh deadlocks.  Nothing on the success path of
+// a run, estimate, compile or request writes to it: a run's numbers live
+// in its perf::PerfReport, a kernel's in its program, the kernel
+// service's and the admission frontend's in their stats(), and latency
+// distributions in the HistogramRegistry.  The CLI's --profile prints it.
 #pragma once
 
-#include <cstdint>
 #include <map>
 #include <mutex>
 #include <string>
@@ -43,33 +43,6 @@ class MetricsRegistry {
 
   mutable std::mutex mutex_;
   std::map<std::string, double> gauges_;
-};
-
-/// Gauges derived from one run's aggregate counters (§6/§8 analysis).
-struct DerivedRunMetrics {
-  /// Share of DMA+RMA engine busy time hidden behind compute, in [0,100]:
-  /// 100 * (busy - exposedStall) / busy.  §6's pipelining drives this
-  /// toward 100; issue-and-wait schedules sit near 0.
-  double overlapPct = 0.0;
-  /// Share of CPE active time lost to reply-wait stalls, in [0,100]:
-  /// 100 * stall / (compute + stall).
-  double stallPct = 0.0;
-  /// Share of aggregate CPE wall-clock spent computing, in [0,100].
-  double computePct = 0.0;
-  /// Static SPM high-water mark of the kernel's planned layout.
-  std::int64_t spmHighWaterBytes = 0;
-  /// The architecture's SPM capacity (256 KB on SW26010Pro).
-  std::int64_t spmBudgetBytes = 0;
-  /// 100 * spmHighWaterBytes / spmBudgetBytes.
-  double spmBudgetPct = 0.0;
-  /// Total bytes (all phases) of each planned SPM buffer set.
-  std::map<std::string, std::int64_t> perBufferBytes;
-
-  /// Flatten into gauge form ("<prefix>overlap_pct", ...) for the registry.
-  [[nodiscard]] std::map<std::string, double> toGauges(
-      const std::string& prefix) const;
-  /// Publish all gauges into `registry` under `prefix`.
-  void publish(MetricsRegistry& registry, const std::string& prefix) const;
 };
 
 /// Render a gauge snapshot as the --profile table: gauges grouped by their

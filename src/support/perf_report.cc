@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <vector>
 
 #include "support/format.h"
 #include "support/metrics.h"
@@ -57,6 +56,44 @@ std::string pctString(double pct) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.1f%%", pct);
   return buf;
+}
+
+/// Bottleneck names, in attribution-bucket order.
+constexpr const char* kBucketNames[] = {"compute", "exposed-dma",
+                                        "exposed-rma", "sync", "retry",
+                                        "other"};
+
+/// The counter-backed sentence naming bucket `bucket` (an index into
+/// kBucketNames) at `pct` of aggregate CPE time.
+std::string bucketEvidence(int bucket, double pct, const RunSample& s) {
+  const std::string share = pctString(pct);
+  switch (bucket) {
+    case 0:
+      return strCat(share, " of aggregate CPE time computing (",
+                    s.microKernelCalls, " micro-kernel calls, ",
+                    jsonNumber(s.reportedFlops), " flops reported)");
+    case 1:
+      return strCat(share,
+                    " of aggregate CPE time exposed waiting on DMA replies (",
+                    s.dmaMessages, " messages, ", gbString(s.dmaBytes),
+                    " moved, engine busy ", jsonNumber(s.dmaBusySeconds),
+                    " s)");
+    case 2:
+      return strCat(share,
+                    " of aggregate CPE time exposed waiting on RMA rounds (",
+                    s.rmaBroadcastsSent, " broadcasts, ",
+                    gbString(s.rmaBytesSent), " sent)");
+    case 3:
+      return strCat(share, " of aggregate CPE time at mesh barriers (",
+                    s.syncs, " syncs)");
+    case 4:
+      return strCat(share, " of aggregate CPE time in retry backoff (",
+                    s.dmaRetries, " DMA retries, ", s.faultsInjected,
+                    " faults injected)");
+    default:
+      return strCat(share, " of aggregate CPE time in issue/spawn "
+                    "overheads and model slack");
+  }
 }
 
 }  // namespace
@@ -117,6 +154,12 @@ PerfReport buildPerfReport(const RunSample& sample,
     a.otherPct = 100.0 - accounted;
   }
 
+  // --- overlap -----------------------------------------------------------
+  // safePct maps an idle engine (busy == 0) to 0%, never NaN.
+  const double busy = sample.dmaBusySeconds + sample.rmaBusySeconds;
+  report.overlapPct = metrics::safePct(
+      std::clamp(busy - sample.waitStallSeconds, 0.0, busy), busy);
+
   // --- roofline ----------------------------------------------------------
   PerfReport::Roofline& r = report.roofline;
   r.peakGflops = machine.peakGflops;
@@ -151,43 +194,14 @@ PerfReport buildPerfReport(const RunSample& sample,
   }
 
   // --- top bottleneck ----------------------------------------------------
-  const struct {
-    const char* name;
-    double pct;
-    std::string evidence;
-  } buckets[] = {
-      {"compute", a.computePct,
-       strCat(pctString(a.computePct), " of aggregate CPE time computing (",
-              sample.microKernelCalls, " micro-kernel calls, ",
-              jsonNumber(sample.reportedFlops), " flops reported)")},
-      {"exposed-dma", a.exposedDmaPct,
-       strCat(pctString(a.exposedDmaPct),
-              " of aggregate CPE time exposed waiting on DMA replies (",
-              sample.dmaMessages, " messages, ", gbString(sample.dmaBytes),
-              " moved, engine busy ", jsonNumber(sample.dmaBusySeconds),
-              " s)")},
-      {"exposed-rma", a.exposedRmaPct,
-       strCat(pctString(a.exposedRmaPct),
-              " of aggregate CPE time exposed waiting on RMA rounds (",
-              sample.rmaBroadcastsSent, " broadcasts, ",
-              gbString(sample.rmaBytesSent), " sent)")},
-      {"sync", a.syncPct,
-       strCat(pctString(a.syncPct),
-              " of aggregate CPE time at mesh barriers (", sample.syncs,
-              " syncs)")},
-      {"retry", a.retryPct,
-       strCat(pctString(a.retryPct), " of aggregate CPE time in retry "
-              "backoff (", sample.dmaRetries, " DMA retries, ",
-              sample.faultsInjected, " faults injected)")},
-      {"other", a.otherPct,
-       strCat(pctString(a.otherPct), " of aggregate CPE time in issue/spawn "
-              "overheads and model slack")},
-  };
-  const auto* top = &buckets[0];
-  for (const auto& bucket : buckets)
-    if (bucket.pct > top->pct) top = &bucket;
-  report.bottleneck.name = top->name;
-  report.bottleneck.evidence = top->evidence;
+  // Only the winning bucket's evidence sentence is formatted.
+  const double shares[] = {a.computePct, a.exposedDmaPct, a.exposedRmaPct,
+                           a.syncPct,    a.retryPct,      a.otherPct};
+  int top = 0;
+  for (int i = 1; i < 6; ++i)
+    if (shares[i] > shares[top]) top = i;
+  report.bottleneck.name = kBucketNames[top];
+  report.bottleneck.evidence = bucketEvidence(top, shares[top], sample);
   return report;
 }
 
@@ -221,6 +235,7 @@ std::string PerfReport::toJson() const {
   field("k", jsonNumber(paddedK), false, /*last=*/true);
   out += "},";
   field("wall_seconds", jsonNumber(wallSeconds));
+  field("overlap_pct", jsonNumber(overlapPct));
   out += "\"attribution\":{";
   field("compute_pct", jsonNumber(attribution.computePct));
   field("exposed_dma_pct", jsonNumber(attribution.exposedDmaPct));
@@ -302,16 +317,8 @@ std::string PerfReport::toText() const {
                 wallSeconds * 1e3);
   out += line;
   out += "time attribution (aggregate CPE time; buckets sum to 100%):\n";
-  const struct { const char* name; double pct; } rows[] = {
-      {"compute", attribution.computePct},
-      {"exposed DMA", attribution.exposedDmaPct},
-      {"exposed RMA", attribution.exposedRmaPct},
-      {"sync", attribution.syncPct},
-      {"retry", attribution.retryPct},
-      {"other (issue/spawn)", attribution.otherPct},
-  };
-  for (const auto& row : rows) {
-    std::snprintf(line, sizeof(line), "  %-24s %12.1f %%\n", row.name,
+  for (const Attribution::Row& row : attribution.rows()) {
+    std::snprintf(line, sizeof(line), "  %-24s %12.1f %%\n", row.label,
                   row.pct);
     out += line;
   }

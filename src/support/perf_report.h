@@ -13,18 +13,24 @@
 //     run's measured arithmetic intensity against the ridge point, and a
 //     verdict — compute-bound, dma-bound, or latency-bound (the steady
 //     ceilings do not explain the time; per-message startup and sync do).
+//   * Overlap: the share of DMA+RMA engine busy time hidden behind
+//     compute, the quantity §6's pipelining drives toward 100%.
 //   * The top bottleneck by bucket share, named with counter evidence.
 //   * The estimator's steady state: how much of the simulated time exact
 //     fast-forward jumps covered, and the innermost jumped loop's period.
 //
-// The schema is versioned and stable: kPerfReportSchemaVersion only moves
-// when a field changes meaning, so bench/baselines/BENCH_trajectory.json
-// entries stay comparable across PRs.  This layer is support-only (plain
-// numbers in, strings out); runtime/executor.cc adapts CpeCounters and
-// ArchConfig into RunSample/MachineModel and hangs the finished report on
-// rt::RunOutcome for both engines and the estimator.
+// The report is a run's only record of these numbers: nothing copies them
+// into the metrics registry, and the CLI's --profile prints them from
+// here.  The schema is versioned and stable: kPerfReportSchemaVersion
+// only moves when a field changes meaning, so
+// bench/baselines/BENCH_trajectory.json entries stay comparable.  This
+// layer is support-only (plain numbers in, strings out);
+// runtime/executor.cc adapts CpeCounters and ArchConfig into
+// RunSample/MachineModel and hangs the finished report on rt::RunOutcome
+// for both engines and the estimator.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 
@@ -72,6 +78,9 @@ struct RunSample {
   double rmaStallSeconds = 0.0;
   double syncStallSeconds = 0.0;
   double retryStallSeconds = 0.0;
+  /// Every reply-wait stall (DMA, RMA and retry waits together): the
+  /// engine busy time that was not hidden behind compute.
+  double waitStallSeconds = 0.0;
   double dmaBusySeconds = 0.0;
   double rmaBusySeconds = 0.0;
 
@@ -110,7 +119,29 @@ struct PerfReport {
       return computePct + exposedDmaPct + exposedRmaPct + syncPct +
              retryPct + otherPct;
     }
+
+    /// The six buckets as (label, share) rows in report order, as toText
+    /// and the CLI's --profile print them.
+    struct Row {
+      const char* label;
+      double pct;
+    };
+    [[nodiscard]] std::array<Row, 6> rows() const {
+      return {{{"compute", computePct},
+               {"exposed DMA", exposedDmaPct},
+               {"exposed RMA", exposedRmaPct},
+               {"sync", syncPct},
+               {"retry", retryPct},
+               {"other (issue/spawn)", otherPct}}};
+    }
   } attribution;
+
+  /// Share of DMA+RMA engine busy time hidden behind compute, in [0, 100]:
+  /// 100 · (busy − waitStall) / busy, clamped, and 0 for an idle engine.
+  /// §6's two-level pipeline drives it toward 100; issue-and-wait
+  /// schedules sit near 0.  Not an attribution bucket: it divides engine
+  /// time, not CPE time.
+  double overlapPct = 0.0;
 
   struct Roofline {
     double achievedGflops = 0.0;

@@ -11,7 +11,6 @@
 #include "support/error.h"
 #include "support/format.h"
 #include "support/logging.h"
-#include "support/metrics.h"
 #include "support/trace.h"
 
 namespace sw::tuning {
@@ -280,14 +279,6 @@ ScheduleSearchResult searchSchedules(const core::CodegenOptions& base,
   const double bestGflops = search.validationAtFullShape && best.validated
                                 ? best.measuredGflops
                                 : best.estimatedGflops;
-  metrics::MetricsRegistry& registry = metrics::MetricsRegistry::global();
-  registry.set("tuner.candidates",
-               static_cast<double>(search.candidates().size()));
-  registry.set("tuner.feasible", static_cast<double>(search.feasibleCount()));
-  registry.set("tuner.validated",
-               static_cast<double>(search.validatedCount()));
-  registry.set("tuner.best_gflops", bestGflops);
-  registry.set("tuner.search_seconds", search.searchSeconds);
   searchSpan.addArg(trace::arg("best", best.label()));
   searchSpan.addArg(trace::arg("best_gflops", bestGflops));
   SW_INFO("tuner", "event=search_done best=", best.label(),

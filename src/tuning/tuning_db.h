@@ -13,8 +13,7 @@
 // removed, and reported as a miss so the caller re-tunes.
 //
 // Counters (hits/misses/corrupt/stale/stores) are surfaced through
-// stats() and mirrored into the global MetricsRegistry as `tuner.db_*`
-// gauges by the service layer.
+// stats(), which the service layer carries in KernelServiceStats.
 #pragma once
 
 #include <cstdint>

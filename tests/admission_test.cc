@@ -397,7 +397,7 @@ TEST(ServiceFrontendTest, SubmitAfterShutdownShedsTyped) {
   }
 }
 
-TEST(ServiceFrontendTest, QueueWaitHistogramAndGaugesPublished) {
+TEST(ServiceFrontendTest, QueueWaitHistogramAndStatsRecorded) {
   KernelService service;
   ServiceFrontend frontend(service);
   frontend.compile(core::CodegenOptions{}, RequestContext{});
@@ -405,11 +405,11 @@ TEST(ServiceFrontendTest, QueueWaitHistogramAndGaugesPublished) {
 
   EXPECT_TRUE(metrics::HistogramRegistry::global().has(
       "service.admission.queue_wait"));
-  const std::map<std::string, double> gauges =
-      metrics::MetricsRegistry::global().snapshot();
-  EXPECT_EQ(gauges.count("service.admission.queue_depth"), 1u);
-  EXPECT_EQ(gauges.count("service.admission.completed"), 1u);
-  EXPECT_GE(gauges.at("service.admission.completed"), 1.0);
+  const FrontendStats stats = frontend.stats();
+  EXPECT_EQ(stats.submitted, 1);
+  EXPECT_EQ(stats.completed, 1);
+  EXPECT_EQ(stats.queueDepth, 0);
+  EXPECT_EQ(stats.queueDepthPeak, 1);
 }
 
 }  // namespace

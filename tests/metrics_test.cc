@@ -1,7 +1,8 @@
-// Tests of the metrics layer: registry semantics, the deriveRunMetrics
-// formulas on hand-made counters, the per-CPE counter invariants of a
-// functional mesh run, and the §6 acceptance property that latency hiding
-// strictly raises the overlap gauge.
+// Tests of the metrics layer: registry semantics, safe gauge math, the
+// --profile table formats, and the per-CPE counter invariants of a
+// functional mesh run.  The overlap formula and the §6 property that
+// latency hiding strictly raises it are perf_report_test's, since the
+// run's PerfReport is the one home of that number.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -38,48 +39,6 @@ TEST(MetricsRegistry, SetAddGetSnapshotClear) {
   EXPECT_FALSE(registry.has("x"));
 }
 
-TEST(DeriveRunMetrics, FormulasOnKnownCounters) {
-  sunway::CpeCounters totals;
-  totals.computeTicks = sunway::ticksFromSeconds(4.0);
-  totals.dmaBusyTicks = sunway::ticksFromSeconds(2.0);
-  totals.rmaBusyTicks = sunway::ticksFromSeconds(1.0);
-  totals.waitStallTicks = sunway::ticksFromSeconds(0.5);
-
-  codegen::KernelProgram program;
-  program.buffers = {codegen::SpmBufferDecl{"C", 64, 64, 1, 0},
-                     codegen::SpmBufferDecl{"A", 64, 32, 2, 0}};
-  codegen::planSpmLayout(program, 256 * 1024);
-
-  const metrics::DerivedRunMetrics m = rt::deriveRunMetrics(
-      totals, /*wall=*/sunway::ticksFromSeconds(5.0), /*cpeCount=*/1, program,
-      256 * 1024);
-  // busy = 3, hidden = 3 - 0.5 = 2.5.
-  EXPECT_NEAR(m.overlapPct, 100.0 * 2.5 / 3.0, 1e-9);
-  EXPECT_NEAR(m.stallPct, 100.0 * 0.5 / 4.5, 1e-9);
-  EXPECT_NEAR(m.computePct, 80.0, 1e-9);
-  EXPECT_EQ(m.spmHighWaterBytes, program.spmBytesUsed());
-  EXPECT_EQ(m.spmBudgetBytes, 256 * 1024);
-  EXPECT_EQ(m.perBufferBytes.at("C"), 64 * 64 * 8);
-  EXPECT_EQ(m.perBufferBytes.at("A"), 2 * 64 * 32 * 8);
-
-  // Gauge flattening carries every scalar plus one entry per buffer.
-  const auto gauges = m.toGauges("t.");
-  EXPECT_NEAR(gauges.at("t.overlap_pct"), m.overlapPct, 1e-12);
-  EXPECT_TRUE(gauges.count("t.spm_buffer_bytes.A"));
-}
-
-TEST(DeriveRunMetrics, StallHeavyScheduleHasLowOverlap) {
-  sunway::CpeCounters totals;
-  totals.computeTicks = sunway::ticksFromSeconds(1.0);
-  totals.dmaBusyTicks = sunway::ticksFromSeconds(2.0);
-  totals.waitStallTicks = sunway::ticksFromSeconds(2.0);  // all DMA exposed
-  codegen::KernelProgram program;
-  const metrics::DerivedRunMetrics m = rt::deriveRunMetrics(
-      totals, sunway::ticksFromSeconds(3.0), 1, program, 256 * 1024);
-  EXPECT_NEAR(m.overlapPct, 0.0, 1e-9);
-  EXPECT_GE(m.stallPct, 50.0);
-}
-
 TEST(SafeMath, ZeroAndNonFiniteInputsYieldZero) {
   EXPECT_EQ(metrics::safeDiv(1.0, 0.0), 0.0);
   EXPECT_EQ(metrics::safeDiv(1.0, -2.0), 0.0);
@@ -89,25 +48,6 @@ TEST(SafeMath, ZeroAndNonFiniteInputsYieldZero) {
   EXPECT_DOUBLE_EQ(metrics::safeDiv(6.0, 3.0), 2.0);
   EXPECT_EQ(metrics::safePct(5.0, 0.0), 0.0);
   EXPECT_DOUBLE_EQ(metrics::safePct(1.0, 4.0), 25.0);
-}
-
-TEST(DeriveRunMetrics, IdleCountersAreZeroNeverNaN) {
-  // An idle run (zero busy, zero active, zero wall clock) must read as 0%
-  // everywhere — historically these divisions produced NaN gauges.
-  const sunway::CpeCounters idle;
-  codegen::KernelProgram program;
-  const metrics::DerivedRunMetrics m =
-      rt::deriveRunMetrics(idle, /*wallSeconds=*/0.0, /*cpeCount=*/64,
-                           program, /*spmBudgetBytes=*/256 * 1024);
-  EXPECT_EQ(m.overlapPct, 0.0);
-  EXPECT_EQ(m.stallPct, 0.0);
-  EXPECT_EQ(m.computePct, 0.0);
-  EXPECT_TRUE(std::isfinite(m.overlapPct));
-  EXPECT_TRUE(std::isfinite(m.stallPct));
-  EXPECT_TRUE(std::isfinite(m.computePct));
-  EXPECT_EQ(m.spmBudgetPct, 0.0);
-  for (const auto& [name, value] : m.toGauges("idle."))
-    EXPECT_TRUE(std::isfinite(value)) << name;
 }
 
 TEST(FormatMetricsTable, GroupsSortsAndAnnotatesUnits) {
@@ -191,37 +131,13 @@ TEST(PerCpeCounters, FunctionalMeshRunInvariants) {
             result.totals.waitStallTicks);
   EXPECT_GE(result.totals.syncStallTicks, 0);
 
-  const metrics::DerivedRunMetrics m =
-      rt::deriveRunMetrics(result.totals, result.time, arch.meshSize(),
-                           kernel.program, arch.spmBytes);
-  EXPECT_GE(m.overlapPct, 0.0);
-  EXPECT_LE(m.overlapPct, 100.0);
-  EXPECT_GE(m.stallPct, 0.0);
-  EXPECT_LE(m.stallPct, 100.0);
-  EXPECT_GT(m.spmHighWaterBytes, 0);
-  EXPECT_LE(m.spmHighWaterBytes, arch.spmBytes);
-}
-
-TEST(OverlapGauge, LatencyHidingStrictlyRaisesOverlap) {
-  core::SwGemmCompiler compiler;
-  core::CodegenOptions hiding;   // defaults enable the full pipeline
-  core::CodegenOptions exposed = hiding;
-  exposed.hideLatency = false;
-
-  const core::GemmProblem problem{4096, 4096, 4096, 1};
-  const rt::RunOutcome fast =
-      core::estimateGemm(compiler.compile(hiding), compiler.arch(), problem);
-  const rt::RunOutcome slow =
-      core::estimateGemm(compiler.compile(exposed), compiler.arch(), problem);
-
-  EXPECT_GT(fast.metrics.overlapPct, slow.metrics.overlapPct);
-  EXPECT_LT(fast.metrics.stallPct, slow.metrics.stallPct);
-  EXPECT_GT(fast.gflops, slow.gflops);
-  for (const rt::RunOutcome* o : {&fast, &slow}) {
-    EXPECT_GE(o->metrics.overlapPct, 0.0);
-    EXPECT_LE(o->metrics.overlapPct, 100.0);
-    EXPECT_LE(o->metrics.spmHighWaterBytes, compiler.arch().spmBytes);
-  }
+  const perf::PerfReport report = rt::buildRunReport(
+      kernel.program, "mesh", params, result.time, arch.meshSize(),
+      rt::gemmFlops(padded.m, padded.n, padded.k), result.totals, arch);
+  EXPECT_GE(report.overlapPct, 0.0);
+  EXPECT_LE(report.overlapPct, 100.0);
+  EXPECT_GT(kernel.program.spmBytesUsed(), 0);
+  EXPECT_LE(kernel.program.spmBytesUsed(), arch.spmBytes);
 }
 
 }  // namespace

@@ -1,10 +1,13 @@
 // Tests of the performance-report layer: attribution buckets sum to 100%
-// on real mesh and estimator runs, the roofline verdict flips between
-// DMA-bound (small K) and compute-bound (large K), the JSON rendering is
-// well-formed and schema-stable, degenerate samples never divide by zero,
-// and the shape is the problem asked for, apart from the padded extents.
+// on real mesh and estimator runs, the overlap formula on hand-made
+// counters and the §6 property that latency hiding strictly raises it,
+// the roofline verdict flips between DMA-bound (small K) and
+// compute-bound (large K), the JSON rendering is well-formed and
+// schema-stable, degenerate samples never divide by zero, and the shape
+// is the problem asked for, apart from the padded extents.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <vector>
 
 #include "core/compiler.h"
@@ -64,6 +67,67 @@ TEST(PerfReport, DegenerateSampleIsAllZeroNeverNaN) {
   EXPECT_EQ(report.roofline.verdict, "latency-bound");
   // Every rendered number must be parseable (no nan/inf tokens).
   EXPECT_TRUE(testutil::JsonChecker(report.toJson()).valid());
+}
+
+/// A report built from raw counters, as runOnMesh and estimateTiming build
+/// theirs.
+perf::PerfReport reportFromCounters(const sunway::CpeCounters& totals,
+                                    double wallSeconds, int cpeCount) {
+  return rt::buildRunReport(codegen::KernelProgram{}, "estimator", {},
+                            sunway::ticksFromSeconds(wallSeconds), cpeCount,
+                            /*reportedFlops=*/0.0, totals,
+                            sunway::ArchConfig{});
+}
+
+TEST(Overlap, FormulaOnKnownCounters) {
+  sunway::CpeCounters totals;
+  totals.computeTicks = sunway::ticksFromSeconds(4.0);
+  totals.dmaBusyTicks = sunway::ticksFromSeconds(2.0);
+  totals.rmaBusyTicks = sunway::ticksFromSeconds(1.0);
+  totals.waitStallTicks = sunway::ticksFromSeconds(0.5);
+  const perf::PerfReport report = reportFromCounters(totals, 5.0, 1);
+  // busy = 3, hidden = 3 - 0.5 = 2.5.
+  EXPECT_NEAR(report.overlapPct, 100.0 * 2.5 / 3.0, 1e-9);
+  EXPECT_NEAR(report.attribution.computePct, 80.0, 1e-9);
+}
+
+TEST(Overlap, StallHeavyScheduleHasLowOverlap) {
+  sunway::CpeCounters totals;
+  totals.computeTicks = sunway::ticksFromSeconds(1.0);
+  totals.dmaBusyTicks = sunway::ticksFromSeconds(2.0);
+  totals.waitStallTicks = sunway::ticksFromSeconds(2.0);  // all DMA exposed
+  EXPECT_NEAR(reportFromCounters(totals, 3.0, 1).overlapPct, 0.0, 1e-9);
+}
+
+TEST(Overlap, IdleCountersAreZeroNeverNaN) {
+  // An idle run (zero busy, zero active, zero wall clock) must read as 0%
+  // everywhere — historically these divisions produced NaN gauges.
+  const perf::PerfReport report =
+      reportFromCounters(sunway::CpeCounters{}, 0.0, 64);
+  EXPECT_EQ(report.overlapPct, 0.0);
+  EXPECT_EQ(report.attribution.computePct, 0.0);
+  EXPECT_TRUE(std::isfinite(report.overlapPct));
+  EXPECT_NE(report.toJson().find("\"overlap_pct\":0,"), std::string::npos);
+}
+
+TEST(Overlap, LatencyHidingStrictlyRaisesOverlap) {
+  core::SwGemmCompiler compiler;
+  core::CodegenOptions hiding;   // defaults enable the full pipeline
+  core::CodegenOptions exposed = hiding;
+  exposed.hideLatency = false;
+
+  const core::GemmProblem problem{4096, 4096, 4096, 1};
+  const rt::RunOutcome fast =
+      core::estimateGemm(compiler.compile(hiding), compiler.arch(), problem);
+  const rt::RunOutcome slow =
+      core::estimateGemm(compiler.compile(exposed), compiler.arch(), problem);
+
+  EXPECT_GT(fast.report.overlapPct, slow.report.overlapPct);
+  EXPECT_GT(fast.gflops, slow.gflops);
+  for (const rt::RunOutcome* o : {&fast, &slow}) {
+    EXPECT_GE(o->report.overlapPct, 0.0);
+    EXPECT_LE(o->report.overlapPct, 100.0);
+  }
 }
 
 TEST(PerfReport, EstimatorRunBucketsSumTo100) {
@@ -212,6 +276,11 @@ TEST(PerfReport, JsonIsWellFormedAndSchemaStable) {
         "\"counters\":", "\"compute_pct\":", "\"achieved_gflops\":",
         "\"verdict\":", "\"dma_messages\":", "\"wall_seconds\":"})
     EXPECT_NE(json.find(key), std::string::npos) << key;
+  // Overlap sits at the top level: the attribution buckets alone sum to
+  // 100, and overlap divides engine time, not CPE time.
+  const std::size_t overlap = json.find("\"overlap_pct\":");
+  EXPECT_NE(overlap, std::string::npos) << json;
+  EXPECT_LT(overlap, json.find("\"attribution\":")) << json;
   EXPECT_EQ(outcome.report.schemaVersion, perf::kPerfReportSchemaVersion);
 }
 

@@ -2,9 +2,11 @@
 // report's accounting is conserved (offered = completed + failed + shed),
 // quota pressure sheds with typed causes, served queue waits respect the
 // deadline, chaos verification runs under an active fault plan with zero
-// wrong answers, and the JSON report is well-formed and schema-stable.
+// wrong answers, the JSON report is well-formed and schema-stable, and its
+// admission metrics are the frontend's own counts, not copies of them.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <string>
 
@@ -98,6 +100,25 @@ TEST(SoakTest, JsonReportIsWellFormedAndCarriesAdmissionGauges) {
   const std::string text = report.toText();
   EXPECT_NE(text.find("shed breakdown"), std::string::npos);
   EXPECT_NE(text.find("queue wait"), std::string::npos);
+}
+
+TEST(SoakTest, AdmissionMetricsAreTheFrontendsStats) {
+  KernelService service;
+  const SoakReport report = runSoak(service, smallConfig());
+  const std::map<std::string, double> admission(
+      report.admissionGauges.begin(), report.admissionGauges.end());
+  // Nothing trips a breaker here, so every offered request was submitted;
+  // every one the frontend served, the clients saw complete.
+  EXPECT_EQ(admission.at("service.admission.submitted"), report.offered);
+  EXPECT_EQ(admission.at("service.admission.submitted"), report.submitted);
+  EXPECT_EQ(admission.at("service.admission.completed"), report.completed);
+  EXPECT_EQ(admission.at("service.admission.failed"), report.failed);
+  EXPECT_EQ(admission.at("service.admission.queue_depth"), 0.0);  // drained
+  EXPECT_EQ(admission.at("service.admission.queue_depth_peak"),
+            report.queueDepthPeak);
+  // The queue-wait distribution lives in its histogram alone.
+  for (const auto& [name, value] : admission)
+    EXPECT_EQ(name.find("queue_wait"), std::string::npos) << name;
 }
 
 }  // namespace

@@ -97,12 +97,10 @@ std::string shapeText(const std::vector<long>& shape) {
 }
 
 /// A sharded run or estimate as the outcome --profile and --report read.
-sw::rt::RunOutcome asRunOutcome(const sw::core::ShardedOutcome& sharded,
-                                const char* engine) {
+sw::rt::RunOutcome asRunOutcome(const sw::core::ShardedOutcome& sharded) {
   sw::rt::RunOutcome outcome;
   outcome.seconds = sharded.seconds;
   outcome.gflops = sharded.gflops;
-  outcome.engine = engine;
   outcome.counters = sharded.counters;
   outcome.report = sharded.report;
   outcome.hostCopyBytes = sharded.hostCopyBytes;
@@ -160,7 +158,7 @@ int runShapeSmoke(const sw::core::CompiledKernel& kernel,
                 static_cast<long long>(shard.kChunks), shard.gflops,
                 shard.seconds * 1e3, shard.contentionDerate);
     printHostLine(start, done);
-    outcome = asRunOutcome(shard, "sharded-mesh");
+    outcome = asRunOutcome(shard);
     if (std::memcmp(c.data(), ref.data(), c.size() * sizeof(double)) != 0) {
       std::fprintf(stderr,
                    "run: result=MISMATCH — %d-group sharded run diverged "
@@ -258,47 +256,35 @@ void printStageBreakdown() {
   std::printf("\n");
 }
 
-/// One run's simulated-clock numbers.  Sharded outcomes sum counters over
-/// several core groups and carry no derived gauges, so `withGauges` false
-/// prints only their seconds, GFLOPS and counters.
+/// One run's simulated-clock numbers, read from its report and counters;
+/// the same block for mesh runs, sharded runs and estimates.
 void printRunMetrics(const std::string& title,
-                     const sw::rt::RunOutcome& outcome, bool withGauges) {
-  std::printf("%s:\n", title.c_str());
+                     const sw::rt::RunOutcome& outcome) {
+  const sw::perf::PerfReport& report = outcome.report;
+  std::printf("%s, simulated clock:\n", title.c_str());
   std::printf("  %-24s %12.3f ms\n", "simulated time", outcome.seconds * 1e3);
   std::printf("  %-24s %12.2f\n", "model GFLOPS", outcome.gflops);
-  const sw::perf::PerfReport::SteadyState& steady =
-      outcome.report.steadyState;
+  const sw::perf::PerfReport::SteadyState& steady = report.steadyState;
   if (steady.jumps > 0)
     std::printf("  %-24s %12.3f %%   (%lld jumps skipped %lld loop "
                 "iterations)\n",
                 "fast-forwarded", steady.coveredPct,
                 static_cast<long long>(steady.jumps),
                 static_cast<long long>(steady.iterationsJumped));
-  if (withGauges) {
-    const sw::metrics::DerivedRunMetrics& m = outcome.metrics;
-    std::printf("  %-24s %12.1f %%   (DMA+RMA busy time hidden "
-                "behind compute)\n",
-                "overlap", m.overlapPct);
-    std::printf("  %-24s %12.1f %%   (CPE active time lost to reply "
-                "waits)\n",
-                "stall", m.stallPct);
-    std::printf("  %-24s %12.1f %%\n", "compute occupancy", m.computePct);
-    std::printf("  %-24s %9.1f KB   of %.0f KB budget (%.1f%%)\n",
-                "SPM high-water",
-                static_cast<double>(m.spmHighWaterBytes) / 1024.0,
-                static_cast<double>(m.spmBudgetBytes) / 1024.0,
-                m.spmBudgetPct);
-    for (const auto& [set, bytes] : m.perBufferBytes)
-      std::printf("    buffer %-18s %9.1f KB\n", set.c_str(),
-                  static_cast<double>(bytes) / 1024.0);
-  }
+  std::printf("  %-24s %12.1f %%   (DMA+RMA busy time hidden behind "
+              "compute)\n",
+              "overlap", report.overlapPct);
+  std::printf("  time attribution (share of aggregate CPE time):\n");
+  for (const sw::perf::PerfReport::Attribution::Row& row :
+       report.attribution.rows())
+    std::printf("    %-22s %12.1f %%\n", row.label, row.pct);
   std::printf("  %-24s %12lld\n", "DMA messages",
               static_cast<long long>(outcome.counters.dmaMessages));
   std::printf("  %-24s %12lld\n", "RMA broadcasts",
               static_cast<long long>(outcome.counters.rmaBroadcastsSent));
   std::printf("  %-24s %12lld\n", "mesh barriers",
               static_cast<long long>(outcome.counters.syncs));
-  if (outcome.report.engine.ends_with("mesh"))  // the run's host work
+  if (report.engine.ends_with("mesh"))  // the run's host work
     std::printf("  %-24s %12lld RMA copy bytes, %lld SPM bytes to re-zero\n",
                 "host", static_cast<long long>(outcome.hostRmaCopyBytes),
                 static_cast<long long>(outcome.hostSpmDirtyBytes));
@@ -307,6 +293,50 @@ void printRunMetrics(const std::string& title,
                 static_cast<long long>(outcome.counters.faultsInjected));
     std::printf("  %-24s %12lld\n", "DMA retries",
                 static_cast<long long>(outcome.counters.dmaRetries));
+  }
+  std::printf("\n");
+}
+
+/// The kernel's static facts, from its program: op count and SPM layout.
+void printProgram(const sw::codegen::KernelProgram& program,
+                  std::int64_t spmBudgetBytes) {
+  const double used = static_cast<double>(program.spmBytesUsed());
+  std::printf("kernel '%s' program:\n", program.name.c_str());
+  std::printf("  %-24s %12zu\n", "static ops",
+              sw::codegen::countOps(program.body));
+  std::printf("  %-24s %9.1f KB   of %.0f KB budget (%.1f%%), %zu buffers\n",
+              "SPM high-water", used / 1024.0,
+              static_cast<double>(spmBudgetBytes) / 1024.0,
+              sw::metrics::safePct(used, static_cast<double>(spmBudgetBytes)),
+              program.buffers.size());
+  for (const sw::codegen::SpmBufferDecl& buffer : program.buffers)
+    std::printf("    buffer %-18s %9.1f KB\n", buffer.set.c_str(),
+                static_cast<double>(buffer.totalBytes()) / 1024.0);
+  std::printf("\n");
+}
+
+/// The kernel service's counts this process, from stats().
+void printServiceStats(const sw::service::KernelServiceStats& stats) {
+  std::printf("kernel service:\n");
+  std::printf("  %-24s %12lld   (%lld memory hits, %lld shared, hit rate "
+              "%.1f%%)\n",
+              "requests", static_cast<long long>(stats.requests),
+              static_cast<long long>(stats.memoryHits),
+              static_cast<long long>(stats.shared), 100.0 * stats.hitRate());
+  std::printf("  %-24s %12lld   (%lld evictions, %zu cached)\n", "compiles",
+              static_cast<long long>(stats.compiles),
+              static_cast<long long>(stats.evictions), stats.entries);
+  if (stats.tuneSearches + stats.tuneDbHits + stats.tuneShared > 0) {
+    std::printf("  %-24s %12lld   (%lld tuning-DB hits, %lld shared)\n",
+                "tuner searches", static_cast<long long>(stats.tuneSearches),
+                static_cast<long long>(stats.tuneDbHits),
+                static_cast<long long>(stats.tuneShared));
+    std::printf("  %-24s %12lld   (%lld corrupt, %lld stale, %lld stores)\n",
+                "tuning-DB misses",
+                static_cast<long long>(stats.tuningDb.misses),
+                static_cast<long long>(stats.tuningDb.corrupt),
+                static_cast<long long>(stats.tuningDb.stale),
+                static_cast<long long>(stats.tuningDb.stores));
   }
   std::printf("\n");
 }
@@ -467,9 +497,11 @@ const OptionSpec kOptions[] = {
      "group, --estimate applies the shared-DDR contention derate and NoC "
      "hand-off costs, --tune adds N-group candidates"},
     {"--profile", nullptr, &Cli::profile, nullptr, kEveryMode,
-     "print the per-stage compile breakdown, the metrics registry and the "
-     "latency histograms; an INPUT.c compile adds the run metrics (overlap%, "
-     "stall%, SPM) of --run, else --estimate, else a one-mesh-tile run"},
+     "print the per-stage compile breakdown, the kernel's program (static "
+     "ops, SPM layout), the kernel service's counts, the failure-path "
+     "metrics registry and the latency histograms; an INPUT.c compile adds "
+     "the simulated-clock metrics (overlap, time attribution, counters) of "
+     "--run, else --estimate, else a one-mesh-tile run"},
     {"--report", "MODE [PATH]", &Cli::report, "text or json",
      kCompile | kSoak, "emit the performance report (time attribution, "
      "roofline, top bottleneck) of --run, else --estimate, else a 1024^3 "
@@ -683,21 +715,22 @@ sw::core::CodegenOptions codegenOptions(const Cli& cli) {
   return options;
 }
 
-/// What a mode leaves for the epilogue: its exit code, the run blocks
-/// --profile prints, and the renderer of its --report body.
+/// What a mode leaves for the epilogue: its exit code, the kernel and run
+/// blocks --profile prints, and the renderer of its --report body.
 struct ModeOutcome {
   int rc = 0;
   struct Run {
     std::string title;
     sw::rt::RunOutcome outcome;
-    bool withGauges;
   };
   std::vector<Run> runs;
   std::function<std::string(bool json)> report;
+  /// The one kernel the mode compiled or tuned; none for batch modes.
+  std::optional<sw::codegen::KernelProgram> program = std::nullopt;
 };
 
-/// INPUT.c compile: compile through the kernel service (so its histogram
-/// and gauges cover the CLI too), write the sources, then estimate, run
+/// INPUT.c compile: compile through the kernel service (so its stats and
+/// histogram cover the CLI too), write the sources, then estimate, run
 /// and inject as asked.
 ModeOutcome runCompileMode(
     sw::service::KernelService& service, const Cli& cli,
@@ -721,6 +754,7 @@ ModeOutcome runCompileMode(
                    (fused ? ", fused" : ""));
 
   ModeOutcome result;
+  result.program = kernel.program;
   const bool sharded = cli.groups > 1;
   std::optional<sw::perf::PerfReport> reported;
   if (!cli.estimate.empty()) {
@@ -731,7 +765,7 @@ ModeOutcome runCompileMode(
       sw::core::ShardedConfig config;
       config.groups = static_cast<int>(cli.groups);
       shard = sw::core::estimateSharded(kernel, arch, config, problem);
-      estimated = asRunOutcome(shard, "sharded-estimator");
+      estimated = asRunOutcome(shard);
     } else {
       estimated = sw::core::estimateGemm(kernel, arch, problem);
     }
@@ -755,7 +789,7 @@ ModeOutcome runCompileMode(
                   estimated.seconds * 1e3);
     reported = estimated.report;
     result.runs.push_back(
-        {"estimated run metrics (symmetric model)", estimated, !sharded});
+        {"estimated run metrics (symmetric model)", estimated});
   }
 
   if (!cli.run.empty()) {
@@ -773,7 +807,7 @@ ModeOutcome runCompileMode(
                 : "one core group, 64 CPEs";
     result.runs.push_back({"functional mesh run " + shapeText(cli.run) +
                                " (" + where + ")",
-                           ran, !sharded});
+                           ran});
   }
 
   // --profile and --trace describe the requested run or estimate.  With
@@ -785,8 +819,7 @@ ModeOutcome runCompileMode(
     result.runs.push_back(
         {"functional mesh smoke run (one mesh tile, 64 CPEs)",
          sw::core::runGemmFunctional(kernel, arch, smoke.problem, smoke.a,
-                                     smoke.b, smoke.c),
-         true});
+                                     smoke.b, smoke.c)});
   }
 
   if (faultPlan) {
@@ -901,7 +934,9 @@ ModeOutcome runTuneMode(sw::service::KernelService& service, const Cli& cli) {
       service.compile(resolved.options, &outcome);
   writeSources(*kernel, cli.outputPrefix,
                std::string(", served via ") + sw::service::toString(outcome));
-  return {};
+  ModeOutcome result;
+  result.program = kernel->program;
+  return result;
 }
 
 /// --warm / --serve-batch: compile every request on the service's pool and
@@ -1012,16 +1047,23 @@ ModeOutcome runSoakMode(sw::service::KernelService& service, const Cli& cli,
 
 /// The epilogue of every mode: --profile, then --report, then the trace.
 /// Returns the mode's exit code.
-int finish(const Cli& cli, const ModeOutcome& outcome) {
+int finish(const Cli& cli, const sw::service::KernelService& service,
+           const ModeOutcome& outcome) {
   if (cli.profile) {
     std::printf("\n");
     printStageBreakdown();
+    if (outcome.program)
+      printProgram(*outcome.program, service.arch().spmBytes);
     for (const ModeOutcome::Run& run : outcome.runs)
-      printRunMetrics(run.title, run.outcome, run.withGauges);
-    std::printf("metrics registry:\n%s",
-                sw::metrics::formatMetricsTable(
-                    sw::metrics::MetricsRegistry::global().snapshot())
-                    .c_str());
+      printRunMetrics(run.title, run.outcome);
+    printServiceStats(service.stats());
+    const std::map<std::string, double> events =
+        sw::metrics::MetricsRegistry::global().snapshot();
+    if (events.empty())
+      std::printf("metrics registry: no failure-path events\n");
+    else
+      std::printf("metrics registry: failure-path events\n%s",
+                  sw::metrics::formatMetricsTable(events).c_str());
     const std::map<std::string, sw::metrics::Histogram> histograms =
         sw::metrics::HistogramRegistry::global().snapshot();
     if (!histograms.empty())
@@ -1104,7 +1146,7 @@ int main(int argc, char** argv) {
         : mode == kTune  ? runTuneMode(service, cli)
         : mode == kBatch ? runBatchMode(service, cli)
                          : runSoakMode(service, cli, faultPlan);
-    return finish(cli, outcome);
+    return finish(cli, service, outcome);
   } catch (const UsageError& e) {
     std::fprintf(stderr, "swcodegen: %s\n", e.message.c_str());
     return 2;
