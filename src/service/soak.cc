@@ -203,6 +203,8 @@ SoakReport runSoak(KernelService& service, const SoakConfig& config) {
   const ZipfSampler zipf(static_cast<int>(catalog.size()),
                          effective.zipfExponent);
   const KernelServiceStats statsBefore = service.stats();
+  const std::map<std::string, double> registryBefore =
+      metrics::MetricsRegistry::global().snapshot();
 
   const int threads = std::max(1, effective.clientThreads);
   const int window = std::max(1, effective.clientWindow);
@@ -312,21 +314,26 @@ SoakReport runSoak(KernelService& service, const SoakConfig& config) {
       static_cast<double>(report.completed) / wall;
 
   // The frontend's counts, then the registry's failure-path admission
-  // events, under one sorted set of service.admission.* names.
+  // events, under one sorted set of service.admission.* names.  The
+  // registry is the process's, so each event counts its change over this
+  // soak.
   std::map<std::string, double> admission = {
       {"service.admission.submitted",
        static_cast<double>(frontendStats.submitted)},
       {"service.admission.completed",
        static_cast<double>(frontendStats.completed)},
       {"service.admission.failed", static_cast<double>(frontendStats.failed)},
-      {"service.admission.queue_depth",
-       static_cast<double>(frontendStats.queueDepth)},
       {"service.admission.queue_depth_peak",
        static_cast<double>(frontendStats.queueDepthPeak)},
   };
   for (const auto& [name, value] :
-       metrics::MetricsRegistry::global().snapshot())
-    if (name.rfind("service.admission.", 0) == 0) admission.emplace(name, value);
+       metrics::MetricsRegistry::global().snapshot()) {
+    if (name.rfind("service.admission.", 0) != 0) continue;
+    const auto before = registryBefore.find(name);
+    const double delta =
+        value - (before == registryBefore.end() ? 0.0 : before->second);
+    if (delta != 0.0) admission.emplace(name, delta);
+  }
   report.admissionGauges.assign(admission.begin(), admission.end());
 
   SW_INFO("service", "event=soak_done offered=", report.offered,

@@ -108,9 +108,10 @@ struct SoakReport {
   double wallSeconds = 0.0;
   double throughputPerSecond = 0.0;
 
-  /// The frontend's stats() (submitted, completed, failed, queue_depth,
-  /// queue_depth_peak) plus the registry's failure-path service.admission.*
-  /// events, sorted by name: the JSON report's service_admission_metrics.
+  /// The frontend's stats() (submitted, completed, failed,
+  /// queue_depth_peak) plus the change over the soak of each failure-path
+  /// service.admission.* registry event that moved, sorted by name: the
+  /// JSON report's service_admission_metrics.
   std::vector<std::pair<std::string, double>> admissionGauges;
 
   [[nodiscard]] std::string toJson() const;

@@ -1,49 +1,83 @@
 // Minimal string formatting helpers (GCC 12 lacks std::format).
 //
 // `strCat(a, b, ...)` stringifies and concatenates its arguments; it is the
-// workhorse for error messages and pretty-printers throughout the project.
+// workhorse for error messages, cache keys and pretty-printers throughout
+// the project.  Its text is what `operator<<` on a default output string
+// stream writes for the same argument, except that a bool prints as
+// true/false, and it is built without a stream: strings and every char
+// type as text, integers in decimal, and floating point as printf's "%g"
+// (six significant digits).
 #pragma once
 
-#include <sstream>
+#include <charconv>
+#include <cstddef>
+#include <limits>
 #include <string>
 #include <string_view>
-#include <vector>
+#include <type_traits>
 
 namespace sw {
 
 namespace detail {
-inline void appendOne(std::ostringstream& os, const std::string& v) { os << v; }
-inline void appendOne(std::ostringstream& os, std::string_view v) { os << v; }
-inline void appendOne(std::ostringstream& os, const char* v) { os << v; }
-inline void appendOne(std::ostringstream& os, char v) { os << v; }
-inline void appendOne(std::ostringstream& os, bool v) {
-  os << (v ? "true" : "false");
-}
+
+template <typename>
+inline constexpr bool kNoTextForm = false;
+
 template <typename T>
-void appendOne(std::ostringstream& os, const T& v) {
-  os << v;
+inline constexpr bool kIsCharType =
+    std::is_same_v<T, char> || std::is_same_v<T, signed char> ||
+    std::is_same_v<T, unsigned char>;
+
+/// Append the text of `value` to `out`.
+template <typename T>
+void appendOne(std::string& out, const T& value) {
+  using U = std::remove_cv_t<T>;
+  if constexpr (std::is_convertible_v<const T&, std::string_view>) {
+    out.append(std::string_view(value));
+  } else if constexpr (std::is_same_v<U, bool>) {
+    out.append(value ? "true" : "false");
+  } else if constexpr (kIsCharType<U>) {
+    out.push_back(static_cast<char>(value));
+  } else if constexpr (std::is_integral_v<U>) {
+    char buf[std::numeric_limits<U>::digits10 + 3];
+    const std::to_chars_result res =
+        std::to_chars(buf, buf + sizeof(buf), value);
+    // append(ptr, len): the iterator form trips a false -Wrestrict in
+    // GCC 12 Release builds once inlined into long strCat chains.
+    out.append(buf, static_cast<std::size_t>(res.ptr - buf));
+  } else if constexpr (std::is_floating_point_v<U>) {
+    // "%g" at the stream's default precision 6; the longest result,
+    // "-1.23457e-4951", needs 14 chars.
+    char buf[32];
+    const std::to_chars_result res = std::to_chars(
+        buf, buf + sizeof(buf), value, std::chars_format::general, 6);
+    out.append(buf, static_cast<std::size_t>(res.ptr - buf));
+  } else {
+    static_assert(kNoTextForm<T>, "strCat: no text form for this type");
+  }
 }
+
 }  // namespace detail
 
 /// Concatenate the string forms of all arguments.
 template <typename... Args>
 std::string strCat(const Args&... args) {
-  std::ostringstream os;
-  (detail::appendOne(os, args), ...);
-  return os.str();
+  std::string out;
+  (detail::appendOne(out, args), ...);
+  return out;
 }
 
 /// Join the elements of `parts` with `sep`.
 template <typename Range>
 std::string strJoin(const Range& parts, std::string_view sep) {
-  std::ostringstream os;
+  std::string out;
   bool first = true;
   for (const auto& p : parts) {
-    if (!first) os << sep;
+    if (!first) out.append(sep);
     first = false;
-    detail::appendOne(os, p);
+    detail::appendOne(out, p);
   }
-  return os.str();
+  return out;
 }
 
 /// An indenting code writer used by all pretty-printers.  Lines are emitted
@@ -61,7 +95,7 @@ class CodeWriter {
   template <typename... Args>
   void line(const Args&... args) {
     body_.append(static_cast<std::size_t>(level_ * indentWidth_), ' ');
-    body_ += strCat(args...);
+    (detail::appendOne(body_, args), ...);
     body_ += '\n';
   }
 

@@ -316,6 +316,11 @@ std::string PerfReport::toText() const {
   std::snprintf(line, sizeof(line), "  simulated time           %12.3f ms\n",
                 wallSeconds * 1e3);
   out += line;
+  std::snprintf(line, sizeof(line),
+                "  overlap                  %12.1f %%   (DMA+RMA busy time "
+                "hidden behind compute)\n",
+                overlapPct);
+  out += line;
   out += "time attribution (aggregate CPE time; buckets sum to 100%):\n";
   for (const Attribution::Row& row : attribution.rows()) {
     std::snprintf(line, sizeof(line), "  %-24s %12.1f %%\n", row.label,

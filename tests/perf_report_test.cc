@@ -3,11 +3,15 @@
 // counters and the §6 property that latency hiding strictly raises it,
 // the roofline verdict flips between DMA-bound (small K) and
 // compute-bound (large K), the JSON rendering is well-formed and
-// schema-stable, degenerate samples never divide by zero, and the shape
-// is the problem asked for, apart from the padded extents.
+// schema-stable, the text rendering shows the JSON's overlap, degenerate
+// samples never divide by zero, and the shape is the problem asked for,
+// apart from the padded extents.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "core/compiler.h"
@@ -295,6 +299,32 @@ TEST(PerfReport, TextRenderingNamesTheBottleneck) {
   EXPECT_NE(text.find("top bottleneck:"), std::string::npos);
   EXPECT_NE(text.find(outcome.report.roofline.verdict), std::string::npos);
   EXPECT_NE(text.find(outcome.report.bottleneck.name), std::string::npos);
+}
+
+TEST(PerfReport, TextShowsTheJsonOverlap) {
+  core::SwGemmCompiler compiler;
+  core::CodegenOptions exposed;
+  exposed.hideLatency = false;
+  for (const core::CodegenOptions& options :
+       {core::CodegenOptions{}, exposed}) {
+    const rt::RunOutcome outcome =
+        core::estimateGemm(compiler.compile(options), compiler.arch(),
+                           core::GemmProblem{1024, 1024, 1024, 1});
+    const std::string json = outcome.report.toJson();
+    const std::string key = "\"overlap_pct\":";
+    const std::size_t at = json.find(key);
+    ASSERT_NE(at, std::string::npos) << json;
+    const double jsonOverlap = std::strtod(json.c_str() + at + key.size(),
+                                           nullptr);
+    char expected[96];
+    std::snprintf(expected, sizeof(expected), "  %-24s %12.1f %%", "overlap",
+                  jsonOverlap);
+    const std::string text = outcome.report.toText();
+    EXPECT_NE(text.find(expected), std::string::npos)
+        << expected << "\n" << text;
+    // The line sits with the attribution, ahead of its table.
+    EXPECT_LT(text.find("  overlap "), text.find("time attribution")) << text;
+  }
 }
 
 }  // namespace

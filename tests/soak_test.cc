@@ -3,7 +3,8 @@
 // quota pressure sheds with typed causes, served queue waits respect the
 // deadline, chaos verification runs under an active fault plan with zero
 // wrong answers, the JSON report is well-formed and schema-stable, and its
-// admission metrics are the frontend's own counts, not copies of them.
+// admission metrics are the frontend's own counts, not copies of them, and
+// the registry's events of that soak alone.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -113,12 +114,35 @@ TEST(SoakTest, AdmissionMetricsAreTheFrontendsStats) {
   EXPECT_EQ(admission.at("service.admission.submitted"), report.submitted);
   EXPECT_EQ(admission.at("service.admission.completed"), report.completed);
   EXPECT_EQ(admission.at("service.admission.failed"), report.failed);
-  EXPECT_EQ(admission.at("service.admission.queue_depth"), 0.0);  // drained
   EXPECT_EQ(admission.at("service.admission.queue_depth_peak"),
             report.queueDepthPeak);
+  // The depth after the drain is always 0, so the report leaves it out.
+  EXPECT_EQ(admission.count("service.admission.queue_depth"), 0u);
   // The queue-wait distribution lives in its histogram alone.
   for (const auto& [name, value] : admission)
     EXPECT_EQ(name.find("queue_wait"), std::string::npos) << name;
+}
+
+TEST(SoakTest, EachSoakReportsOnlyItsOwnAdmissionEvents) {
+  // Two quota-starved soaks in one process: the registry's shed counters
+  // keep growing across both, and each report must carry its own sheds.
+  SoakConfig config = smallConfig();
+  config.admission.defaultQuota = TenantQuota{2.0, 0.001};
+  for (const std::string& tenant : config.tenants)
+    config.admission.tenantQuotas[tenant] = TenantQuota{2.0, 0.001};
+  KernelService service;
+  for (int soak = 0; soak < 2; ++soak) {
+    const SoakReport report = runSoak(service, config);
+    std::map<std::string, double> admission(report.admissionGauges.begin(),
+                                            report.admissionGauges.end());
+    ASSERT_GT(report.shed.quota, 0) << "soak " << soak;
+    EXPECT_EQ(admission["service.admission.shed"], report.shed.total())
+        << "soak " << soak;
+    EXPECT_EQ(admission["service.admission.shed_quota"], report.shed.quota)
+        << "soak " << soak;
+    EXPECT_EQ(admission["service.admission.submitted"], report.submitted)
+        << "soak " << soak;
+  }
 }
 
 }  // namespace
